@@ -13,9 +13,11 @@ from .bm import (
     DuplicatePoints,
     EmptyPointSet,
     GroebnerResult,
+    PointEvaluationSystem,
     PointSet,
     PointSetError,
     RunStats,
+    algorithm1,
     bm,
     normal_form,
 )
@@ -39,12 +41,7 @@ from .fileio import (
     serialize_points,
     serialize_result,
 )
-from .functionals import (
-    InconsistentSystem,
-    MatrixActionSystem,
-    PointEvaluationSystem,
-    algorithm1,
-)
+from .functionals import InconsistentSystem, MatrixActionSystem
 from .orders import (
     DegreeOverflow,
     NonAdmissibleColumn,

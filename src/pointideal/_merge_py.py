@@ -1,16 +1,12 @@
-"""Pure-Python kernel for locating into and merging sorted tuple lists.
+"""Kernel for locating into and merging sorted tuple lists.
 
-The compiled twin in ``_merge_c.pyx`` implements exactly the same contract;
-``deltamerge`` picks one at import time.  Counter semantics must stay
-identical between the two:
+``deltamerge`` wraps these loops in the DeltaList interface.  Counters:
 
 * ``elem``   -- one count per pair of tuple entries inspected
 * ``dcmps``  -- one count per comparison of memoized first-difference indices
 
 All first-difference ("delta") indices are 1-based, with n+1 meaning equal.
 """
-
-BACKEND = "python"
 
 
 def compare_from(u, v, k, n):

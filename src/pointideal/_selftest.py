@@ -187,7 +187,7 @@ def run_selftest(seed=0, report=print):
         "lifted result differs",
     )
 
-    # variant agreement on random point sets
+    # agreement with the Abbott-style oracle on random point sets
     bad = 0
     for _ in range(10):
         fld = oracles.random_field(rng)
@@ -197,11 +197,11 @@ def run_selftest(seed=0, report=print):
         sp = rng.choice(
             [orders.lex(n), orders.deglex(n), orders.degrevlex(n)]
         )
-        r1 = bm(pts, sp, variant="mmm")
-        r2 = bm(pts, sp, variant="abbott")
+        r1 = bm(pts, sp)
+        r2 = oracles.abbott_basis(pts, sp)
         if r1.B != r2.B or r1.G != r2.G:
             bad += 1
-    check("variant agreement (10 seeded)", bad == 0, f"{bad} mismatches")
+    check("agreement with abbott_basis (10 seeded)", bad == 0, f"{bad} mismatches")
 
     # every basis element vanishes on its points
     bad = 0

@@ -1,21 +1,21 @@
 """Gröbner bases of vanishing ideals of finite point sets.
 
-Two formulations of the same loop are provided.  The ``mmm`` variant keeps
-the candidate list as a delta-memoized sorted list with duplicates, skips
-initial-ideal multiples through the support-vs-multiplicity test, and merges
-new candidates in bulk.  The ``abbott`` variant filters candidates at
-insertion time by explicit divisibility scans; it is slower and serves as an
-equivalence oracle.
+One candidate loop, ``algorithm1``, runs over a functional system: the image
+of 1 plus a rule turning the cached image of a monomial t into the image of
+x_i*t.  ``bm`` is that loop over point evaluation.  The candidate list is a
+delta-memoized sorted list of order vectors that keeps duplicates; the length
+of the run of equal minimal elements decides, through the
+support-vs-multiplicity test, whether a candidate is an initial-ideal
+multiple, and the n new candidates of each basis monomial are merged in bulk.
 """
 
 from __future__ import annotations
 
-import bisect
 import time
 from dataclasses import dataclass
 
 from . import orders
-from .deltamerge import delta, merge_with_sources
+from .deltamerge import merge_with_sources
 from .linalg import EchelonAccumulator
 from .poly import Polynomial, combine
 
@@ -121,9 +121,43 @@ def _make_poly(t_exps, coeffs, R, spec, fld):
     return combine(parts, spec, fld)
 
 
-def _bm_mmm(points: PointSet, spec, stats: RunStats):
-    fld = points.field
-    n, m = points.n, points.m
+class PointEvaluationSystem:
+    """Psi(f) = (f(p_1), ..., f(p_m))."""
+
+    def __init__(self, points: PointSet):
+        self.points = points
+        self.field = points.field
+        self.m = points.m
+        self.arity = points.n
+        self.field_ops = 0
+
+    def psi_one(self):
+        return [self.field.one] * self.m
+
+    def step(self, cached, i):
+        mul = self.field.mul
+        self.field_ops += self.m
+        return [mul(a, b) for a, b in zip(cached, self.points.coordinate_column(i))]
+
+
+def algorithm1(sys, spec) -> GroebnerResult:
+    """Run the duplicate-preserving candidate loop over a functional system.
+
+    ``sys`` supplies ``psi_one()``, ``step(cached, i)`` (the image of x_i*t
+    from the cached image of t), ``field``, ``m``, ``arity`` and a running
+    ``field_ops`` count of its own step arithmetic.  Returns the reduced
+    basis of the kernel ideal reachable through the run and the complement
+    monomials; when the functionals are surjective the complement has
+    exactly m elements.
+    """
+    if spec.n != sys.arity:
+        raise orders.OrderError("order arity differs from system arity")
+    orders.validate_order(spec)
+    fld = sys.field
+    n, m = sys.arity, sys.m
+    stats = RunStats()
+    t0 = time.perf_counter()
+    sys_ops0 = sys.field_ops
     acc = EchelonAccumulator(m, fld)
     vars_increasing = tuple(reversed(orders.varord(spec)))
 
@@ -134,8 +168,8 @@ def _bm_mmm(points: PointSet, spec, stats: RunStats):
     L_pay = [(one, None, None)]
     nvec = len(L_items[0])
 
-    B, B_evals, R, G = [], [], [], []
-    stats.L_max = max(stats.L_max, 1)
+    B, B_psi, R, G = [], [], [], []
+    stats.L_max = 1
 
     while L_items:
         # pop the whole run of equal minimal elements; its length is Occ(t)
@@ -151,22 +185,20 @@ def _bm_mmm(points: PointSet, spec, stats: RunStats):
             continue
 
         if parent is None:
-            v = [fld.one] * m
+            v = sys.psi_one()
         else:
-            col = points.coordinate_column(var)
-            v = [fld.mul(a, b) for a, b in zip(B_evals[parent], col)]
-            stats.field_ops += m
+            v = sys.step(B_psi[parent], var)
         stats.functional_calls += 1
 
         residual, coeffs = acc.reduce(v)
         if all(x == fld.zero for x in residual):
             G.append(_make_poly(t_exps, coeffs, R, spec, fld))
             continue
-        acc.insert(residual, tag=len(B))
+        acc.insert(residual)
         R.append(_make_poly(t_exps, coeffs, R, spec, fld))
         b_index = len(B)
         B.append(t_exps)
-        B_evals.append(v)
+        B_psi.append(v)
 
         new_items, new_deltas, new_pay = [], [], []
         for i in vars_increasing:
@@ -185,74 +217,14 @@ def _bm_mmm(points: PointSet, spec, stats: RunStats):
         L_pay = [old_pay[k] if which == 0 else new_pay[k] for which, k in sources]
         stats.L_max = max(stats.L_max, len(L_items))
 
-    stats.field_ops += acc.field_ops
-    return G, B
-
-
-def _bm_abbott(points: PointSet, spec, stats: RunStats):
-    fld = points.field
-    n, m = points.n, points.m
-    acc = EchelonAccumulator(m, fld)
-    vars_increasing = tuple(reversed(orders.varord(spec)))
-
-    one = (0,) * n
-    # L kept sorted by order vector; no duplicates survive the C5 filter
-    L = [(orders.order_vector(spec, one), one, None, None)]
-    B, B_evals, R, G = [], [], [], []
-    ini_G = []
-    stats.L_max = max(stats.L_max, 1)
-
-    while L:
-        _ov, t_exps, parent, var = L.pop(0)
-        if parent is None:
-            v = [fld.one] * m
-        else:
-            col = points.coordinate_column(var)
-            v = [fld.mul(a, b) for a, b in zip(B_evals[parent], col)]
-            stats.field_ops += m
-        stats.functional_calls += 1
-
-        residual, coeffs = acc.reduce(v)
-        if all(x == fld.zero for x in residual):
-            g = _make_poly(t_exps, coeffs, R, spec, fld)
-            G.append(g)
-            ini_G.append(g.leading_monomial)
-            continue
-        acc.insert(residual, tag=len(B))
-        R.append(_make_poly(t_exps, coeffs, R, spec, fld))
-        b_index = len(B)
-        B.append(t_exps)
-        B_evals.append(v)
-
-        for i in vars_increasing:
-            cand = orders.monomial_mul_var(t_exps, i)
-            if any(orders.monomial_divides(l[1], cand) for l in L):
-                continue
-            if any(orders.monomial_divides(g_lt, cand) for g_lt in ini_G):
-                continue
-            entry = (orders.order_vector(spec, cand), cand, b_index, i)
-            bisect.insort(L, entry, key=lambda e: e[0])
-        stats.L_max = max(stats.L_max, len(L))
-
-    stats.field_ops += acc.field_ops
-    return G, B
-
-
-def bm(points: PointSet, spec, variant="mmm") -> GroebnerResult:
-    """Reduced Gröbner basis and quotient monomial basis of I(points)."""
-    if spec.n != points.n:
-        raise orders.OrderError("order arity differs from point arity")
-    orders.validate_order(spec)
-    stats = RunStats()
-    t0 = time.perf_counter()
-    if variant == "mmm":
-        G, B = _bm_mmm(points, spec, stats)
-    elif variant == "abbott":
-        G, B = _bm_abbott(points, spec, stats)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    stats.field_ops = sys.field_ops - sys_ops0 + acc.field_ops
     stats.wall_time = time.perf_counter() - t0
-    return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=points.field)
+    return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=fld)
+
+
+def bm(points: PointSet, spec) -> GroebnerResult:
+    """Reduced Gröbner basis and quotient monomial basis of I(points)."""
+    return algorithm1(PointEvaluationSystem(points), spec)
 
 
 def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Polynomial:

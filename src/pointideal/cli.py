@@ -65,7 +65,7 @@ def cmd_basis(args) -> int:
     spec = orders.parse_order(args.order, points.n)
     from .projection import bm_projected
 
-    result = bm_projected(points, spec, mode=args.project, variant=args.variant)
+    result = bm_projected(points, spec, mode=args.project)
     text = fileio.serialize_result(result)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -144,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("basis", help="compute G and B for a point-set file")
     b.add_argument("points_file")
     b.add_argument("--order", default="lex", help="order spec, e.g. deglex:2,1,3")
-    b.add_argument("--variant", choices=("abbott", "mmm"), default="mmm")
     b.add_argument("--project", choices=("auto", "on", "off"), default="auto")
     b.add_argument("--out", help="result file (default: stdout)")
     b.add_argument("--stats", help="also write run statistics to this file")

@@ -6,27 +6,17 @@ neighbours).  Locating a single element and merging two lists exploit these
 memos so that merging costs at most max(s,t) + min(s,t)*n element
 comparisons instead of the classical max(s,t)*n.
 
-The inner loops live in a kernel module: the Cython build ``_merge_c`` when
-available, else the pure-Python twin ``_merge_py``.  Set POINTIDEAL_PURE=1
-to force the fallback.
+The inner loops live in the kernel module ``_merge_py``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from . import _merge_py
 
-if os.environ.get("POINTIDEAL_PURE"):
-    _kernel = _merge_py
-else:
-    try:
-        from . import _merge_c as _kernel
-    except ImportError:
-        _kernel = _merge_py
-
-BACKEND = _kernel.BACKEND
+# the merge kernel is pure Python; reported by benchmarks next to timings
+BACKEND = "python"
 
 
 class ArityMismatch(ValueError):
@@ -37,7 +27,7 @@ def delta(v, w) -> int:
     """First 1-based index where v and w differ; n+1 when equal."""
     if len(v) != len(w):
         raise ArityMismatch(f"tuples of arity {len(v)} and {len(w)}")
-    d, _sign, _cost = _kernel.compare_from(v, w, 1, len(v))
+    d, _sign, _cost = _merge_py.compare_from(v, w, 1, len(v))
     return d
 
 
@@ -98,7 +88,7 @@ class DeltaList:
         b = tuple(b)
         if len(b) != self.arity:
             raise ArityMismatch(f"probe arity {len(b)} != {self.arity}")
-        pos, dl, dr, elem, dc = _kernel.locate(
+        pos, dl, dr, elem, dc = _merge_py.locate(
             self.items, self.deltas, b, self.arity, 0, hint, True
         )
         self.element_cmps = elem
@@ -109,7 +99,7 @@ class DeltaList:
         """Merge with another list; on ties the other list's items go first."""
         if self.arity != other.arity:
             raise ArityMismatch(f"arities {self.arity} and {other.arity}")
-        items, deltas, _src, elem, dc = _kernel.merge(
+        items, deltas, _src, elem, dc = _merge_py.merge(
             self.items, self.deltas, other.items, other.deltas, self.arity
         )
         return DeltaList(self.arity, items, deltas, elem, dc)
@@ -122,4 +112,4 @@ def merge_with_sources(items_a, deltas_a, items_b, deltas_b, n):
     sources[k] = (0, i) for an a-item or (1, j) for a b-item; callers use it
     to permute payloads carried alongside the tuples.
     """
-    return _kernel.merge(items_a, deltas_a, items_b, deltas_b, n)
+    return _merge_py.merge(items_a, deltas_a, items_b, deltas_b, n)

@@ -43,7 +43,7 @@ def parse_points(text: str, source: str = "<points>") -> PointSet:
     except (ValueError, TypeError, AttributeError) as exc:
         raise ParseError(f"{source}: bad field descriptor: {exc}") from exc
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"{source}: 'n' must be a positive integer")
     raw = doc["points"]
     if not isinstance(raw, list) or not raw:
@@ -103,7 +103,10 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
         Polynomial([(fld.parse(str(c)), tuple(m)) for c, m in terms])
         for terms in doc["G"]
     ]
-    stats = RunStats(**{k: v for k, v in doc.get("stats", {}).items()})
+    try:
+        stats = RunStats(**doc.get("stats", {}))
+    except TypeError as exc:
+        raise ParseError(f"{source}: bad stats: {exc}") from exc
     return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=fld)
 
 

@@ -1,41 +1,21 @@
-"""The base loop driven by abstract linear functionals.
+"""Functional systems beyond point evaluation.
 
 A functional system supplies the image of 1 and an incremental rule turning
-the cached image of a monomial t into the image of x_i*t.  Point evaluation
-recovers the vanishing-ideal algorithm; the action of commuting
-multiplication matrices recovers term-order conversion from precomputed
-quotient-ring data.
+the cached image of a monomial t into the image of x_i*t.  The candidate loop
+``algorithm1`` and ``PointEvaluationSystem``, which recovers the
+vanishing-ideal algorithm, live in ``bm`` and are re-exported here.  This
+module adds the action of commuting multiplication matrices, which recovers
+term-order conversion from precomputed quotient-ring data.
 """
 
 from __future__ import annotations
 
-import time
-
-from . import orders
-from .bm import GroebnerResult, RunStats, _make_poly
-from .deltamerge import merge_with_sources
-from .linalg import EchelonAccumulator
+# the loop and the point-evaluation system live in bm; re-exported here
+from .bm import PointEvaluationSystem, algorithm1  # noqa: F401
 
 
 class InconsistentSystem(ValueError):
     pass
-
-
-class PointEvaluationSystem:
-    """Psi(f) = (f(p_1), ..., f(p_m))."""
-
-    def __init__(self, points):
-        self.points = points
-        self.field = points.field
-        self.m = points.m
-        self.arity = points.n
-
-    def psi_one(self):
-        return [self.field.one] * self.m
-
-    def step(self, cached, i):
-        col = self.points.coordinate_column(i)
-        return [self.field.mul(a, b) for a, b in zip(cached, col)]
 
 
 class MatrixActionSystem:
@@ -46,6 +26,7 @@ class MatrixActionSystem:
         self.m = len(psi1)
         self.arity = len(matrices)
         self._psi1 = list(psi1)
+        self.field_ops = 0
         self.matrices = [
             [list(row) for row in mat] for mat in matrices
         ]
@@ -84,6 +65,7 @@ class MatrixActionSystem:
     def step(self, cached, i):
         F = self.field
         M = self.matrices[i - 1]
+        self.field_ops += 2 * self.m * self.m
         return [
             sum_field(F, (F.mul(a, x) for a, x in zip(row, cached)))
             for row in M
@@ -95,119 +77,3 @@ def sum_field(F, values):
     for v in values:
         acc = F.add(acc, v)
     return acc
-
-
-def algorithm1(sys, spec) -> GroebnerResult:
-    """Run the duplicate-preserving candidate loop over a functional system.
-
-    Returns the reduced basis of the kernel ideal reachable through the run
-    and the complement monomials; when the functionals are surjective the
-    complement has exactly m elements.
-    """
-    orders.validate_order(spec)
-    fld = sys.field
-    n, m = sys.arity, sys.m
-    if spec.n != n:
-        raise orders.OrderError("order arity differs from system arity")
-    stats = RunStats()
-    t0 = time.perf_counter()
-    acc = EchelonAccumulator(m, fld)
-    vars_increasing = tuple(reversed(orders.varord(spec)))
-
-    one = (0,) * n
-    L_items = [orders.order_vector(spec, one)]
-    L_deltas = []
-    L_pay = [(one, None, None)]
-    nvec = len(L_items[0])
-
-    B, B_psi, R, G = [], [], [], []
-    stats.L_max = 1
-
-    while L_items:
-        run = 1
-        while run < len(L_items) and L_deltas[run - 1] == nvec + 1:
-            run += 1
-        t_exps, parent, var = L_pay[0]
-        t_ov = L_items[0]
-        del L_items[:run]
-        del L_deltas[: min(run, len(L_deltas))]
-        del L_pay[:run]
-        if orders.support_size(t_exps) > run:
-            continue
-
-        if parent is None:
-            v = sys.psi_one()
-        else:
-            v = sys.step(B_psi[parent], var)
-        stats.functional_calls += 1
-
-        residual, coeffs = acc.reduce(v)
-        if all(x == fld.zero for x in residual):
-            G.append(_make_poly(t_exps, coeffs, R, spec, fld))
-            continue
-        acc.insert(residual)
-        R.append(_make_poly(t_exps, coeffs, R, spec, fld))
-        b_index = len(B)
-        B.append(t_exps)
-        B_psi.append(v)
-
-        new_items, new_deltas, new_pay = [], [], []
-        for i in vars_increasing:
-            new_items.append(orders.order_vector_step(spec, t_ov, i))
-            new_pay.append((orders.monomial_mul_var(t_exps, i), b_index, i))
-        for u, w in zip(new_items, new_items[1:]):
-            _s, d, cost = orders.compare_vectors(u, w)
-            new_deltas.append(d)
-            stats.element_cmps += cost
-        L_items, L_deltas, sources, ec, dc = merge_with_sources(
-            L_items, L_deltas, new_items, new_deltas, nvec
-        )
-        stats.element_cmps += ec
-        stats.delta_cmps += dc
-        old_pay = L_pay
-        L_pay = [old_pay[k] if which == 0 else new_pay[k] for which, k in sources]
-        stats.L_max = max(stats.L_max, len(L_items))
-
-    stats.field_ops += acc.field_ops
-    stats.wall_time = time.perf_counter() - t0
-    return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=fld)
-
-
-def essential_variables_functional(sys, spec):
-    """Essential variables with Psi-images replacing evaluation vectors."""
-    from .projection import EssentialSet
-
-    fld = sys.field
-    acc = EchelonAccumulator(sys.m, fld)
-    exprs = []
-
-    def insert_raw(raw_id, residual, coeffs):
-        e = {raw_id: fld.one}
-        for l, c in coeffs.items():
-            for rid, h in exprs[l].items():
-                e[rid] = fld.sub(e.get(rid, fld.zero), fld.mul(c, h))
-        exprs.append({k: v for k, v in e.items() if v != fld.zero})
-        acc.insert(residual)
-
-    psi1 = sys.psi_one()
-    residual, coeffs = acc.reduce(psi1)
-    if all(x == fld.zero for x in residual):
-        raise InconsistentSystem("Psi(1) is zero")
-    insert_raw(0, residual, coeffs)
-    ess = []
-    relations = {}
-    for i in reversed(orders.varord(spec)):
-        v = sys.step(psi1, i)
-        residual, coeffs = acc.reduce(v)
-        if any(x != fld.zero for x in residual):
-            insert_raw(i, residual, coeffs)
-            ess.append(i)
-        else:
-            flat = {}
-            for l, c in coeffs.items():
-                for rid, h in exprs[l].items():
-                    flat[rid] = fld.add(flat.get(rid, fld.zero), fld.mul(c, h))
-            flat = {k: v for k, v in flat.items() if v != fld.zero}
-            const = flat.pop(0, fld.zero)
-            relations[i] = (const, flat)
-    return EssentialSet(ess=tuple(reversed(ess)), relations=relations)

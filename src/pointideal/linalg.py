@@ -52,7 +52,7 @@ class EchelonAccumulator:
             coeffs = {k: x for k, x in coeffs.items() if x != F.zero}
         return residual, coeffs
 
-    def insert(self, residual, tag=None):
+    def insert(self, residual):
         """Add a fully reduced, nonzero vector as a new original row."""
         F = self.field
         piv = next((k for k, x in enumerate(residual) if x != F.zero), None)

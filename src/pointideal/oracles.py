@@ -1,17 +1,24 @@
 """Naive reference implementations and seeded generators.
 
-Everything here is deliberately simple and shares no code with the
-optimized paths; property tests and the selftest command compare the two.
+Everything here is deliberately simple; property tests and the selftest
+command compare it with the optimized paths.  The merge and divisibility
+oracles share no code with the library.  ``abbott_basis`` is the exception:
+it shares elimination and polynomial construction with ``bm``
+(``EchelonAccumulator`` and ``bm._make_poly``), so comparing the two checks
+only the candidate bookkeeping -- the memoized duplicate-preserving list
+against explicit divisibility filtering.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 from fractions import Fraction
 
 from . import orders
-from .bm import PointSet
+from .bm import GroebnerResult, PointSet, RunStats, _make_poly
 from .fields import PrimeField, RationalField
+from .linalg import EchelonAccumulator
 
 
 def tuple_cmp_cost(u, v):
@@ -61,6 +68,53 @@ def naive_divisibility_filter(t, L_monomials, ini_G) -> bool:
     return any(orders.monomial_divides(l, t) for l in L_monomials) or any(
         orders.monomial_divides(g, t) for g in ini_G
     )
+
+
+def abbott_basis(points: PointSet, spec) -> GroebnerResult:
+    """B and G with candidates filtered at insertion time (Abbott et al.).
+
+    The candidate list holds no duplicates: a new candidate x_i*t is dropped
+    when a listed candidate or a found leading monomial divides it.  The
+    result's stats are left at zero.
+    """
+    if spec.n != points.n:
+        raise orders.OrderError("order arity differs from point arity")
+    orders.validate_order(spec)
+    fld = points.field
+    n, m = points.n, points.m
+    acc = EchelonAccumulator(m, fld)
+    vars_increasing = tuple(reversed(orders.varord(spec)))
+
+    one = (0,) * n
+    # (order vector, exps, parent index in B or None, multiplied variable),
+    # kept sorted by order vector
+    L = [(orders.order_vector(spec, one), one, None, None)]
+    B, B_evals, R, G, ini_G = [], [], [], [], []
+    while L:
+        _ov, t_exps, parent, var = L.pop(0)
+        if parent is None:
+            v = [fld.one] * m
+        else:
+            col = points.coordinate_column(var)
+            v = [fld.mul(a, b) for a, b in zip(B_evals[parent], col)]
+        residual, coeffs = acc.reduce(v)
+        if all(x == fld.zero for x in residual):
+            g = _make_poly(t_exps, coeffs, R, spec, fld)
+            G.append(g)
+            ini_G.append(g.leading_monomial)
+            continue
+        acc.insert(residual)
+        R.append(_make_poly(t_exps, coeffs, R, spec, fld))
+        b_index = len(B)
+        B.append(t_exps)
+        B_evals.append(v)
+        for i in vars_increasing:
+            cand = orders.monomial_mul_var(t_exps, i)
+            if naive_divisibility_filter(cand, [e[1] for e in L], ini_G):
+                continue
+            entry = (orders.order_vector(spec, cand), cand, b_index, i)
+            bisect.insort(L, entry, key=lambda e: e[0])
+    return GroebnerResult(G=G, B=B, stats=RunStats(), spec=spec, field=fld)
 
 
 def membership_by_evaluation(f, points: PointSet) -> bool:

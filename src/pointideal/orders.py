@@ -187,10 +187,16 @@ def parse_order(text: str, n: int) -> OrderSpec:
     if kind == "matrix":
         path = Path(rest.strip())
         rows = []
-        for line in path.read_text().splitlines():
+        for ln, line in enumerate(path.read_text().splitlines(), start=1):
             line = line.strip()
             if line:
-                rows.append(tuple(int(x) for x in line.split()))
+                try:
+                    rows.append(tuple(int(x) for x in line.split()))
+                except ValueError as exc:
+                    # deferred: fileio imports this module through bm
+                    from .fileio import ParseError
+
+                    raise ParseError(f"{path}: line {ln}: {exc}") from exc
         return matrix_order(rows)
     raise OrderError(f"cannot parse order spec {text!r}")
 
@@ -251,10 +257,6 @@ def compare_vectors(a: tuple, b: tuple):
         if x != y:
             return ((-1 if x < y else 1), k, k)
     return (0, len(a) + 1, len(a))
-
-
-def compare(spec: OrderSpec, a: tuple, b: tuple):
-    return compare_vectors(a, b)
 
 
 def varord(spec: OrderSpec) -> tuple:

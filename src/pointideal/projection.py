@@ -11,6 +11,7 @@ variable.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from . import orders
@@ -128,20 +129,24 @@ def lift(sub: GroebnerResult, es: EssentialSet, points: PointSet, spec) -> Groeb
     return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=fld)
 
 
-def bm_projected(points: PointSet, spec, mode="auto", variant="mmm") -> GroebnerResult:
+def bm_projected(points: PointSet, spec, mode="auto") -> GroebnerResult:
     """Essential-variable pipeline around the base algorithm.
 
     mode "auto" projects only when it shrinks the ring, "on" always runs the
-    pipeline, "off" delegates to the direct algorithm.
+    pipeline, "off" delegates to the direct algorithm.  The result's
+    ``wall_time`` covers the whole call: scan, projection, sub-run and lift.
     """
     if mode not in ("auto", "on", "off"):
         raise ValueError(f"unknown projection mode {mode!r}")
     if mode == "off":
-        return bm(points, spec, variant)
+        return bm(points, spec)
+    t0 = time.perf_counter()
     es = essential_variables(points, spec)
     if mode == "auto" and len(es.ess) == points.n:
-        return bm(points, spec, variant)
-    sub_points = project(points, es)
-    sub_spec = orders.restrict(spec, es.ess)
-    sub = bm(sub_points, sub_spec, variant)
-    return lift(sub, es, points, spec)
+        result = bm(points, spec)
+    else:
+        sub_points = project(points, es)
+        sub_spec = orders.restrict(spec, es.ess)
+        result = lift(bm(sub_points, sub_spec), es, points, spec)
+    result.stats.wall_time = time.perf_counter() - t0
+    return result

@@ -69,14 +69,14 @@ def random_order(rng, n, matrix_every=4):
 
 @pytest.fixture(scope="session")
 def variant_corpus():
-    """Shared runs for the variant-agreement and basis-count criteria."""
+    """Shared runs for the oracle-agreement and basis-count criteria."""
     rng = random.Random(20260826)
     runs = []
     for k in range(200):
         points = random_instance(rng, m_max=30 if k % 3 else 12)
         spec = random_order(rng, points.n)
-        r_mmm = bm(points, spec, variant="mmm")
-        r_abb = bm(points, spec, variant="abbott")
+        r_mmm = bm(points, spec)
+        r_abb = oracles.abbott_basis(points, spec)
         runs.append((points, spec, r_mmm, r_abb))
     return runs
 
@@ -92,7 +92,7 @@ def projection_corpus():
         fld = oracles.random_field(rng)
         points = oracles.random_point_set(rng, fld, n, m)
         spec = random_order(rng, n)
-        direct = bm(points, spec, variant="mmm")
+        direct = bm(points, spec)
         piped = bm_projected(points, spec, mode="on")
         runs.append((points, spec, direct, piped))
     return runs

@@ -155,14 +155,14 @@ def test_criterion_4_merge_bound(capsys):
 
 
 def test_criterion_5_variant_agreement(capsys, variant_corpus):
-    """Both loop formulations agree; full invariant suite per run."""
+    """The library loop agrees with the Abbott-style oracle; full invariant suite per run."""
     with Timer(60.0):
         assert len(variant_corpus) >= 200
         for k, (points, spec, r_mmm, r_abb) in enumerate(variant_corpus):
             assert r_mmm.B == r_abb.B and r_mmm.G == r_abb.G, f"instance {k}"
             check_result_invariants(r_mmm, points)
     with capsys.disabled():
-        ok(f"criterion 5: variant agreement + invariants on {len(variant_corpus)} runs")
+        ok(f"criterion 5: oracle agreement + invariants on {len(variant_corpus)} runs")
 
 
 def test_criterion_6_projection_equivalence(capsys, projection_corpus):
@@ -212,7 +212,7 @@ def test_criterion_8_functional_engine(capsys):
             kind = rng.choice([orders.lex, orders.deglex, orders.degrevlex])
             spec = kind(n)
             res = algorithm1(PointEvaluationSystem(points), spec)
-            direct = bm(points, spec, variant="mmm")
+            direct = bm(points, spec)
             assert res.B == direct.B and res.G == direct.G
             assert res.stats.functional_calls <= len(res.G) + m
             count += 1

@@ -1,69 +1,9 @@
-"""The compiled merge kernel must match the pure-Python twin exactly."""
+"""The merge kernel is pure Python, and the package reports it."""
 
-import random
-import subprocess
-import sys
-
-import pytest
-
+import pointideal
 from pointideal import _merge_py
-
-try:
-    from pointideal import _merge_c
-except ImportError:
-    _merge_c = None
-
-needs_compiled = pytest.mark.skipif(_merge_c is None, reason="compiled kernel not built")
-
-
-def random_sorted(rng, n, max_len):
-    return sorted(
-        tuple(rng.randint(0, 3) for _ in range(n))
-        for _ in range(rng.randint(0, max_len))
-    )
-
-
-def deltas_of(items, n):
-    out = []
-    for u, v in zip(items, items[1:]):
-        d, _s, _c = _merge_py.compare_from(u, v, 1, n)
-        out.append(d)
-    return out
-
-
-@needs_compiled
-def test_kernels_agree_everywhere():
-    rng = random.Random(123)
-    for _ in range(400):
-        n = rng.randint(1, 10)
-        la = random_sorted(rng, n, 40)
-        lb = random_sorted(rng, n, 40)
-        da, db = deltas_of(la, n), deltas_of(lb, n)
-        assert _merge_c.merge(la, da, lb, db, n) == _merge_py.merge(la, da, lb, db, n)
-        if la:
-            b = tuple(rng.randint(0, 3) for _ in range(n))
-            for before in (True, False):
-                assert _merge_c.locate(la, da, b, n, 0, 1, before) == _merge_py.locate(
-                    la, da, b, n, 0, 1, before
-                )
-
-
-@needs_compiled
-def test_backend_selection():
-    import os
-
-    from pointideal.deltamerge import BACKEND
-
-    expected = "python" if os.environ.get("POINTIDEAL_PURE") else "cython"
-    assert BACKEND == expected
-    out = subprocess.run(
-        [sys.executable, "-c", "import pointideal; print(pointideal.BACKEND)"],
-        env={"POINTIDEAL_PURE": "1", "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-    )
-    assert out.stdout.strip() == "python"
 
 
 def test_pure_kernel_importable():
-    assert _merge_py.BACKEND == "python"
+    assert pointideal.BACKEND == "python"
+    assert _merge_py.merge([(1,)], [], [(0,)], [], 1)[0] == [(0,), (1,)]

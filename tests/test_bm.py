@@ -1,4 +1,4 @@
-"""The basis computation itself: known answers, variants, invariants."""
+"""The basis computation itself: known answers, oracle agreement, invariants."""
 
 import random
 from fractions import Fraction
@@ -45,10 +45,10 @@ def test_two_points_on_a_line():
     ]
 
 
-@pytest.mark.parametrize("variant", ["mmm", "abbott"])
-def test_known_five_variable_instance(variant):
+@pytest.mark.parametrize("basis", [bm, oracles.abbott_basis], ids=["mmm", "abbott"])
+def test_known_five_variable_instance(basis):
     spec = orders.lex(5)
-    res = bm(GOLDEN_POINTS, spec, variant=variant)
+    res = basis(GOLDEN_POINTS, spec)
     assert res.B == GOLDEN_B
     assert res.G == golden_G(spec)
     check_result_invariants(res, GOLDEN_POINTS)
@@ -64,8 +64,6 @@ def test_point_set_validation():
     pts = PointSet(field=QQ, n=1, points=((Fraction(0),),))
     with pytest.raises(orders.OrderError):
         bm(pts, orders.lex(2))
-    with pytest.raises(ValueError):
-        bm(pts, orders.lex(1), variant="other")
 
 
 def test_occ_skip_unit():
@@ -89,7 +87,7 @@ def test_occ_skip_agrees_with_divisibility(monkeypatch):
             return out
 
         monkeypatch.setattr(bm_mod, "occ_skip", spy)
-        res = bm(pts, spec, variant="mmm")
+        res = bm(pts, spec)
         monkeypatch.setattr(bm_mod, "occ_skip", real)
         ini = [g.leading_monomial for g in res.G]
         for exps, skipped in calls:
@@ -104,8 +102,8 @@ def test_variant_agreement_random():
     for _ in range(25):
         pts = random_instance(rng, n_max=5, m_max=10)
         spec = random_order(rng, pts.n)
-        r1 = bm(pts, spec, variant="mmm")
-        r2 = bm(pts, spec, variant="abbott")
+        r1 = bm(pts, spec)
+        r2 = oracles.abbott_basis(pts, spec)
         assert r1.B == r2.B and r1.G == r2.G
         check_result_invariants(r1, pts)
 
@@ -117,7 +115,7 @@ def test_stats_bounds():
     for _ in range(20):
         pts = random_instance(rng, n_max=6, m_max=12)
         spec = random_order(rng, pts.n)
-        res = bm(pts, spec, variant="mmm")
+        res = bm(pts, spec)
         n, m = pts.n, pts.m
         # raw run: one batch of n candidates per basis element found
         assert res.stats.L_max <= n * m + 1

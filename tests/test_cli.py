@@ -57,19 +57,6 @@ def test_basis_known_instance(capsys, points_file):
         assert doc["B"] == exp["B"] and doc["G"] == exp["G"]
 
 
-def test_basis_variants_identical(capsys, points_file):
-    outs = []
-    for variant in ("mmm", "abbott"):
-        code, out, _ = run_cli(
-            capsys, "basis", str(points_file), "--variant", variant,
-            "--project", "off",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        outs.append((doc["B"], doc["G"]))
-    assert outs[0] == outs[1]
-
-
 def test_basis_output_and_stats_files(capsys, points_file, tmp_path):
     out_file = tmp_path / "result.json"
     stats_file = tmp_path / "stats.json"
@@ -92,6 +79,14 @@ def test_basis_bad_arity_names_row(capsys, tmp_path):
     assert "point 1" in err
 
 
+def test_basis_boolean_n_is_parse_error(capsys, tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text('{"field":{"type":"rational"},"n":true,"points":[["1"],["2"]]}')
+    code, out, err = run_cli(capsys, "basis", str(p))
+    assert code == 2 and out == ""
+    assert "'n' must be a positive integer" in err
+
+
 def test_basis_bad_json_position(capsys, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"field": \n oops}')
@@ -105,11 +100,15 @@ def test_basis_missing_file(capsys, tmp_path):
     assert code == 2
 
 
-def test_basis_bad_order(capsys, points_file):
+def test_basis_bad_order(capsys, points_file, tmp_path):
     code, _, err = run_cli(capsys, "basis", str(points_file), "--order", "lex:1,1,3,4,5")
     assert code == 1
     code, _, err = run_cli(capsys, "basis", str(points_file), "--order", "zigzag")
     assert code == 1
+    grid = tmp_path / "A.txt"
+    grid.write_text("1 1 1 1 1\n1 0 x 0 0\n")
+    code, _, err = run_cli(capsys, "basis", str(points_file), "--order", f"matrix:{grid}")
+    assert code == 2 and "line 2" in err
 
 
 def test_basis_duplicate_points(capsys, tmp_path):
@@ -232,3 +231,7 @@ def test_result_round_trip():
     assert back.B == res.B
     assert back.G == res.G
     assert back.stats.to_dict() == res.stats.to_dict()
+    doc = json.loads(text)
+    doc["stats"]["bogus"] = 1
+    with pytest.raises(fileio.ParseError, match="bogus"):
+        fileio.parse_result(json.dumps(doc), spec)

@@ -15,10 +15,8 @@ from pointideal.functionals import (
     MatrixActionSystem,
     PointEvaluationSystem,
     algorithm1,
-    essential_variables_functional,
 )
 from pointideal.poly import Polynomial
-from pointideal.projection import essential_variables
 
 
 def test_point_system_equals_direct_known():
@@ -34,8 +32,11 @@ def test_point_system_equals_direct_random():
         pts = random_instance(rng, n_max=5, m_max=10)
         spec = random_order(rng, pts.n)
         res = algorithm1(PointEvaluationSystem(pts), spec)
-        direct = bm(pts, spec, variant="mmm")
+        direct = bm(pts, spec)
         assert res.B == direct.B and res.G == direct.G
+        stats, direct_stats = res.stats.to_dict(), direct.stats.to_dict()
+        del stats["wall_time"], direct_stats["wall_time"]
+        assert stats == direct_stats
         assert res.stats.functional_calls <= len(res.G) + pts.m
 
 
@@ -79,10 +80,16 @@ def test_matrix_action_order_conversion():
     lex_spec = orders.lex(5)
     psi1, mats = _multiplication_matrices(GOLDEN_POINTS, lex_spec)
     sys = MatrixActionSystem(QQ, psi1, mats)
+    m = len(psi1)
     for target in (orders.deglex(5), orders.degrevlex(5)):
+        before = sys.field_ops
         res = algorithm1(sys, target)
         direct = bm(GOLDEN_POINTS, target)
         assert res.B == direct.B and res.G == direct.G
+        # every call but psi_one is one m x m matrix-vector product
+        step_ops = 2 * m * m * (res.stats.functional_calls - 1)
+        assert sys.field_ops - before == step_ops
+        assert res.stats.field_ops > step_ops
 
 
 def test_non_commuting_matrices_rejected():
@@ -102,20 +109,6 @@ def test_non_surjective_system_terminates():
     res = algorithm1(sys, orders.lex(2))
     assert res.B == [(0, 0)]
     assert [g.leading_monomial for g in res.G] == [(0, 1), (1, 0)]
-
-
-def test_essential_variables_functional_agrees():
-    spec = orders.lex(5)
-    es_f = essential_variables_functional(PointEvaluationSystem(GOLDEN_POINTS), spec)
-    es_p = essential_variables(GOLDEN_POINTS, spec)
-    assert es_f.ess == es_p.ess and es_f.relations == es_p.relations
-    rng = random.Random(55)
-    for _ in range(15):
-        pts = random_instance(rng, n_max=6, m_max=8)
-        spec = random_order(rng, pts.n)
-        es_f = essential_variables_functional(PointEvaluationSystem(pts), spec)
-        es_p = essential_variables(pts, spec)
-        assert es_f.ess == es_p.ess and es_f.relations == es_p.relations
 
 
 def test_arity_mismatch_rejected():

@@ -1,0 +1,127 @@
+"""Exact outputs and counters, pinned so that refactors cannot move them.
+
+Each case is run direct (``bm``) and through the projection pipeline with
+``mode="on"``.  The pinned values are every ``RunStats`` field except
+``wall_time`` plus a digest of B and G.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from pointideal import oracles, orders
+from pointideal._selftest import GOLDEN_POINTS
+from pointideal.bm import PointSet, bm
+from pointideal.fields import PrimeField, QQ
+from pointideal.projection import bm_projected
+
+
+def _dependent_points(rng, fld, free, m):
+    """Points whose last coordinates are affine in the first ``free`` ones."""
+    n = free + 3
+    pts = set()
+    while len(pts) < m:
+        x = [fld.from_int(rng.randrange(50)) for _ in range(free)]
+        y = [
+            fld.add(fld.from_int(c), fld.mul(fld.from_int(a), x[j % free]))
+            for j, (a, c) in enumerate([(2, 1), (3, 0), (5, 7)])
+        ]
+        pts.add(tuple(x + y))
+    return PointSet(field=fld, n=n, points=tuple(sorted(pts)))
+
+
+def _cases():
+    gf = PrimeField(32003)
+    yield "golden-lex", GOLDEN_POINTS, orders.lex(5)
+    rng = random.Random(2024)
+    yield "gf-n4-m40-degrevlex", oracles.random_point_set(rng, gf, 4, 40), orders.degrevlex(4)
+    yield "qq-n3-m12-lex", oracles.random_point_set(rng, QQ, 3, 12), orders.lex(3)
+    yield "gf-n5-m25-lexperm", oracles.random_point_set(rng, gf, 5, 25), orders.lex(5, (3, 1, 5, 2, 4))
+    yield "qq-n4-m10-degrevlex", oracles.random_point_set(rng, QQ, 4, 10), orders.degrevlex(4)
+    yield "gf101-n3-m30-matrix", oracles.random_point_set(rng, PrimeField(101), 3, 30), oracles.random_matrix_order(rng, 3)
+    yield "gf-dependent-deglex", _dependent_points(rng, gf, 3, 20), orders.deglex(6)
+    yield "qq-dependent-degrevlex", _dependent_points(rng, QQ, 2, 8), orders.degrevlex(5)
+
+
+def _digest(result):
+    fld = result.field
+    doc = {
+        "B": [list(b) for b in result.B],
+        "G": [[[fld.format(c), list(mo)] for c, mo in g.terms] for g in result.G],
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
+
+
+def _observed(result):
+    stats = result.stats.to_dict()
+    del stats["wall_time"]
+    return {"digest": _digest(result), **stats}
+
+
+def observe_all():
+    """{case: {"direct": ..., "on": ...}} for every pinned case."""
+    out = {}
+    for name, points, spec in _cases():
+        out[name] = {
+            "direct": _observed(bm(points, spec)),
+            "on": _observed(bm_projected(points, spec, mode="on")),
+        }
+    return out
+
+
+# recorded before the candidate loop was unified; every value must hold
+PINNED = {
+    "golden-lex": {
+        "direct": {"digest": "68fbffa1a2b7ec22", "element_cmps": 109, "delta_cmps": 22, "field_ops": 198, "functional_calls": 9, "L_max": 17, "n_essential": None},
+        "on": {"digest": "68fbffa1a2b7ec22", "element_cmps": 16, "delta_cmps": 4, "field_ops": 278, "functional_calls": 6, "L_max": 5, "n_essential": 2},
+    },
+    "gf-n4-m40-degrevlex": {
+        "direct": {"digest": "6cdcfd423d16833e", "element_cmps": 951, "delta_cmps": 1782, "field_ops": 132820, "functional_calls": 75, "L_max": 91, "n_essential": None},
+        "on": {"digest": "6cdcfd423d16833e", "element_cmps": 951, "delta_cmps": 1782, "field_ops": 231180, "functional_calls": 75, "L_max": 91, "n_essential": 4},
+    },
+    "qq-n3-m12-lex": {
+        "direct": {"digest": "be50468e618e5abe", "element_cmps": 203, "delta_cmps": 121, "field_ops": 2996, "functional_calls": 16, "L_max": 24, "n_essential": None},
+        "on": {"digest": "be50468e618e5abe", "element_cmps": 203, "delta_cmps": 121, "field_ops": 5460, "functional_calls": 16, "L_max": 24, "n_essential": 3},
+    },
+    "gf-n5-m25-lexperm": {
+        "direct": {"digest": "57ace5e24028fcca", "element_cmps": 1789, "delta_cmps": 1177, "field_ops": 26950, "functional_calls": 30, "L_max": 101, "n_essential": None},
+        "on": {"digest": "57ace5e24028fcca", "element_cmps": 1789, "delta_cmps": 1177, "field_ops": 51300, "functional_calls": 30, "L_max": 101, "n_essential": 5},
+    },
+    "qq-n4-m10-degrevlex": {
+        "direct": {"digest": "6f0fa2d7f5cedc98", "element_cmps": 179, "delta_cmps": 115, "field_ops": 2461, "functional_calls": 21, "L_max": 28, "n_essential": None},
+        "on": {"digest": "6f0fa2d7f5cedc98", "element_cmps": 179, "delta_cmps": 115, "field_ops": 4013, "functional_calls": 21, "L_max": 28, "n_essential": 4},
+    },
+    "gf101-n3-m30-matrix": {
+        "direct": {"digest": "fa9da261a3d5e760", "element_cmps": 752, "delta_cmps": 821, "field_ops": 33184, "functional_calls": 34, "L_max": 55, "n_essential": None},
+        "on": {"digest": "fa9da261a3d5e760", "element_cmps": 752, "delta_cmps": 821, "field_ops": 63812, "functional_calls": 34, "L_max": 55, "n_essential": 3},
+    },
+    "gf-dependent-deglex": {
+        "direct": {"digest": "be5feae3897c21a7", "element_cmps": 826, "delta_cmps": 707, "field_ops": 17508, "functional_calls": 38, "L_max": 78, "n_essential": None},
+        "on": {"digest": "be5feae3897c21a7", "element_cmps": 256, "delta_cmps": 278, "field_ops": 30324, "functional_calls": 35, "L_max": 30, "n_essential": 3},
+    },
+    "qq-dependent-degrevlex": {
+        "direct": {"digest": "fe89ed65cb0eadf6", "element_cmps": 151, "delta_cmps": 67, "field_ops": 1268, "functional_calls": 15, "L_max": 22, "n_essential": None},
+        "on": {"digest": "fe89ed65cb0eadf6", "element_cmps": 38, "delta_cmps": 16, "field_ops": 2108, "functional_calls": 12, "L_max": 7, "n_essential": 2},
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def observed():
+    return observe_all()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+@pytest.mark.parametrize("run", ["direct", "on"])
+def test_pinned_counters(observed, name, run):
+    assert observed[name][run] == PINNED[name][run]
+
+
+def test_pinned_cases_cover_every_case(observed):
+    assert sorted(observed) == sorted(PINNED)
+
+
+if __name__ == "__main__":
+    print(json.dumps(observe_all(), indent=1))

@@ -1,12 +1,13 @@
 """Essential variables, projection, and lifting."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import check_result_invariants, random_order
-from pointideal import oracles, orders
+from pointideal import oracles, orders, projection
 from pointideal._selftest import (
     GOLDEN_ESS,
     GOLDEN_POINTS,
@@ -108,7 +109,7 @@ def test_pipeline_equals_direct_random():
         fld = oracles.random_field(rng)
         pts = oracles.random_point_set(rng, fld, n, m)
         spec = random_order(rng, n)
-        direct = bm(pts, spec, variant="mmm")
+        direct = bm(pts, spec)
         for mode in ("auto", "on", "off"):
             piped = bm_projected(pts, spec, mode=mode)
             assert piped.B == direct.B and piped.G == direct.G
@@ -119,6 +120,18 @@ def test_pipeline_equals_direct_random():
                 if e:
                     assert i in ess_set
         check_result_invariants(direct, pts)
+
+
+def test_projected_wall_time_covers_lift(monkeypatch):
+    real_lift = projection.lift
+
+    def slow_lift(*args):
+        time.sleep(0.05)
+        return real_lift(*args)
+
+    monkeypatch.setattr(projection, "lift", slow_lift)
+    res = bm_projected(GOLDEN_POINTS, orders.lex(5), mode="on")
+    assert res.stats.wall_time >= 0.05
 
 
 def test_projection_mode_validation():
