@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from . import orders
 from .deltamerge import merge_with_sources
 from .linalg import EchelonAccumulator
-from .poly import Polynomial, combine
+# combine stays bound here so that perfbench's tracer can patch bm.combine
+from .poly import Polynomial, combine  # noqa: F401
 
 
 class PointSetError(ValueError):
@@ -113,12 +114,10 @@ def occ_skip(exps, occ: int) -> bool:
     return orders.support_size(exps) > occ
 
 
-def _make_poly(t_exps, coeffs, R, spec, fld):
-    """t - sum coeffs[i] * R[i], the reduction of t against found relations."""
-    parts = [(fld.one, Polynomial.monomial(t_exps, fld))]
-    for idx, c in coeffs.items():
-        parts.append((fld.neg(c), R[idx]))
-    return combine(parts, spec, fld)
+def _make_poly(t_exps, coeffs, B, fld):
+    """t - sum coeffs[i] * B[i]; t exceeds every monomial of the ascending B."""
+    tail = [(fld.neg(coeffs[i]), B[i]) for i in sorted(coeffs, reverse=True)]
+    return Polynomial([(fld.one, t_exps)] + tail)
 
 
 class PointEvaluationSystem:
@@ -168,7 +167,7 @@ def algorithm1(sys, spec) -> GroebnerResult:
     L_pay = [(one, None, None)]
     nvec = len(L_items[0])
 
-    B, B_psi, R, G = [], [], [], []
+    B, B_psi, G = [], [], []
     stats.L_max = 1
 
     while L_items:
@@ -192,10 +191,9 @@ def algorithm1(sys, spec) -> GroebnerResult:
 
         residual, coeffs = acc.reduce(v)
         if all(x == fld.zero for x in residual):
-            G.append(_make_poly(t_exps, coeffs, R, spec, fld))
+            G.append(_make_poly(t_exps, coeffs, B, fld))
             continue
-        acc.insert(residual)
-        R.append(_make_poly(t_exps, coeffs, R, spec, fld))
+        acc.insert(residual, coeffs)
         b_index = len(B)
         B.append(t_exps)
         B_psi.append(v)
@@ -235,28 +233,10 @@ def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Poly
     """
     fld = points.field
     acc = EchelonAccumulator(points.m, fld)
-    rpolys = basis_combination_engine(result.B, result.spec, points, acc)
-    w = [f.evaluate(fld, p) for p in points.points]
-    residual, coeffs = acc.reduce(w)
+    for b in result.B:
+        acc.insert(*acc.reduce([evaluate_monomial(fld, b, p) for p in points.points]))
+    residual, coeffs = acc.reduce([f.evaluate(fld, p) for p in points.points])
     if any(x != fld.zero for x in residual):
         raise PointSetError("basis does not span the evaluation space")
-    return combine([(c, rpolys[i]) for i, c in coeffs.items()], result.spec, fld)
-
-
-def basis_combination_engine(B, spec, points: PointSet, acc: EchelonAccumulator):
-    """Insert the basis evaluation vectors into acc, tracking polynomials.
-
-    Returns per-insertion polynomials r_i, supported on B, with r_i(P) equal
-    to the inserted residual vectors; any vector expressed over the originals
-    by ``acc.reduce`` therefore lifts to the B-supported combination
-    sum(coeffs[i] * r_i).
-    """
-    fld = points.field
-    rpolys = []
-    for b in B:
-        v = [evaluate_monomial(fld, b, p) for p in points.points]
-        residual, coeffs = acc.reduce(v)
-        rp = _make_poly(b, coeffs, rpolys, spec, fld)
-        acc.insert(residual)
-        rpolys.append(rp)
-    return rpolys
+    B = result.B
+    return Polynomial([(coeffs[i], B[i]) for i in sorted(coeffs, reverse=True)])

@@ -23,6 +23,21 @@ def _load_json(text: str, source: str):
         ) from exc
 
 
+def _load_document(text: str, source: str, keys):
+    """The top-level object, checked for ``keys``, and its field."""
+    doc = _load_json(text, source)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{source}: top level must be an object")
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"{source}: missing key {key!r}")
+    try:
+        fld = field_from_descriptor(doc["field"])
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{source}: bad field descriptor: {exc}") from exc
+    return doc, fld
+
+
 def parse_points(text: str, source: str = "<points>") -> PointSet:
     """Parse the point-set document.
 
@@ -32,16 +47,7 @@ def parse_points(text: str, source: str = "<points>") -> PointSet:
          "n": N,
          "points": [["a/b", ...], ...]}
     """
-    doc = _load_json(text, source)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{source}: top level must be an object")
-    for key in ("field", "n", "points"):
-        if key not in doc:
-            raise ParseError(f"{source}: missing key {key!r}")
-    try:
-        fld = field_from_descriptor(doc["field"])
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ParseError(f"{source}: bad field descriptor: {exc}") from exc
+    doc, fld = _load_document(text, source, ("field", "n", "points"))
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"{source}: 'n' must be a positive integer")
@@ -96,13 +102,15 @@ def serialize_result(result: GroebnerResult) -> str:
 
 def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
     """Round-trip parse of a result document produced by serialize_result."""
-    doc = _load_json(text, source)
-    fld = field_from_descriptor(doc["field"])
-    B = [tuple(b) for b in doc["B"]]
-    G = [
-        Polynomial([(fld.parse(str(c)), tuple(m)) for c, m in terms])
-        for terms in doc["G"]
-    ]
+    doc, fld = _load_document(text, source, ("field", "B", "G"))
+    try:
+        B = [tuple(b) for b in doc["B"]]
+        G = [
+            Polynomial([(fld.parse(str(c)), tuple(m)) for c, m in terms])
+            for terms in doc["G"]
+        ]
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"{source}: bad B or G: {exc}") from exc
     try:
         stats = RunStats(**doc.get("stats", {}))
     except TypeError as exc:

@@ -3,15 +3,12 @@
 A functional system supplies the image of 1 and an incremental rule turning
 the cached image of a monomial t into the image of x_i*t.  The candidate loop
 ``algorithm1`` and ``PointEvaluationSystem``, which recovers the
-vanishing-ideal algorithm, live in ``bm`` and are re-exported here.  This
-module adds the action of commuting multiplication matrices, which recovers
-term-order conversion from precomputed quotient-ring data.
+vanishing-ideal algorithm, live in ``bm``.  This module adds the action of
+commuting multiplication matrices, which recovers term-order conversion from
+precomputed quotient-ring data.
 """
 
 from __future__ import annotations
-
-# the loop and the point-evaluation system live in bm; re-exported here
-from .bm import PointEvaluationSystem, algorithm1  # noqa: F401
 
 
 class InconsistentSystem(ValueError):

@@ -1,10 +1,12 @@
 """Incremental exact row reduction with provenance bookkeeping.
 
-The accumulator keeps a matrix in reduced echelon form.  Every row also
-carries the coefficients that express it over the *originally inserted*
-vectors, so reducing a new vector yields, for free, its coordinates with
-respect to those originals -- which is exactly what turns an evaluation
-vector back into a polynomial combination.
+The accumulator keeps its rows in insertion order, in semi-echelon form:
+each row's pivot is its first nonzero entry, equal to 1, and each row is
+zero on the pivots of the rows before it.  Every row also carries its
+coefficients over the *originally inserted* vectors, the ``v`` handed to
+``reduce`` before ``insert``.  Reducing a new vector therefore yields its
+coordinates over those originals -- which, for evaluation vectors of
+monomials, is directly a polynomial combination of those monomials.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ class EchelonAccumulator:
     def __init__(self, m, field):
         self.m = m
         self.field = field
-        self.rows = []  # reduced echelon rows, pivot entry 1
-        self.pivots = []  # pivot column of each row, strictly increasing
+        self.rows = []  # semi-echelon rows in insertion order, pivot entry 1
+        self.pivots = []  # pivot column of each row
         self.history = []  # row -> coeffs over originally inserted vectors
-        self.n_inserted = 0
         self.field_ops = 0
 
     @property
@@ -49,39 +50,27 @@ class EchelonAccumulator:
                 self.field_ops += 1
                 cur = coeffs.get(idx)
                 coeffs[idx] = add if cur is None else F.add(cur, add)
-            coeffs = {k: x for k, x in coeffs.items() if x != F.zero}
+        coeffs = {k: x for k, x in coeffs.items() if x != F.zero}
         return residual, coeffs
 
-    def insert(self, residual):
-        """Add a fully reduced, nonzero vector as a new original row."""
+    def insert(self, residual, coeffs):
+        """Add original v as a new row, given (residual, coeffs) = reduce(v).
+
+        The residual must be nonzero; v gets the next insertion index.
+        """
         F = self.field
         piv = next((k for k, x in enumerate(residual) if x != F.zero), None)
         if piv is None:
             raise InsertZero("cannot insert the zero vector")
-        idx = self.n_inserted
-        self.n_inserted += 1
+        idx = len(self.rows)
         inv = F.inv(residual[piv])
         self.field_ops += 1
-        row = [F.mul(inv, x) for x in residual]
+        self.rows.append([F.mul(inv, x) for x in residual])
         self.field_ops += self.m
-        hist = {idx: inv}
-        # clear the new pivot column in the rows above
-        for r in range(len(self.rows)):
-            c = self.rows[r][piv]
-            if c == F.zero:
-                continue
-            old = self.rows[r]
-            self.rows[r] = [F.sub(a, F.mul(c, b)) for a, b in zip(old, row)]
-            self.field_ops += 2 * self.m
-            oh = self.history[r]
-            for k, h in hist.items():
-                sub = F.mul(c, h)
-                self.field_ops += 1
-                cur = oh.get(k, F.zero)
-                oh[k] = F.sub(cur, sub)
-            self.history[r] = {k: x for k, x in oh.items() if x != F.zero}
-        at = next((r for r, p in enumerate(self.pivots) if p > piv), len(self.rows))
-        self.rows.insert(at, row)
-        self.pivots.insert(at, piv)
-        self.history.insert(at, hist)
+        # residual = v - sum coeffs[i]*original_i, scaled by inv
+        hist = {i: F.neg(F.mul(inv, c)) for i, c in coeffs.items()}
+        self.field_ops += len(coeffs)
+        hist[idx] = inv
+        self.pivots.append(piv)
+        self.history.append(hist)
         return idx

@@ -4,7 +4,8 @@ Everything here is deliberately simple; property tests and the selftest
 command compare it with the optimized paths.  The merge and divisibility
 oracles share no code with the library.  ``abbott_basis`` is the exception:
 it shares elimination and polynomial construction with ``bm``
-(``EchelonAccumulator`` and ``bm._make_poly``), so comparing the two checks
+(``EchelonAccumulator`` and ``bm._make_poly``, which reads a G element off
+the coordinates over B), so comparing the two checks
 only the candidate bookkeeping -- the memoized duplicate-preserving list
 against explicit divisibility filtering.
 """
@@ -89,7 +90,7 @@ def abbott_basis(points: PointSet, spec) -> GroebnerResult:
     # (order vector, exps, parent index in B or None, multiplied variable),
     # kept sorted by order vector
     L = [(orders.order_vector(spec, one), one, None, None)]
-    B, B_evals, R, G, ini_G = [], [], [], [], []
+    B, B_evals, G, ini_G = [], [], [], []
     while L:
         _ov, t_exps, parent, var = L.pop(0)
         if parent is None:
@@ -99,12 +100,11 @@ def abbott_basis(points: PointSet, spec) -> GroebnerResult:
             v = [fld.mul(a, b) for a, b in zip(B_evals[parent], col)]
         residual, coeffs = acc.reduce(v)
         if all(x == fld.zero for x in residual):
-            g = _make_poly(t_exps, coeffs, R, spec, fld)
+            g = _make_poly(t_exps, coeffs, B, fld)
             G.append(g)
             ini_G.append(g.leading_monomial)
             continue
-        acc.insert(residual)
-        R.append(_make_poly(t_exps, coeffs, R, spec, fld))
+        acc.insert(residual, coeffs)
         b_index = len(B)
         B.append(t_exps)
         B_evals.append(v)

@@ -38,10 +38,6 @@ class DegreeOverflow(OverflowError):
 # ---------------------------------------------------------------------------
 # monomial helpers
 
-def monomial_degree(exps) -> int:
-    return sum(exps)
-
-
 def support_size(exps) -> int:
     return sum(1 for e in exps if e > 0)
 

@@ -40,9 +40,6 @@ class Polynomial:
     def leading_coeff(self):
         return self.terms[0][0]
 
-    def coeff_dict(self):
-        return {m: c for c, m in self.terms}
-
     def evaluate(self, field, point):
         acc = field.zero
         for c, m in self.terms:

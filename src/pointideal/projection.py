@@ -5,7 +5,7 @@ all-ones vector and the smaller variables already kept.  Non-essential
 variables come with an affine relation over strictly smaller essential
 variables; the quotient structure lives entirely in the essential
 coordinates, so the base algorithm can run in the projected ring and the
-result is lifted back by reindexing plus one linear solve per dropped
+result is lifted back by reindexing plus one substitution per dropped
 variable.
 """
 
@@ -15,13 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import orders
-from .bm import (
-    GroebnerResult,
-    PointSet,
-    RunStats,
-    basis_combination_engine,
-    bm,
-)
+from .bm import GroebnerResult, PointSet, RunStats, bm
 from .linalg import EchelonAccumulator
 from .poly import Polynomial, combine
 
@@ -31,44 +25,24 @@ class EssentialSet:
     ess: tuple  # essential variable indices, descending in the order
     relations: dict  # var index -> (constant, {essential var index: coeff})
 
-    def __len__(self):
-        return len(self.ess)
-
 
 def essential_variables(points: PointSet, spec) -> EssentialSet:
     """Scan variables small to large, keeping those outside the running span."""
     fld = points.field
     acc = EchelonAccumulator(points.m, fld)
-    # exprs[j]: the j'th inserted residual expanded over the raw vectors,
-    # keyed 0 for the all-ones vector and by variable index otherwise
-    exprs = []
-
-    def insert_raw(raw_id, residual, coeffs):
-        e = {raw_id: fld.one}
-        for l, c in coeffs.items():
-            for rid, h in exprs[l].items():
-                e[rid] = fld.sub(e.get(rid, fld.zero), fld.mul(c, h))
-        exprs.append({k: v for k, v in e.items() if v != fld.zero})
-        acc.insert(residual)
-
-    ones = [fld.one] * points.m
-    residual, coeffs = acc.reduce(ones)
-    insert_raw(0, residual, coeffs)
+    # raw id of each inserted vector: 0 for all-ones, else the variable index
+    raw_ids = [0]
+    acc.insert(*acc.reduce([fld.one] * points.m))
     ess = []
     relations = {}
     for i in reversed(orders.varord(spec)):
-        v = points.coordinate_column(i)
-        residual, coeffs = acc.reduce(v)
+        residual, coeffs = acc.reduce(points.coordinate_column(i))
         if any(x != fld.zero for x in residual):
-            insert_raw(i, residual, coeffs)
+            acc.insert(residual, coeffs)
+            raw_ids.append(i)
             ess.append(i)
         else:
-            # x_i(P) = sum coeffs[l] * residual_l, expanded over raw vectors
-            flat = {}
-            for l, c in coeffs.items():
-                for rid, h in exprs[l].items():
-                    flat[rid] = fld.add(flat.get(rid, fld.zero), fld.mul(c, h))
-            flat = {k: v for k, v in flat.items() if v != fld.zero}
+            flat = {raw_ids[l]: c for l, c in coeffs.items()}
             const = flat.pop(0, fld.zero)
             relations[i] = (const, flat)
     ess_desc = tuple(reversed(ess))
@@ -92,35 +66,42 @@ def _embed(exps_sub, es: EssentialSet, n: int):
     return tuple(out)
 
 
-def lift(sub: GroebnerResult, es: EssentialSet, points: PointSet, spec) -> GroebnerResult:
+def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
     """Lift a projected-ring result back to the full ring.
 
-    B is reindexed verbatim.  Every dropped variable contributes one basis
-    element x_k minus the B-supported combination matching its evaluation
-    vector, found by reducing against the lifted basis evaluations.
+    B and G are reindexed verbatim.  A dropped variable with relation
+    x_k = c0 + sum c_j*x_j contributes x_k - c0 - sum c_j*NF(x_j), where
+    NF(x_j) is x_j itself when x_j is in B and otherwise minus the tail of
+    the element of G led by x_j (a degree-1 monomial outside B is a corner).
     """
-    fld = points.field
+    fld = sub.field
     n = spec.n
     B = [_embed(b, es, n) for b in sub.B]
     G = [
         g.map_monomials(lambda m: _embed(m, es, n), spec, fld)
         for g in sub.G
     ]
-    acc = EchelonAccumulator(points.m, fld)
-    rpolys = basis_combination_engine(B, spec, points, acc)
+    one = (0,) * n
+    in_B = set(B)
+    by_lead = {g.leading_monomial: g for g in G}
     for k in sorted(es.relations):
-        w = points.coordinate_column(k)
-        residual, coeffs = acc.reduce(w)
-        if any(x != fld.zero for x in residual):
-            raise AssertionError(f"variable x_{k} is not in the basis span")
-        tail = combine([(c, rpolys[i]) for i, c in coeffs.items()], spec, fld)
-        head = Polynomial.monomial(orders.monomial_mul_var((0,) * n, k), fld)
-        G.append(combine([(fld.one, head), (fld.neg(fld.one), tail)], spec, fld))
+        const, tail = es.relations[k]
+        parts = [
+            (fld.one, Polynomial.monomial(orders.monomial_mul_var(one, k), fld)),
+            (fld.neg(const), Polynomial.monomial(one, fld)),
+        ]
+        for j, c in tail.items():
+            x_j = orders.monomial_mul_var(one, j)
+            if x_j in in_B:
+                parts.append((fld.neg(c), Polynomial.monomial(x_j, fld)))
+            else:
+                parts.append((c, Polynomial(by_lead[x_j].terms[1:])))
+        G.append(combine(parts, spec, fld))
     G.sort(key=lambda g: orders.order_vector(spec, g.leading_monomial))
     stats = RunStats(
         element_cmps=sub.stats.element_cmps,
         delta_cmps=sub.stats.delta_cmps,
-        field_ops=sub.stats.field_ops + acc.field_ops,
+        field_ops=sub.stats.field_ops,
         functional_calls=sub.stats.functional_calls,
         L_max=sub.stats.L_max,
         n_essential=len(es.ess),
@@ -147,6 +128,6 @@ def bm_projected(points: PointSet, spec, mode="auto") -> GroebnerResult:
     else:
         sub_points = project(points, es)
         sub_spec = orders.restrict(spec, es.ess)
-        result = lift(bm(sub_points, sub_spec), es, points, spec)
+        result = lift(bm(sub_points, sub_spec), es, spec)
     result.stats.wall_time = time.perf_counter() - t0
     return result

@@ -24,10 +24,9 @@ from pointideal._selftest import (
     golden_G,
     golden_sub_G,
 )
-from pointideal.bm import bm
+from pointideal.bm import PointEvaluationSystem, algorithm1, bm
 from pointideal.cli import main
 from pointideal.deltamerge import DeltaList
-from pointideal.functionals import PointEvaluationSystem, algorithm1
 from pointideal.projection import essential_variables, project
 
 

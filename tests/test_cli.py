@@ -235,3 +235,14 @@ def test_result_round_trip():
     doc["stats"]["bogus"] = 1
     with pytest.raises(fileio.ParseError, match="bogus"):
         fileio.parse_result(json.dumps(doc), spec)
+    del doc["stats"]["bogus"]
+    malformed = [
+        "{}",
+        json.dumps({**doc, "B": 5}),
+        json.dumps({**doc, "G": [[["1"]]]}),
+        json.dumps([doc]),
+        json.dumps({**doc, "field": {"type": "bogus"}}),
+    ]
+    for text in malformed:
+        with pytest.raises(fileio.ParseError):
+            fileio.parse_result(text, spec)

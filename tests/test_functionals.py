@@ -8,14 +8,9 @@ import pytest
 from conftest import random_instance, random_order
 from pointideal import orders
 from pointideal._selftest import GOLDEN_POINTS
-from pointideal.bm import bm, normal_form
+from pointideal.bm import PointEvaluationSystem, algorithm1, bm, normal_form
 from pointideal.fields import PrimeField, QQ
-from pointideal.functionals import (
-    InconsistentSystem,
-    MatrixActionSystem,
-    PointEvaluationSystem,
-    algorithm1,
-)
+from pointideal.functionals import InconsistentSystem, MatrixActionSystem
 from pointideal.poly import Polynomial
 
 

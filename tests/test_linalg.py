@@ -1,4 +1,4 @@
-"""Incremental row reduction with provenance."""
+"""Incremental row reduction with provenance over the inserted originals."""
 
 import random
 from fractions import Fraction
@@ -38,10 +38,8 @@ def test_known_dependence():
     acc = EchelonAccumulator(4, QQ)
     ones = [Fraction(1)] * 4
     x5 = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
-    r, _ = acc.reduce(ones)
-    acc.insert(r)
-    r, _ = acc.reduce(x5)
-    acc.insert(r)
+    acc.insert(*acc.reduce(ones))
+    acc.insert(*acc.reduce(x5))
     residual, coeffs = acc.reduce([Fraction(1), Fraction(2), Fraction(0), Fraction(3)])
     assert all(x == 0 for x in residual)
     assert coeffs == {0: Fraction(1), 1: Fraction(1)}
@@ -60,8 +58,8 @@ def test_reduce_recombination_invariant(fld):
                 fld.add(x, fld.zero) for x in v
             ]
             if any(x != fld.zero for x in residual):
-                acc.insert(residual)
-                originals.append(residual)
+                acc.insert(residual, coeffs)
+                originals.append(v)
             assert acc.rank <= m
             _check_echelon(acc, fld)
         if acc.rank == m:
@@ -71,27 +69,33 @@ def test_reduce_recombination_invariant(fld):
 
 
 def _check_echelon(acc, fld):
-    pivots = acc.pivots
-    assert pivots == sorted(pivots)
-    for r, (row, piv) in enumerate(zip(acc.rows, pivots)):
+    """Semi-echelon: pivot entry 1, zero before it and on earlier pivots."""
+    for r, (row, piv) in enumerate(zip(acc.rows, acc.pivots)):
         assert row[piv] == fld.one
         assert all(x == fld.zero for x in row[:piv])
-        for r2, piv2 in enumerate(pivots):
-            if r2 != r:
-                assert row[piv2] == fld.zero
+        assert all(row[p] == fld.zero for p in acc.pivots[:r])
 
 
 def test_insert_zero_rejected():
     acc = EchelonAccumulator(3, QQ)
     with pytest.raises(InsertZero):
-        acc.insert([QQ.zero] * 3)
+        acc.insert([QQ.zero] * 3, {})
 
 
 def test_rank_saturates():
     acc = EchelonAccumulator(2, GF)
     for v in ([1, 0], [0, 1]):
-        r, _ = acc.reduce(v)
-        acc.insert(r)
+        acc.insert(*acc.reduce(v))
     assert acc.rank == 2
     residual, coeffs = acc.reduce([7, 9])
     assert residual == [0, 0] and coeffs == {0: 7, 1: 9}
+
+
+def test_coordinates_over_originals_not_residuals():
+    # the second residual is (0, 1); over the originals (1,1) and (1,2),
+    # (2,3) = 1*(1,1) + 1*(1,2), whereas over (1,1) and (0,1) it is 2, 1
+    acc = EchelonAccumulator(2, GF)
+    acc.insert(*acc.reduce([1, 1]))
+    acc.insert(*acc.reduce([1, 2]))
+    residual, coeffs = acc.reduce([2, 3])
+    assert residual == [0, 0] and coeffs == {0: 1, 1: 1}

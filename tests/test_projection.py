@@ -44,7 +44,7 @@ def test_known_projection_and_sub_run():
     sub = bm(sub_pts, sub_spec)
     assert sub.B == [(0, 0), (0, 1), (0, 2), (0, 3)]
     assert sub.G == golden_sub_G(sub_spec)
-    full = lift(sub, es, GOLDEN_POINTS, spec)
+    full = lift(sub, es, spec)
     direct = bm(GOLDEN_POINTS, spec)
     assert full.B == direct.B and full.G == direct.G
     assert full.stats.n_essential == 2
