@@ -12,13 +12,13 @@ multiple, and the n new candidates of each basis monomial are merged in bulk.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import orders
-from .deltamerge import merge_with_sources
+from .deltamerge import compare_from, merge_with_sources
 from .linalg import EchelonAccumulator
 # combine stays bound here so that perfbench's tracer can patch bm.combine
-from .poly import Polynomial, combine  # noqa: F401
+from .poly import Polynomial, combine, evaluate_monomial  # noqa: F401
 
 
 class PointSetError(ValueError):
@@ -69,15 +69,7 @@ class RunStats:
     wall_time: float = 0.0
 
     def to_dict(self):
-        return {
-            "element_cmps": self.element_cmps,
-            "delta_cmps": self.delta_cmps,
-            "field_ops": self.field_ops,
-            "functional_calls": self.functional_calls,
-            "L_max": self.L_max,
-            "n_essential": self.n_essential,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -87,21 +79,6 @@ class GroebnerResult:
     stats: RunStats
     spec: object = None
     field: object = None
-
-
-def evaluate_monomial(field, exps, point):
-    v = field.one
-    for e, x in zip(exps, point):
-        for _ in range(e):
-            v = field.mul(v, x)
-    return v
-
-
-def evaluate(f, field, point):
-    """Exact evaluation of a Polynomial or bare exponent tuple."""
-    if isinstance(f, tuple):
-        return evaluate_monomial(field, f, point)
-    return f.evaluate(field, point)
 
 
 def occ_skip(exps, occ: int) -> bool:
@@ -203,7 +180,7 @@ def algorithm1(sys, spec) -> GroebnerResult:
             new_items.append(orders.order_vector_step(spec, t_ov, i))
             new_pay.append((orders.monomial_mul_var(t_exps, i), b_index, i))
         for u, w in zip(new_items, new_items[1:]):
-            _s, d, cost = orders.compare_vectors(u, w)
+            d, _s, cost = compare_from(u, w, 1, nvec)
             new_deltas.append(d)
             stats.element_cmps += cost
         L_items, L_deltas, sources, ec, dc = merge_with_sources(

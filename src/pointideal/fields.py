@@ -76,9 +76,6 @@ class RationalField:
             raise DivisionByZero("inverse of zero")
         return 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def from_int(self, k: int):
         return Fraction(k)
 
@@ -137,9 +134,6 @@ class PrimeField:
         if a % self.p == 0:
             raise DivisionByZero("inverse of zero")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def from_int(self, k: int):
         return k % self.p

@@ -97,7 +97,7 @@ def serialize_result(result: GroebnerResult) -> str:
         ],
         "stats": result.stats.to_dict(),
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc)
 
 
 def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:

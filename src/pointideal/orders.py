@@ -10,9 +10,11 @@ comparing monomials is lexicographic comparison of order vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
+
+from .fields import QQ
+from .linalg import EchelonAccumulator
 
 DEGREE_CAP = 2**31 - 1
 
@@ -128,26 +130,16 @@ def standard_matrix(kind: str, n: int):
     raise OrderError(f"no matrix form for kind {kind!r}")
 
 
-def _exact_rank(rows):
-    """Rank over Q by fraction-free-ish elimination on Fraction copies."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        for r in range(rank + 1, len(work)):
-            if work[r][col] != 0:
-                f = work[r][col] / prow[col]
-                work[r] = [a - f * b for a, b in zip(work[r], prow)]
-        rank += 1
-        col += 1
-    return rank
+def _independent_residuals(rows, width):
+    """Residuals over QQ of each row against the earlier rows; nonzero ones only."""
+    acc = EchelonAccumulator(width, QQ)
+    kept = []
+    for row in rows:
+        residual, coeffs = acc.reduce([QQ.from_int(x) for x in row])
+        if any(x != QQ.zero for x in residual):
+            acc.insert(residual, coeffs)
+            kept.append(residual)
+    return kept
 
 
 def validate_order(spec: OrderSpec) -> OrderSpec:
@@ -166,7 +158,7 @@ def validate_order(spec: OrderSpec) -> OrderSpec:
             raise SingularMatrix(f"column {j + 1} is zero")
         if lead < 0:
             raise NonAdmissibleColumn(f"column {j + 1} has a negative leading entry")
-    if _exact_rank(mat) != n:
+    if len(_independent_residuals(mat, n)) != n:
         raise SingularMatrix("order matrix is singular over Q")
     return spec
 
@@ -240,21 +232,6 @@ def order_vector_step(spec: OrderSpec, ov: tuple, i: int) -> tuple:
     return tuple(out)
 
 
-def compare_vectors(a: tuple, b: tuple):
-    """Lexicographic comparison with first-difference reporting.
-
-    Returns (sign, delta, cost): sign in {-1, 0, 1}, delta the 1-based first
-    differing index (len+1 when equal), cost the number of integer
-    comparisons performed.
-    """
-    if len(a) != len(b):
-        raise OrderError("order vectors of different length")
-    for k, (x, y) in enumerate(zip(a, b), start=1):
-        if x != y:
-            return ((-1 if x < y else 1), k, k)
-    return (0, len(a) + 1, len(a))
-
-
 def varord(spec: OrderSpec) -> tuple:
     """(i_1,...,i_n) with x_{i_1} > ... > x_{i_n}."""
     if spec.kind in STANDARD_KINDS:
@@ -275,22 +252,8 @@ def restrict(spec: OrderSpec, ess) -> OrderSpec:
     if spec.kind in STANDARD_KINDS:
         return OrderSpec(k, spec.kind)
     # keep the chosen columns, then drop rows dependent on earlier ones
-    rows = [[Fraction(spec.matrix[i][j - 1]) for j in ess] for i in range(spec.n)]
-    kept = []
-    pivots = []  # (column, row) pairs of already-kept rows
-    for row in rows:
-        red = list(row)
-        for col, krow in pivots:
-            if red[col] != 0:
-                f = red[col] / krow[col]
-                red = [a - f * b for a, b in zip(red, krow)]
-        lead = next((c for c, v in enumerate(red) if v != 0), None)
-        if lead is None:
-            continue  # dependent row adds no ordering information
-        kept.append(red)
-        pivots.append((lead, red))
-        if len(kept) == k:
-            break
+    rows = [[spec.matrix[i][j - 1] for j in ess] for i in range(spec.n)]
+    kept = _independent_residuals(rows, k)
     out = []
     for row in kept:
         mult = lcm(*(f.denominator for f in row))

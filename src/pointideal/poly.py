@@ -43,16 +43,8 @@ class Polynomial:
     def evaluate(self, field, point):
         acc = field.zero
         for c, m in self.terms:
-            v = c
-            for e, x in zip(m, point):
-                for _ in range(e):
-                    v = field.mul(v, x)
-            acc = field.add(acc, v)
+            acc = field.add(acc, field.mul(c, evaluate_monomial(field, m, point)))
         return acc
-
-    def map_monomials(self, fn, spec, field):
-        """Reindex every monomial through fn and re-sort under spec."""
-        return Polynomial.from_dict({fn(m): c for c, m in self.terms}, spec, field)
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -64,6 +56,14 @@ class Polynomial:
         if not self.terms:
             return "0"
         return " + ".join(f"{c}*x^{list(m)}" for c, m in self.terms)
+
+
+def evaluate_monomial(field, exps, point):
+    v = field.one
+    for e, x in zip(exps, point):
+        for _ in range(e):
+            v = field.mul(v, x)
+    return v
 
 
 def combine(parts, spec, field):

@@ -12,10 +12,10 @@ variable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import orders
-from .bm import GroebnerResult, PointSet, RunStats, bm
+from .bm import GroebnerResult, PointSet, bm
 from .linalg import EchelonAccumulator
 from .poly import Polynomial, combine
 
@@ -77,10 +77,8 @@ def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
     fld = sub.field
     n = spec.n
     B = [_embed(b, es, n) for b in sub.B]
-    G = [
-        g.map_monomials(lambda m: _embed(m, es, n), spec, fld)
-        for g in sub.G
-    ]
+    # the embedding preserves the order, so terms stay descending
+    G = [Polynomial([(c, _embed(m, es, n)) for c, m in g.terms]) for g in sub.G]
     one = (0,) * n
     in_B = set(B)
     by_lead = {g.leading_monomial: g for g in G}
@@ -98,15 +96,7 @@ def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
                 parts.append((c, Polynomial(by_lead[x_j].terms[1:])))
         G.append(combine(parts, spec, fld))
     G.sort(key=lambda g: orders.order_vector(spec, g.leading_monomial))
-    stats = RunStats(
-        element_cmps=sub.stats.element_cmps,
-        delta_cmps=sub.stats.delta_cmps,
-        field_ops=sub.stats.field_ops,
-        functional_calls=sub.stats.functional_calls,
-        L_max=sub.stats.L_max,
-        n_essential=len(es.ess),
-        wall_time=sub.stats.wall_time,
-    )
+    stats = replace(sub.stats, n_essential=len(es.ess))
     return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=fld)
 
 

@@ -26,7 +26,7 @@ from pointideal._selftest import (
 )
 from pointideal.bm import PointEvaluationSystem, algorithm1, bm
 from pointideal.cli import main
-from pointideal.deltamerge import DeltaList
+from pointideal.deltamerge import DeltaList, compare_from
 from pointideal.projection import essential_variables, project
 
 
@@ -237,8 +237,8 @@ def test_criterion_9_matrix_order_fidelity(capsys):
             mat_ov = {m: orders.order_vector(mat, m) for m in monos}
             for x in monos:
                 for y in monos:
-                    s1, _d1, _ = orders.compare_vectors(std_ov[x], std_ov[y])
-                    s2, _d2, _ = orders.compare_vectors(mat_ov[x], mat_ov[y])
+                    _d1, s1, _ = compare_from(std_ov[x], std_ov[y], 1, n)
+                    _d2, s2, _ = compare_from(mat_ov[x], mat_ov[y], 1, n)
                     assert s1 == s2, (kind, x, y)
                     pairs += 1
     with capsys.disabled():

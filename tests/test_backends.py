@@ -1,9 +1,9 @@
 """The merge kernel is pure Python, and the package reports it."""
 
 import pointideal
-from pointideal import _merge_py
+from pointideal.deltamerge import merge_with_sources
 
 
 def test_pure_kernel_importable():
     assert pointideal.BACKEND == "python"
-    assert _merge_py.merge([(1,)], [], [(0,)], [], 1)[0] == [(0,), (1,)]
+    assert merge_with_sources([(1,)], [], [(0,)], [], 1)[0] == [(0,), (1,)]

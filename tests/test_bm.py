@@ -16,12 +16,11 @@ from pointideal.bm import (
     EmptyPointSet,
     PointSet,
     bm,
-    evaluate,
     normal_form,
     occ_skip,
 )
 from pointideal.fields import PrimeField, QQ
-from pointideal.poly import Polynomial, combine
+from pointideal.poly import Polynomial, combine, evaluate_monomial
 
 
 def test_single_point():
@@ -136,7 +135,7 @@ def test_evaluate_matches_naive():
         expect = 1
         for e, x in zip(exps, p):
             expect = expect * pow(x, e, fld.p) % fld.p
-        assert evaluate(exps, fld, p) == expect
+        assert evaluate_monomial(fld, exps, p) == expect
 
 
 # ---------------------------------------------------------------------------

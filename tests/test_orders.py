@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointideal import oracles, orders
+from pointideal.deltamerge import compare_from
 from pointideal.orders import (
     DegreeOverflow,
     NonAdmissibleColumn,
     OrderError,
     SingularMatrix,
-    compare_vectors,
     deglex,
     degrevlex,
     lex,
@@ -33,7 +33,8 @@ monomials3 = st.lists(st.integers(0, 10), min_size=3, max_size=3).map(tuple)
 
 
 def sign_of(spec, a, b):
-    s, _d, _c = compare_vectors(order_vector(spec, a), order_vector(spec, b))
+    u, v = order_vector(spec, a), order_vector(spec, b)
+    _d, s, _c = compare_from(u, v, 1, len(u))
     return s
 
 
@@ -95,11 +96,11 @@ def test_unit_is_minimal(a):
 
 
 def test_compare_examples():
-    s, d, _ = compare_vectors((1, 0, 2, 2, 0), (1, 0, 3, 0, 0))
+    d, s, _ = compare_from((1, 0, 2, 2, 0), (1, 0, 3, 0, 0), 1, 5)
     assert (s, d) == (-1, 3)
-    s, d, _ = compare_vectors((2, 1, 0, 1, 1), (2, 1, 0, 0, 1))
+    d, s, _ = compare_from((2, 1, 0, 1, 1), (2, 1, 0, 0, 1), 1, 5)
     assert (s, d) == (1, 4)
-    s, d, c = compare_vectors((1, 2, 3), (1, 2, 3))
+    d, s, c = compare_from((1, 2, 3), (1, 2, 3), 1, 3)
     assert (s, d, c) == (0, 4, 3)
 
 

@@ -43,6 +43,7 @@ def _cases():
     yield "gf101-n3-m30-matrix", oracles.random_point_set(rng, PrimeField(101), 3, 30), oracles.random_matrix_order(rng, 3)
     yield "gf-dependent-deglex", _dependent_points(rng, gf, 3, 20), orders.deglex(6)
     yield "qq-dependent-degrevlex", _dependent_points(rng, QQ, 2, 8), orders.degrevlex(5)
+    yield "gf-dependent-matrix", _dependent_points(rng, gf, 2, 16), oracles.random_matrix_order(rng, 5)
 
 
 def _digest(result):
@@ -106,6 +107,11 @@ PINNED = {
     "qq-dependent-degrevlex": {
         "direct": {"digest": "fe89ed65cb0eadf6", "element_cmps": 151, "delta_cmps": 67, "field_ops": 1178, "functional_calls": 15, "L_max": 22, "n_essential": None},
         "on": {"digest": "fe89ed65cb0eadf6", "element_cmps": 38, "delta_cmps": 16, "field_ops": 1040, "functional_calls": 12, "L_max": 7, "n_essential": 2},
+    },
+    # a matrix order with dropped variables: exercises restrict and the lift
+    "gf-dependent-matrix": {
+        "direct": {"digest": "19bd8ff89347cb2b", "element_cmps": 344, "delta_cmps": 292, "field_ops": 5875, "functional_calls": 24, "L_max": 38, "n_essential": None},
+        "on": {"digest": "19bd8ff89347cb2b", "element_cmps": 89, "delta_cmps": 64, "field_ops": 5604, "functional_calls": 21, "L_max": 10, "n_essential": 2},
     },
 }
 
