@@ -128,7 +128,6 @@ def algorithm1(sys, spec) -> GroebnerResult:
     """
     if spec.n != sys.arity:
         raise orders.OrderError("order arity differs from system arity")
-    orders.validate_order(spec)
     fld = sys.field
     n, m = sys.arity, sys.m
     stats = RunStats()

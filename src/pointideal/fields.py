@@ -169,7 +169,8 @@ def field_from_descriptor(desc: dict):
     if kind == "rational":
         return RationalField()
     if kind == "prime":
-        if "p" not in desc:
-            raise ValueError("prime field descriptor needs 'p'")
-        return PrimeField(int(desc["p"]))
+        p = desc.get("p")
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError("prime field descriptor needs an integer 'p'")
+        return PrimeField(p)
     raise ValueError(f"unknown field type {kind!r}")

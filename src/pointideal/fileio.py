@@ -21,6 +21,8 @@ def _load_json(text: str, source: str):
         raise ParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer literal too long to convert
+        raise ParseError(f"{source}: unreadable JSON: {exc}") from exc
 
 
 def _load_document(text: str, source: str, keys):

@@ -80,7 +80,6 @@ def abbott_basis(points: PointSet, spec) -> GroebnerResult:
     """
     if spec.n != points.n:
         raise orders.OrderError("order arity differs from point arity")
-    orders.validate_order(spec)
     fld = points.field
     n, m = points.n, points.m
     acc = EchelonAccumulator(m, fld)

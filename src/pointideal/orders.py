@@ -1,16 +1,19 @@
 """Monomials, admissible term orders and their order vectors.
 
-A monomial is a plain tuple of non-negative exponents.  An order is either a
-standard kind (lex / deglex / degrevlex, with an explicit variable
-permutation) or an invertible integer matrix whose columns have positive
-leading entries.  Either way a monomial maps to an integer order vector and
-comparing monomials is lexicographic comparison of order vectors.
+A monomial is a plain tuple of non-negative exponents.  An order is given
+either as a standard kind (lex / deglex / degrevlex, with an explicit
+variable permutation) or as an invertible integer matrix whose columns have
+positive leading entries.  Either way the order is held as its integer
+matrix, checked for admissibility when the ``OrderSpec`` is built; a
+monomial's order vector is the matrix times its exponents, and comparing
+monomials is lexicographic comparison of order vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
+from operator import add, mul
 from pathlib import Path
 
 from .fields import QQ
@@ -72,23 +75,60 @@ def numbits(a: int) -> int:
 # ---------------------------------------------------------------------------
 # order specifications
 
+def _standard_rows(n, kind, perm):
+    """The integer matrix of a standard kind; perm = (i_1, ..., i_n)."""
+
+    def unit(i, sign=1):
+        return tuple(sign if j == i else 0 for j in range(1, n + 1))
+
+    if kind == "lex":
+        return tuple(unit(i) for i in perm)
+    ones = (tuple([1] * n),) if n else ()
+    if kind == "deglex":
+        return ones + tuple(unit(i) for i in perm[:-1])
+    return ones + tuple(unit(i, -1) for i in reversed(perm[1:]))
+
+
 @dataclass(frozen=True)
 class OrderSpec:
+    """An admissible order on n variables, held as its integer matrix.
+
+    Built from a standard kind and a permutation, or from a matrix; either
+    way it is checked here, so every ``OrderSpec`` is admissible.
+    """
+
     n: int
     kind: str  # "lex" | "deglex" | "degrevlex" | "matrix"
     perm: tuple = None  # var_perm (i_1,...,i_n): x_{i_1} > ... > x_{i_n}
     matrix: tuple = None  # n rows of n ints
+    columns: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        n = self.n
         if self.kind in STANDARD_KINDS:
-            perm = self.perm if self.perm is not None else tuple(range(1, self.n + 1))
-            object.__setattr__(self, "perm", tuple(perm))
+            perm = tuple(self.perm if self.perm is not None else range(1, n + 1))
+            if sorted(perm) != list(range(1, n + 1)):
+                raise OrderError(f"perm {perm} is not a permutation of 1..{n}")
+            object.__setattr__(self, "perm", perm)
+            mat = _standard_rows(n, self.kind, perm)
         elif self.kind == "matrix":
-            object.__setattr__(
-                self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix)
-            )
+            mat = tuple(tuple(int(x) for x in row) for row in self.matrix or ())
+            if len(mat) != n or any(len(row) != n for row in mat):
+                raise OrderError(
+                    f"order matrix must be {n}x{n}, got row lengths {list(map(len, mat))}"
+                )
+            for j in range(n):
+                lead = next((mat[i][j] for i in range(n) if mat[i][j] != 0), None)
+                if lead is None:
+                    raise SingularMatrix(f"column {j + 1} is zero")
+                if lead < 0:
+                    raise NonAdmissibleColumn(f"column {j + 1} has a negative leading entry")
+            if len(_independent_residuals(mat, n)) != n:
+                raise SingularMatrix("order matrix is singular over Q")
         else:
             raise OrderError(f"unknown order kind {self.kind!r}")
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "columns", tuple(zip(*mat)))
 
     def __str__(self):
         if self.kind in STANDARD_KINDS:
@@ -97,37 +137,25 @@ class OrderSpec:
 
 
 def lex(n, perm=None):
-    return validate_order(OrderSpec(n, "lex", perm))
+    return OrderSpec(n, "lex", perm)
 
 
 def deglex(n, perm=None):
-    return validate_order(OrderSpec(n, "deglex", perm))
+    return OrderSpec(n, "deglex", perm)
 
 
 def degrevlex(n, perm=None):
-    return validate_order(OrderSpec(n, "degrevlex", perm))
+    return OrderSpec(n, "degrevlex", perm)
 
 
 def matrix_order(rows):
     rows = tuple(tuple(row) for row in rows)
-    return validate_order(OrderSpec(len(rows), "matrix", matrix=rows))
+    return OrderSpec(len(rows), "matrix", matrix=rows)
 
 
 def standard_matrix(kind: str, n: int):
     """The integer matrix representing a standard order with identity perm."""
-    if kind == "lex":
-        return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    if kind == "deglex":
-        rows = [tuple([1] * n)]
-        rows += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n - 1)]
-        return tuple(rows)
-    if kind == "degrevlex":
-        rows = [tuple([1] * n)]
-        rows += [
-            tuple(-1 if j == n - 1 - i else 0 for j in range(n)) for i in range(n - 1)
-        ]
-        return tuple(rows)
-    raise OrderError(f"no matrix form for kind {kind!r}")
+    return OrderSpec(n, kind).matrix
 
 
 def _independent_residuals(rows, width):
@@ -142,36 +170,18 @@ def _independent_residuals(rows, width):
     return kept
 
 
-def validate_order(spec: OrderSpec) -> OrderSpec:
-    """Check admissibility; returns the spec or raises."""
-    n = spec.n
-    if spec.kind in STANDARD_KINDS:
-        if sorted(spec.perm) != list(range(1, n + 1)):
-            raise OrderError(f"perm {spec.perm} is not a permutation of 1..{n}")
-        return spec
-    mat = spec.matrix
-    if len(mat) != n or any(len(row) != n for row in mat):
-        raise OrderError("matrix must be square of size n")
-    for j in range(n):
-        lead = next((mat[i][j] for i in range(n) if mat[i][j] != 0), None)
-        if lead is None:
-            raise SingularMatrix(f"column {j + 1} is zero")
-        if lead < 0:
-            raise NonAdmissibleColumn(f"column {j + 1} has a negative leading entry")
-    if len(_independent_residuals(mat, n)) != n:
-        raise SingularMatrix("order matrix is singular over Q")
-    return spec
-
-
 def parse_order(text: str, n: int) -> OrderSpec:
-    """Parse the textual order grammar: lex[:i1,i2,...] etc, matrix:<path>."""
+    """Parse the textual order grammar: lex[:i1,i2,...] etc, matrix:<path>.
+
+    The order must have n variables; a matrix file must hold an n x n matrix.
+    """
     kind, _, rest = text.partition(":")
     kind = kind.strip()
     if kind in STANDARD_KINDS:
         perm = None
         if rest.strip():
             perm = tuple(int(x) for x in rest.split(","))
-        return validate_order(OrderSpec(n, kind, perm))
+        return OrderSpec(n, kind, perm)
     if kind == "matrix":
         path = Path(rest.strip())
         rows = []
@@ -185,7 +195,7 @@ def parse_order(text: str, n: int) -> OrderSpec:
                     from .fileio import ParseError
 
                     raise ParseError(f"{path}: line {ln}: {exc}") from exc
-        return matrix_order(rows)
+        return OrderSpec(n, "matrix", matrix=rows)
     raise OrderError(f"cannot parse order spec {text!r}")
 
 
@@ -195,50 +205,19 @@ def parse_order(text: str, n: int) -> OrderSpec:
 def order_vector(spec: OrderSpec, exps) -> tuple:
     if len(exps) != spec.n:
         raise OrderError(f"arity mismatch: {len(exps)} != {spec.n}")
-    n = spec.n
-    if spec.kind == "lex":
-        return tuple(exps[i - 1] for i in spec.perm)
-    if spec.kind == "deglex":
-        return (sum(exps),) + tuple(exps[i - 1] for i in spec.perm[: n - 1])
-    if spec.kind == "degrevlex":
-        return (sum(exps),) + tuple(-exps[i - 1] for i in reversed(spec.perm[1:]))
-    return tuple(sum(a * e for a, e in zip(row, exps)) for row in spec.matrix)
+    return tuple(sum(map(mul, row, exps)) for row in spec.matrix)
 
 
 def order_vector_step(spec: OrderSpec, ov: tuple, i: int) -> tuple:
-    """Order vector of x_i * m given the order vector of m.
-
-    For the standard kinds at most two entries change; for a matrix order the
-    i'th column of the matrix is added.
-    """
-    n = spec.n
-    if spec.kind == "matrix":
-        return tuple(v + row[i - 1] for v, row in zip(ov, spec.matrix))
-    out = list(ov)
-    if spec.kind == "lex":
-        out[spec.perm.index(i)] += 1
-    elif spec.kind == "deglex":
-        out[0] += 1
-        pos = spec.perm.index(i)
-        if pos < n - 1:
-            out[pos + 1] += 1
-    else:  # degrevlex: entries (deg, -a_{i_n}, ..., -a_{i_2})
-        out[0] += 1
-        pos = spec.perm.index(i)  # i = i_{pos+1}
-        if pos > 0:
-            out[n - pos] -= 1
-    if out[0] > DEGREE_CAP:
-        raise DegreeOverflow("total degree exceeds 2**31-1")
-    return tuple(out)
+    """Order vector of x_i * m given the order vector of m: add column i."""
+    return tuple(map(add, ov, spec.columns[i - 1]))
 
 
 def varord(spec: OrderSpec) -> tuple:
-    """(i_1,...,i_n) with x_{i_1} > ... > x_{i_n}."""
-    if spec.kind in STANDARD_KINDS:
-        return spec.perm
-    n = spec.n
-    cols = {j: tuple(spec.matrix[i][j - 1] for i in range(n)) for j in range(1, n + 1)}
-    return tuple(sorted(cols, key=cols.get, reverse=True))
+    """(i_1,...,i_n) with x_{i_1} > ... > x_{i_n}: the columns, largest first."""
+    return tuple(
+        sorted(range(1, spec.n + 1), key=lambda j: spec.columns[j - 1], reverse=True)
+    )
 
 
 def restrict(spec: OrderSpec, ess) -> OrderSpec:

@@ -28,6 +28,10 @@ class EssentialSet:
 
 def essential_variables(points: PointSet, spec) -> EssentialSet:
     """Scan variables small to large, keeping those outside the running span."""
+    if spec.n != points.n:
+        raise orders.OrderError(
+            f"order has {spec.n} variables, the points have {points.n}"
+        )
     fld = points.field
     acc = EchelonAccumulator(points.m, fld)
     # raw id of each inserted vector: 0 for all-ones, else the variable index

@@ -109,6 +109,37 @@ def test_basis_bad_order(capsys, points_file, tmp_path):
     grid.write_text("1 1 1 1 1\n1 0 x 0 0\n")
     code, _, err = run_cli(capsys, "basis", str(points_file), "--order", f"matrix:{grid}")
     assert code == 2 and "line 2" in err
+    # matrix files whose size differs from the points' two variables
+    two = tmp_path / "two.json"
+    two.write_text('{"field":{"type":"prime","p":101},"n":2,"points":[[0,1],[1,0]]}')
+    for text in ("1\n", "1 0 0\n0 1 0\n0 0 1\n", ""):
+        grid.write_text(text)
+        for project in ("auto", "on", "off"):
+            code, out, err = run_cli(
+                capsys, "basis", str(two), "--order", f"matrix:{grid}", "--project", project
+            )
+            assert code == 1 and out == ""
+            assert err.startswith("error: order matrix must be 2x2")
+
+
+def test_basis_bad_modulus(capsys, tmp_path):
+    p = tmp_path / "bad.json"
+    for modulus in ("3.7", '"7"', "true"):
+        p.write_text(f'{{"field":{{"type":"prime","p":{modulus}}},"n":1,"points":[[0]]}}')
+        code, out, err = run_cli(capsys, "basis", str(p))
+        assert code == 2 and out == ""
+        assert "integer 'p'" in err
+    p.write_text('{"field":{"type":"prime","p":15},"n":1,"points":[[0]]}')
+    code, _, err = run_cli(capsys, "basis", str(p))
+    assert code == 1 and "not prime" in err
+
+
+def test_basis_overlong_integer_is_parse_error(capsys, tmp_path):
+    p = tmp_path / "big.json"
+    p.write_text('{"field":{"type":"rational"},"n":1,"points":[[' + "7" * 5000 + "]]}")
+    code, out, err = run_cli(capsys, "basis", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_basis_duplicate_points(capsys, tmp_path):
@@ -211,9 +242,19 @@ def test_spoly_lists_shape():
 # selftest and file round trips
 
 def test_selftest_passes(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--seed", "3")
-    assert code == 0
-    assert "all checks passed" in out
+    for seed in ("3", "0"):
+        code, out, _ = run_cli(capsys, "selftest", "--seed", seed)
+        assert code == 0
+        assert out.splitlines()[-1] == "selftest: all checks passed"
+
+
+def test_selftest_failure_exit_code(capsys, monkeypatch):
+    from pointideal import _selftest
+
+    monkeypatch.setattr(_selftest, "run_selftest", lambda seed: 1)
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == 3 and out == ""
+    assert "selftest: 1 failure(s)" in err
 
 
 def test_points_round_trip():
@@ -242,6 +283,8 @@ def test_result_round_trip():
         json.dumps({**doc, "G": [[["1"]]]}),
         json.dumps([doc]),
         json.dumps({**doc, "field": {"type": "bogus"}}),
+        json.dumps({**doc, "field": {"type": "prime", "p": 3.7}}),
+        json.dumps({**doc, "field": {"type": "prime", "p": True}}),
     ]
     for text in malformed:
         with pytest.raises(fileio.ParseError):

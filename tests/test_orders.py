@@ -11,6 +11,7 @@ from pointideal.orders import (
     DegreeOverflow,
     NonAdmissibleColumn,
     OrderError,
+    OrderSpec,
     SingularMatrix,
     deglex,
     degrevlex,
@@ -25,7 +26,6 @@ from pointideal.orders import (
     parse_order,
     restrict,
     standard_matrix,
-    validate_order,
     varord,
 )
 
@@ -56,6 +56,17 @@ def test_order_vector_with_permutation():
     spec = degrevlex(3, (2, 3, 1))
     # entries: (deg, -a_{i_3}, -a_{i_2}) = (deg, -a_1, -a_3)
     assert order_vector(spec, (1, 0, 2)) == (3, -1, -2)
+    spec = deglex(4, (3, 1, 4, 2))
+    # entries: (deg, a_{i_1}, a_{i_2}, a_{i_3}) = (deg, a_3, a_1, a_4)
+    assert order_vector(spec, (1, 2, 3, 4)) == (10, 3, 1, 4)
+    assert order_vector_step(spec, (10, 3, 1, 4), 2) == (11, 3, 1, 4)
+    assert order_vector_step(spec, (10, 3, 1, 4), 3) == (11, 4, 1, 4)
+
+
+def test_permuted_standard_matrices():
+    assert lex(3, (3, 1, 2)).matrix == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    assert deglex(3, (2, 3, 1)).matrix == ((1, 1, 1), (0, 1, 0), (0, 0, 1))
+    assert degrevlex(3, (2, 3, 1)).matrix == ((1, 1, 1), (-1, 0, 0), (0, 0, -1))
 
 
 def test_order_vector_step_examples():
@@ -120,6 +131,13 @@ def test_validate_matrix_orders():
         lex(3, (1, 1, 2))
 
 
+def test_order_spec_checked_when_built():
+    with pytest.raises(OrderError):
+        OrderSpec(3, "lex", (1, 1, 2))
+    with pytest.raises(NonAdmissibleColumn):
+        OrderSpec(2, "matrix", matrix=((1, 0), (0, -1)))
+
+
 def test_parse_order(tmp_path):
     assert parse_order("lex", 3) == lex(3)
     assert parse_order("deglex:2,1,3", 3) == deglex(3, (2, 1, 3))
@@ -145,6 +163,8 @@ def test_varord():
     assert varord(matrix_order(standard_matrix("degrevlex", 3))) == (1, 2, 3)
     assert varord(matrix_order([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == (1, 2, 3)
     assert varord(deglex(3, (3, 1, 2))) == (3, 1, 2)
+    assert varord(lex(4, (4, 2, 3, 1))) == (4, 2, 3, 1)
+    assert varord(degrevlex(4, (2, 4, 1, 3))) == (2, 4, 1, 3)
 
 
 def test_varord_sorted_property():

@@ -137,3 +137,13 @@ def test_projected_wall_time_covers_lift(monkeypatch):
 def test_projection_mode_validation():
     with pytest.raises(ValueError):
         bm_projected(GOLDEN_POINTS, orders.lex(5), mode="sometimes")
+
+
+def test_order_arity_checked_before_scan():
+    f = Fraction
+    pts = PointSet(field=QQ, n=2, points=((f(0), f(1)), (f(1), f(0))))
+    for mode in ("auto", "on", "off"):
+        with pytest.raises(orders.OrderError):
+            bm_projected(pts, orders.lex(3), mode=mode)
+    with pytest.raises(orders.OrderError):
+        essential_variables(pts, orders.lex(3))
