@@ -76,6 +76,10 @@ class RationalField:
             raise DivisionByZero("inverse of zero")
         return 1 / a
 
+    def sub_scaled(self, ys, c, xs):
+        """[sub(y, mul(c, x)) for y, x in zip(ys, xs)], skipping zero x."""
+        return [y - c * x if x else y for y, x in zip(ys, xs)]
+
     def from_int(self, k: int):
         return Fraction(k)
 
@@ -134,6 +138,11 @@ class PrimeField:
         if a % self.p == 0:
             raise DivisionByZero("inverse of zero")
         return pow(a, -1, self.p)
+
+    def sub_scaled(self, ys, c, xs):
+        """[sub(y, mul(c, x)) for y, x in zip(ys, xs)]."""
+        p = self.p
+        return [(y - c * x) % p for y, x in zip(ys, xs)]
 
     def from_int(self, k: int):
         return k % self.p

@@ -2,12 +2,14 @@
 
 Everything here is deliberately simple; property tests and the selftest
 command compare it with the optimized paths.  The merge and divisibility
-oracles share no code with the library.  ``abbott_basis`` is the exception:
-it shares elimination and polynomial construction with ``bm``
-(``EchelonAccumulator`` and ``bm._make_poly``, which reads a G element off
-the coordinates over B), so comparing the two checks
-only the candidate bookkeeping -- the memoized duplicate-preserving list
-against explicit divisibility filtering.
+oracles share no code with the library.  ``abbott_basis`` shares polynomial
+construction with ``bm`` (``bm._make_poly``, which reads a G element off the
+coordinates over B).  It eliminates on ``linalg.ListRows``, the
+field-generic list rows, for every field, while ``bm`` eliminates GF(p)
+vectors on the packed rows; so over GF(p) comparing the two checks both the
+candidate bookkeeping (the memoized duplicate-preserving list against
+explicit divisibility filtering) and the packed arithmetic, and over QQ the
+bookkeeping alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from . import orders
 from .bm import GroebnerResult, PointSet, RunStats, _make_poly
 from .fields import PrimeField, RationalField
-from .linalg import EchelonAccumulator
+from .linalg import ListRows
 
 
 def tuple_cmp_cost(u, v):
@@ -82,7 +84,7 @@ def abbott_basis(points: PointSet, spec) -> GroebnerResult:
         raise orders.OrderError("order arity differs from point arity")
     fld = points.field
     n, m = points.n, points.m
-    acc = EchelonAccumulator(m, fld)
+    acc = ListRows(m, fld)
     vars_increasing = tuple(reversed(orders.varord(spec)))
 
     one = (0,) * n
@@ -97,7 +99,7 @@ def abbott_basis(points: PointSet, spec) -> GroebnerResult:
         else:
             col = points.coordinate_column(var)
             v = [fld.mul(a, b) for a, b in zip(B_evals[parent], col)]
-        residual, coeffs = acc.reduce(v)
+        residual, coeffs, _ops = acc.reduce(v)
         if all(x == fld.zero for x in residual):
             g = _make_poly(t_exps, coeffs, B, fld)
             G.append(g)

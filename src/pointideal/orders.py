@@ -174,13 +174,26 @@ def parse_order(text: str, n: int) -> OrderSpec:
     """Parse the textual order grammar: lex[:i1,i2,...] etc, matrix:<path>.
 
     The order must have n variables; a matrix file must hold an n x n matrix.
+    A perm entry or matrix entry that is not an integer is a ParseError
+    naming its position or line.
     """
+    # deferred: fileio imports this module through bm
+    from .fileio import ParseError
+
     kind, _, rest = text.partition(":")
     kind = kind.strip()
     if kind in STANDARD_KINDS:
         perm = None
         if rest.strip():
-            perm = tuple(int(x) for x in rest.split(","))
+            entries = []
+            for pos, x in enumerate(rest.split(","), start=1):
+                try:
+                    entries.append(int(x))
+                except ValueError as exc:
+                    raise ParseError(
+                        f"--order {text}: perm position {pos}: {x.strip()!r} is not an integer"
+                    ) from exc
+            perm = tuple(entries)
         return OrderSpec(n, kind, perm)
     if kind == "matrix":
         path = Path(rest.strip())
@@ -191,9 +204,6 @@ def parse_order(text: str, n: int) -> OrderSpec:
                 try:
                     rows.append(tuple(int(x) for x in line.split()))
                 except ValueError as exc:
-                    # deferred: fileio imports this module through bm
-                    from .fileio import ParseError
-
                     raise ParseError(f"{path}: line {ln}: {exc}") from exc
         return OrderSpec(n, "matrix", matrix=rows)
     raise OrderError(f"cannot parse order spec {text!r}")

@@ -107,6 +107,28 @@ def test_variant_agreement_random():
         check_result_invariants(r1, pts)
 
 
+def _bm_against_oracle(p, n, m, order, seed):
+    """bm (packed GF(p) rows) and abbott_basis (list rows) on seeded points."""
+    pts = oracles.random_point_set(random.Random(seed), PrimeField(p), n, m)
+    spec = orders.parse_order(order, n)
+    res = bm(pts, spec)
+    ref = oracles.abbott_basis(pts, spec)
+    assert res.B == ref.B and res.G == ref.G
+    return res
+
+
+def test_real_size_gf32003_against_oracle():
+    res = _bm_against_oracle(32003, 8, 200, "degrevlex", 1)
+    assert len(res.B) == 200 and len(res.G) == 330
+
+
+@pytest.mark.parametrize("order", ["lex", "degrevlex"])
+def test_61_bit_prime_against_oracle(order):
+    # the packed rows' slots are 16 bytes wide here, twice a machine word
+    res = _bm_against_oracle(2**61 - 1, 5, 60, order, 2)
+    assert len(res.B) == 60
+
+
 def test_stats_bounds():
     from pointideal.projection import bm_projected, essential_variables
 

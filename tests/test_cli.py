@@ -122,6 +122,15 @@ def test_basis_bad_order(capsys, points_file, tmp_path):
             assert err.startswith("error: order matrix must be 2x2")
 
 
+def test_basis_bad_order_perm_is_parse_error(capsys, tmp_path):
+    two = tmp_path / "two.json"
+    two.write_text('{"field":{"type":"prime","p":101},"n":2,"points":[[0,1],[1,0]]}')
+    for order, pos in (("lex:a,b", 1), ("degrevlex:1,x", 2), ("deglex:2,,1", 2)):
+        code, out, err = run_cli(capsys, "basis", str(two), "--order", order)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --order {order}: perm position {pos}:")
+
+
 def test_basis_bad_modulus(capsys, tmp_path):
     p = tmp_path / "bad.json"
     for modulus in ("3.7", '"7"', "true"):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pointideal.fields import PrimeField, QQ
-from pointideal.linalg import EchelonAccumulator, InsertZero
+from pointideal.linalg import EchelonAccumulator, InsertZero, ListRows, PackedRows
 
 GF = PrimeField(101)
 
@@ -70,10 +70,11 @@ def test_reduce_recombination_invariant(fld):
 
 def _check_echelon(acc, fld):
     """Semi-echelon: pivot entry 1, zero before it and on earlier pivots."""
-    for r, (row, piv) in enumerate(zip(acc.rows, acc.pivots)):
+    store = acc.store
+    for r, (row, piv) in enumerate(zip(store.rows(), store.pivots)):
         assert row[piv] == fld.one
         assert all(x == fld.zero for x in row[:piv])
-        assert all(row[p] == fld.zero for p in acc.pivots[:r])
+        assert all(row[p] == fld.zero for p in store.pivots[:r])
 
 
 def test_insert_zero_rejected():
@@ -99,3 +100,54 @@ def test_coordinates_over_originals_not_residuals():
     acc.insert(*acc.reduce([1, 2]))
     residual, coeffs = acc.reduce([2, 3])
     assert residual == [0, 0] and coeffs == {0: 1, 1: 1}
+
+
+# 2**61 - 1 and the largest prime below 2**63 give packed slots wider than
+# 64 bits
+PACKED_PRIMES = (2, 3, 101, 32003, 2**61 - 1, 9223372036854775783)
+
+
+def _mixed_vector(rng, p, m, originals):
+    """Uniform, extreme (entries 0, 1 and p - 1), sparse or dependent."""
+    kind = rng.random()
+    if kind < 0.35 and originals:
+        # a combination of inserted vectors: reduces to zero
+        out = [0] * m
+        for v in rng.sample(originals, min(len(originals), 4)):
+            c = rng.randrange(p)
+            out = [(a + c * b) % p for a, b in zip(out, v)]
+        return out
+    if kind < 0.55:
+        return [rng.choice((0, 1, p - 1, p - 1)) for _ in range(m)]
+    if kind < 0.7:
+        out = [0] * m
+        for k in rng.sample(range(m), min(m, 3)):
+            out[k] = rng.randrange(p)
+        return out
+    return [rng.randrange(p) for _ in range(m)]
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_rows_match_list_rows(p):
+    fld = PrimeField(p)
+    rng = random.Random(p % 997)
+    for m, count in ((1, 4), (5, 20), (40, 60), (200, 120)):
+        packed, listed = PackedRows(m, fld), ListRows(m, fld)
+        originals = []
+        for _ in range(count):
+            v = _mixed_vector(rng, p, m, originals)
+            got = packed.reduce(v)
+            assert got == listed.reduce(v)  # residual, coeffs and field ops
+            residual, coeffs, _ops = got
+            if any(residual):
+                assert packed.insert(residual, coeffs) == listed.insert(residual, coeffs)
+                originals.append(v)
+            assert packed.rank == listed.rank
+        assert packed.pivots == listed.pivots
+        assert packed.rows() == listed.rows()
+        assert 0 < packed.rank < count
+
+
+def test_accumulator_store_follows_field_kind():
+    assert isinstance(EchelonAccumulator(3, GF).store, PackedRows)
+    assert isinstance(EchelonAccumulator(3, QQ).store, ListRows)

@@ -53,6 +53,9 @@ def test_tracer_patches_restores_and_records(tmp_path, monkeypatch, capsys):
         by_name.setdefault(name, []).append((sid, parent))
     assert by_name.get("linalg.reduce") and by_name.get("bm.bm")
     assert tr.counts["projection.n_dropped"] == 2
+    # read through the patched EchelonAccumulator.reduce and insert: a row
+    # store that bypasses them, or miscounts, moves this value
+    assert tr.counts["linalg.field_ops"] == 540
     # the lift substitutes into the sub-run's G and eliminates nothing
     lift_ids = {sid for sid, _ in by_name["projection.lift"]}
     for name in ("linalg.reduce", "linalg.insert"):
