@@ -211,7 +211,7 @@ def run_selftest(seed=0, report=print):
         pts = oracles.random_point_set(rng, fld, n, rng.randint(1, 6))
         sp = orders.deglex(n)
         r = bm(pts, sp)
-        if not all(oracles.membership_by_evaluation(g, pts) for g in r.G):
+        if not oracles.membership_by_evaluation(r.G, pts):
             bad += 1
     check("basis elements vanish (5 seeded)", bad == 0, f"{bad} bad runs")
 

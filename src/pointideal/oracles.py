@@ -4,12 +4,13 @@ Everything here is deliberately simple; property tests and the selftest
 command compare it with the optimized paths.  The merge and divisibility
 oracles share no code with the library.  ``abbott_basis`` shares polynomial
 construction with ``bm`` (``bm._make_poly``, which reads a G element off the
-coordinates over B).  It eliminates on ``linalg.ListRows``, the
-field-generic list rows, for every field, while ``bm`` eliminates GF(p)
-vectors on the packed rows; so over GF(p) comparing the two checks both the
-candidate bookkeeping (the memoized duplicate-preserving list against
-explicit divisibility filtering) and the packed arithmetic, and over QQ the
-bookkeeping alone.
+coordinates over B) but no elimination code: it eliminates on ``ListRows``
+below, lists of field elements reduced by ``field.sub_scaled``, for every
+field, while ``bm`` eliminates on the integer stores of ``linalg`` (packed
+rows over GF(p), rows over one common denominator over QQ).  Comparing the
+two therefore checks both the candidate bookkeeping (the memoized
+duplicate-preserving list against explicit divisibility filtering) and the
+library's elimination arithmetic, over either field.
 """
 
 from __future__ import annotations
@@ -21,7 +22,63 @@ from fractions import Fraction
 from . import orders
 from .bm import GroebnerResult, PointSet, RunStats, _make_poly
 from .fields import PrimeField, RationalField
-from .linalg import ListRows
+from .linalg import InsertZero
+
+
+class ListRows:
+    """Semi-echelon rows as lists of field elements, over any field.
+
+    Each row, and each history over the insertion indices, is a list of
+    field elements; reducing by a row is one ``field.sub_scaled`` call.  It
+    keeps the same rows, returns the same residuals and coordinates and
+    counts the same ``field_ops`` as the stores of ``linalg``.
+    """
+
+    def __init__(self, m, field):
+        self.m = m
+        self.field = field
+        self.pivots = []  # pivot column of each row
+        # per row: (row, history over insertion indices 0..its own, reduce ops)
+        self._rows = []
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def rows(self):
+        return [list(row) for row, _h, _o in self._rows]
+
+    def reduce(self, v):
+        """(residual, coeffs, field ops) with v = residual + sum coeffs[i]*original_i."""
+        F = self.field
+        residual = list(v)
+        coeffs = [F.zero] * len(self._rows)
+        ops = 0
+        for piv, (row, hist, row_ops) in zip(self.pivots, self._rows):
+            c = residual[piv]
+            if c == F.zero:
+                continue
+            residual[piv:] = F.sub_scaled(residual[piv:], c, row[piv:])
+            coeffs[: len(hist)] = F.sub_scaled(coeffs[: len(hist)], F.neg(c), hist)
+            ops += row_ops
+        return residual, {i: x for i, x in enumerate(coeffs) if x != F.zero}, ops
+
+    def insert(self, residual, coeffs):
+        """Add a row for (residual, coeffs) = reduce(v); returns its field ops."""
+        F = self.field
+        piv = next((k for k, x in enumerate(residual) if x != F.zero), None)
+        if piv is None:
+            raise InsertZero("cannot insert the zero vector")
+        inv = F.inv(residual[piv])
+        row = [F.mul(inv, x) for x in residual]
+        # residual = v - sum coeffs[i]*original_i, scaled by inv
+        hist = [F.zero] * len(self._rows) + [inv]
+        for i, c in coeffs.items():
+            hist[i] = F.neg(F.mul(inv, c))
+        row_ops = 2 * sum(1 for x in row if x != F.zero) + len(coeffs) + 1
+        self._rows.append((row, hist, row_ops))
+        self.pivots.append(piv)
+        return 1 + self.m + len(coeffs)
 
 
 def tuple_cmp_cost(u, v):
@@ -118,10 +175,36 @@ def abbott_basis(points: PointSet, spec) -> GroebnerResult:
     return GroebnerResult(G=G, B=B, stats=RunStats(), spec=spec, field=fld)
 
 
-def membership_by_evaluation(f, points: PointSet) -> bool:
-    """f lies in the vanishing ideal iff it vanishes on every point."""
+def membership_by_evaluation(polys, points: PointSet) -> bool:
+    """True iff every polynomial of polys vanishes on every point.
+
+    A polynomial vanishing on the points lies in their vanishing ideal.  Per
+    point, the value of each monomial in polys is computed once, by one
+    multiplication from the monomial with one degree less in its first
+    occurring variable, and shared by all of polys.
+    """
     fld = points.field
-    return all(f.evaluate(fld, p) == fld.zero for p in points.points)
+    polys = list(polys)
+    monomials = {mo for f in polys for _c, mo in f.terms}
+    one = (0,) * points.n
+    for point in points.points:
+        value = {one: fld.one}
+        for exps in monomials:
+            # descend to a known monomial, then multiply back up
+            path = []
+            while exps not in value:
+                i = next(k for k, e in enumerate(exps) if e)
+                path.append((exps, i))
+                exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            v = value[exps]
+            for exps, i in reversed(path):
+                v = value[exps] = fld.mul(v, point[i])
+        for f in polys:
+            # sum unreduced products (ints or Fractions), then one canonical add
+            total = sum(c * value[mo] for c, mo in f.terms)
+            if fld.add(total, fld.zero) != fld.zero:
+                return False
+    return True
 
 
 def random_point_set(rng: random.Random, field, n, m) -> PointSet:

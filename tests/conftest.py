@@ -32,7 +32,7 @@ def check_result_invariants(result, points):
     for g in result.G:
         assert g.leading_coeff == fld.one
         assert all(mo in Bset for _c, mo in g.terms[1:])
-        assert oracles.membership_by_evaluation(g, points)
+    assert oracles.membership_by_evaluation(result.G, points)
     for a in range(len(ini)):
         for b in range(len(ini)):
             if a != b:

@@ -107,26 +107,50 @@ def test_variant_agreement_random():
         check_result_invariants(r1, pts)
 
 
-def _bm_against_oracle(p, n, m, order, seed):
-    """bm (packed GF(p) rows) and abbott_basis (list rows) on seeded points."""
-    pts = oracles.random_point_set(random.Random(seed), PrimeField(p), n, m)
+def _bm_against_oracle(fld, n, m, order, seed):
+    """bm (integer rows) and abbott_basis (list rows) on seeded points."""
+    pts = oracles.random_point_set(random.Random(seed), fld, n, m)
     spec = orders.parse_order(order, n)
     res = bm(pts, spec)
     ref = oracles.abbott_basis(pts, spec)
     assert res.B == ref.B and res.G == ref.G
+    check_result_invariants(res, pts)
     return res
 
 
 def test_real_size_gf32003_against_oracle():
-    res = _bm_against_oracle(32003, 8, 200, "degrevlex", 1)
+    res = _bm_against_oracle(PrimeField(32003), 8, 200, "degrevlex", 1)
     assert len(res.B) == 200 and len(res.G) == 330
 
 
 @pytest.mark.parametrize("order", ["lex", "degrevlex"])
 def test_61_bit_prime_against_oracle(order):
     # the packed rows' slots are 16 bytes wide here, twice a machine word
-    res = _bm_against_oracle(2**61 - 1, 5, 60, order, 2)
+    res = _bm_against_oracle(PrimeField(2**61 - 1), 5, 60, order, 2)
     assert len(res.B) == 60
+
+
+def test_membership_by_evaluation_known():
+    # x*y - 2 vanishes on (1, 2) and (2, 1); x*y - 1 does not
+    half = (Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))
+    pts = PointSet(field=QQ, n=2, points=half)
+    xy_2 = Polynomial([(QQ.one, (1, 1)), (Fraction(-2), (0, 0))])
+    xy_1 = Polynomial([(QQ.one, (1, 1)), (Fraction(-1), (0, 0))])
+    assert oracles.membership_by_evaluation([xy_2], pts)
+    assert not oracles.membership_by_evaluation([xy_2, xy_1], pts)
+    # over GF(7), x^3 - x = x(x - 1)(x + 1) vanishes on 0, 1 and 6; x^3 does not
+    gf7 = PrimeField(7)
+    pts = PointSet(field=gf7, n=1, points=((0,), (1,), (6,)))
+    assert oracles.membership_by_evaluation([Polynomial([(1, (3,)), (6, (1,))])], pts)
+    assert not oracles.membership_by_evaluation([Polynomial([(1, (3,))])], pts)
+
+
+@pytest.mark.parametrize("n, m, order", [(3, 40, "lex"), (4, 30, "degrevlex")])
+def test_real_size_rationals_against_oracle(n, m, order):
+    # small-height coordinates; the coefficients of G reach hundreds of bits
+    res = _bm_against_oracle(QQ, n, m, order, 1)
+    assert len(res.B) == m
+    assert max(c.denominator.bit_length() for g in res.G for c, _ in g.terms) > 100
 
 
 def test_stats_bounds():

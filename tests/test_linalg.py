@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from pointideal.fields import PrimeField, QQ
-from pointideal.linalg import EchelonAccumulator, InsertZero, ListRows, PackedRows
+from pointideal.linalg import EchelonAccumulator, InsertZero, IntRows, PackedRows
+from pointideal.oracles import ListRows
 
 GF = PrimeField(101)
 
@@ -148,6 +149,51 @@ def test_packed_rows_match_list_rows(p):
         assert 0 < packed.rank < count
 
 
+def _rational_vector(rng, m, originals):
+    """Small height or up to 2**200, sparse, zero or dependent; signs mixed.
+
+    Entries of up to 2**200 are kept to three per vector: dense ones would
+    make every row thousands of bits long after a few inserts.
+    """
+    kind = rng.random()
+    if kind < 0.3 and originals:
+        # a combination of inserted vectors: reduces to zero
+        out = [Fraction(0)] * m
+        for v in rng.sample(originals, min(len(originals), 4)):
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            out = [a + c * b for a, b in zip(out, v)]
+        return out
+    if kind < 0.35:
+        return [Fraction(0)] * m
+    if kind < 0.65:
+        # sparse: up to three entries, of up to 2**200 or small
+        h = 2**200 if kind < 0.5 else 9
+        out = [Fraction(0)] * m
+        for k in rng.sample(range(m), min(m, 3)):
+            out[k] = Fraction(rng.randint(-h, h), rng.randint(1, h))
+        return out
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+
+
+def test_int_rows_match_list_rows():
+    rng = random.Random(7)
+    for m, count in ((1, 4), (5, 20), (40, 50)):
+        ints, listed = IntRows(m, QQ), ListRows(m, QQ)
+        originals = []
+        for _ in range(count):
+            v = _rational_vector(rng, m, originals)
+            got = ints.reduce(v)
+            assert got == listed.reduce(v)  # residual, coeffs and field ops
+            residual, coeffs, _ops = got
+            if any(residual):
+                assert ints.insert(residual, coeffs) == listed.insert(residual, coeffs)
+                originals.append(v)
+            assert ints.rank == listed.rank
+        assert ints.pivots == listed.pivots
+        assert ints.rows() == listed.rows()
+        assert 0 < ints.rank < count
+
+
 def test_accumulator_store_follows_field_kind():
     assert isinstance(EchelonAccumulator(3, GF).store, PackedRows)
-    assert isinstance(EchelonAccumulator(3, QQ).store, ListRows)
+    assert isinstance(EchelonAccumulator(3, QQ).store, IntRows)
