@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from . import orders
-from .deltamerge import compare_from, merge_with_sources
+from .deltamerge import compare_from, merge_with_sources, splice
 from .linalg import EchelonAccumulator
 # combine stays bound here so that perfbench's tracer can patch bm.combine
 from .poly import Polynomial, combine, evaluate_monomial  # noqa: F401
@@ -106,14 +106,14 @@ class PointEvaluationSystem:
         self.m = points.m
         self.arity = points.n
         self.field_ops = 0
+        self._columns = [points.coordinate_column(i) for i in range(1, points.n + 1)]
 
     def psi_one(self):
         return [self.field.one] * self.m
 
     def step(self, cached, i):
-        mul = self.field.mul
         self.field_ops += self.m
-        return [mul(a, b) for a, b in zip(cached, self.points.coordinate_column(i))]
+        return self.field.mul_vec(cached, self._columns[i - 1])
 
 
 def algorithm1(sys, spec) -> GroebnerResult:
@@ -166,7 +166,7 @@ def algorithm1(sys, spec) -> GroebnerResult:
         stats.functional_calls += 1
 
         residual, coeffs = acc.reduce(v)
-        if all(x == fld.zero for x in residual):
+        if not any(residual):
             G.append(_make_poly(t_exps, coeffs, B, fld))
             continue
         acc.insert(residual, coeffs)
@@ -182,13 +182,12 @@ def algorithm1(sys, spec) -> GroebnerResult:
             d, _s, cost = compare_from(u, w, 1, nvec)
             new_deltas.append(d)
             stats.element_cmps += cost
-        L_items, L_deltas, sources, ec, dc = merge_with_sources(
+        L_items, L_deltas, b_at, ec, dc = merge_with_sources(
             L_items, L_deltas, new_items, new_deltas, nvec
         )
         stats.element_cmps += ec
         stats.delta_cmps += dc
-        old_pay = L_pay
-        L_pay = [old_pay[k] if which == 0 else new_pay[k] for which, k in sources]
+        L_pay = splice(L_pay, new_pay, b_at)
         stats.L_max = max(stats.L_max, len(L_items))
 
     stats.field_ops = sys.field_ops - sys_ops0 + acc.field_ops

@@ -6,6 +6,11 @@ neighbours).  Locating a single element and merging two lists exploit these
 memos so that merging costs at most max(s,t) + min(s,t)*n element
 comparisons instead of the classical max(s,t)*n.
 
+The merge walks only the probes of the shorter list; the runs of the longer
+list between two probes are copied as slices, items and deltas alike.  It
+reports where the second list's items landed (``b_at``), and ``splice``
+reorders payloads carried alongside the tuples from those positions.
+
 The loops that locate and merge count their work:
 
 * ``elem``   -- one count per pair of tuple entries inspected
@@ -96,71 +101,95 @@ def merge_with_sources(items_a, deltas_a, items_b, deltas_b, n):
     The shorter list is inserted probe by probe into the longer one; each
     probe re-enters the walk where the previous one stopped, carrying a
     lower bound on the next first-difference index.  Ties place b-items
-    before a-items regardless of which list is shorter.
+    before a-items regardless of which list is shorter.  The host items
+    between two probes, and their deltas, are copied as one slice each.
 
-    Returns (items, deltas, sources, elem, dcmps); sources[k] is (0, i) for
-    items_a[i] and (1, j) for items_b[j], so that callers can permute
-    payloads carried alongside the tuples.
+    Returns (items, deltas, b_at, elem, dcmps); b_at lists the output
+    positions of items_b[0], items_b[1], ... in ascending order, and the
+    items of a fill the other positions in order, so that callers can
+    ``splice`` payloads carried alongside the tuples.
     """
     if not items_a:
-        return (list(items_b), list(deltas_b), [(1, j) for j in range(len(items_b))], 0, 0)
+        return (list(items_b), list(deltas_b), list(range(len(items_b))), 0, 0)
     if not items_b:
-        return (list(items_a), list(deltas_a), [(0, i) for i in range(len(items_a))], 0, 0)
+        return (list(items_a), list(deltas_a), [], 0, 0)
 
-    if len(items_b) <= len(items_a):
-        host, hostd, hsrc = items_a, deltas_a, 0
-        probes, probed, psrc = items_b, deltas_b, 1
-        before_equal = True
+    swapped = len(items_b) > len(items_a)
+    if swapped:
+        host, hostd, probes, probed = items_b, deltas_b, items_a, deltas_a
     else:
-        host, hostd, hsrc = items_b, deltas_b, 1
-        probes, probed, psrc = items_a, deltas_a, 0
-        before_equal = False
+        host, hostd, probes, probed = items_a, deltas_a, items_b, deltas_b
 
     out_items = []
     out_deltas = []
-    sources = []
-
-    def emit(item, src, link):
-        if out_items:
-            out_deltas.append(link)
-        out_items.append(item)
-        sources.append(src)
-
+    probe_at = []
     elem = 0
     dcmps = 0
     t = len(host)
     s = len(probes)
     start = 0
     hint = 1
-    link_host = None  # delta(last emitted, host[start]) when a host item comes next
-    link_probe = None  # delta(last emitted probe, next probe)
+    link_host = None  # delta(last output item, host[start]) when a host item comes next
     for j in range(s):
         b = probes[j]
-        pos, dl, dr, e, dc = locate(host, hostd, b, n, start, hint, before_equal)
+        pos, dl, dr, e, dc = locate(host, hostd, b, n, start, hint, not swapped)
         elem += e
         dcmps += dc
         if pos > start:
-            emit(host[start], (hsrc, start), link_host)
-            for i in range(start + 1, pos):
-                emit(host[i], (hsrc, i), hostd[i - 1])
-            emit(b, (psrc, j), dl)
-        else:
-            emit(b, (psrc, j), link_probe)
+            if out_items:
+                out_deltas.append(link_host)
+            out_items += host[start:pos]
+            out_deltas += hostd[start : pos - 1]
+            out_deltas.append(dl)
+        elif out_items:
+            out_deltas.append(probed[j - 1])
+        probe_at.append(len(out_items))
+        out_items.append(b)
         if pos >= t:
-            for jj in range(j + 1, s):
-                emit(probes[jj], (psrc, jj), probed[jj - 1])
-            return (out_items, out_deltas, sources, elem, dcmps)
+            probe_at += range(len(out_items), len(out_items) + s - j - 1)
+            out_items += probes[j + 1 :]
+            out_deltas += probed[j:]
+            break
         start = pos
         link_host = dr
         if j + 1 < s:
             # delta(probe_{j+1}, host[start]) >= min(delta(probe_j, host[start]),
             # delta(probe_j, probe_{j+1})); both are at hand
             hint = min(dr, probed[j])
-            link_probe = probed[j]
-    emit(host[start], (hsrc, start), link_host)
-    for i in range(start + 1, t):
-        emit(host[i], (hsrc, i), hostd[i - 1])
-    return (out_items, out_deltas, sources, elem, dcmps)
+    else:
+        out_deltas.append(link_host)
+        out_items += host[start:]
+        out_deltas += hostd[start:]
+    b_at = _complement(probe_at, len(out_items)) if swapped else probe_at
+    return (out_items, out_deltas, b_at, elem, dcmps)
+
+
+def _complement(at, total):
+    """The positions in range(total) missing from the ascending list at."""
+    out = []
+    prev = 0
+    for k in at:
+        out += range(prev, k)
+        prev = k + 1
+    out += range(prev, total)
+    return out
+
+
+def splice(a, b, b_at):
+    """The list with b[j] at position b_at[j] and a's entries, in order, elsewhere.
+
+    ``b_at`` is the third value ``merge_with_sources`` returns: splicing
+    payloads of items_a and items_b through it orders them as the merged items.
+    """
+    out = []
+    i = 0
+    for j, k in enumerate(b_at):
+        take = k - i - j  # a-entries between b[j-1] and b[j]
+        out += a[i : i + take]
+        i += take
+        out.append(b[j])
+    out += a[i:]
+    return out
 
 
 def delta(v, w) -> int:
@@ -239,7 +268,7 @@ class DeltaList:
         """Merge with another list; on ties the other list's items go first."""
         if self.arity != other.arity:
             raise ArityMismatch(f"arities {self.arity} and {other.arity}")
-        items, deltas, _src, elem, dc = merge_with_sources(
+        items, deltas, _b_at, elem, dc = merge_with_sources(
             self.items, self.deltas, other.items, other.deltas, self.arity
         )
         return DeltaList(self.arity, items, deltas, elem, dc)

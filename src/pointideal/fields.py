@@ -68,6 +68,10 @@ class RationalField:
     def mul(self, a, b):
         return a * b
 
+    def mul_vec(self, xs, ys):
+        """[mul(x, y) for x, y in zip(xs, ys)]."""
+        return [x * y for x, y in zip(xs, ys)]
+
     def neg(self, a):
         return -a
 
@@ -130,6 +134,11 @@ class PrimeField:
 
     def mul(self, a, b):
         return a * b % self.p
+
+    def mul_vec(self, xs, ys):
+        """[mul(x, y) for x, y in zip(xs, ys)]."""
+        p = self.p
+        return [x * y % p for x, y in zip(xs, ys)]
 
     def neg(self, a):
         return -a % self.p

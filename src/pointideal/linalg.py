@@ -38,10 +38,16 @@ chosen by the field's kind alone:
   arithmetic does over all m slots at once; the history gets the same
   update, ``H += c * hist``.  Slots are reduced mod p only when ``reduce``
   unpacks its result.  Before that a slot has gained less than (p-1)**2
-  per row from a start below p, so it stays below m*(p-1)**2 + p; the width
-  w is the smallest whole number of bytes that holds that bound, and no
-  slot carries into the next.  This is exact for every prime the library
-  accepts (p < 2**63); there w is 17 bytes at m = 1000.
+  per row from a start below p, so it stays below m*(p-1)**2 + p, and no
+  slot carries into the next.  When that bound is below 2**64 (p = 32003
+  at any practical m, p = 2**31 - 1 only while m <= 4) every slot is a
+  64-bit lane, and packing and unpacking go through ``array("Q")`` and
+  ``memoryview.cast("Q")`` in C; the lanes are laid out little-endian,
+  byteswapped on big-endian machines, so slot k sits at bits
+  [64k, 64k+64) everywhere.  Otherwise w is the smallest whole number of
+  bytes that holds the bound, packed and unpacked byte string by byte
+  string.  This is exact for every prime the library accepts (p < 2**63);
+  there w is 17 bytes at m = 1000.
 
 ``field_ops`` counts the same model operations in both stores and in the
 test oracle's list rows (``oracles.ListRows``), as before the stores
@@ -59,8 +65,13 @@ rank*(p-1)**2 < 2**63, which a 31-bit prime already breaks at rank 3.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
+
+# 64-bit lanes are laid out little-endian: slot k at bits [64k, 64k+64)
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class InsertZero(ValueError):
@@ -150,7 +161,10 @@ class PackedRows:
     def __init__(self, m, field):
         self.m = m
         self.p = p = field.p
-        self._width = (m * (p - 1) ** 2 + p).bit_length() + 7 >> 3  # bytes
+        bound = m * (p - 1) ** 2 + p
+        # 64-bit lanes pack and unpack through array and memoryview in C
+        self.lanes = bound < 1 << 64
+        self._width = 8 if self.lanes else bound.bit_length() + 7 >> 3  # bytes
         self._w = 8 * self._width  # bits per slot
         self._mask = (1 << self._w) - 1
         self.pivots = []
@@ -162,7 +176,13 @@ class PackedRows:
         return len(self._rows)
 
     def _pack(self, v):
-        width, p = self._width, self.p
+        p = self.p
+        if self.lanes:
+            lanes = array("Q", [x % p for x in v])
+            if _BIG_ENDIAN:
+                lanes.byteswap()
+            return int.from_bytes(lanes, "little")
+        width = self._width
         return int.from_bytes(
             b"".join([(x % p).to_bytes(width, "little") for x in v]), "little"
         )
@@ -171,6 +191,12 @@ class PackedRows:
         """The first count slots of packed, each reduced mod p."""
         width, p = self._width, self.p
         data = packed.to_bytes(count * width, "little")
+        if self.lanes:
+            lanes = memoryview(data).cast("Q")
+            if _BIG_ENDIAN:
+                lanes = array("Q", lanes)
+                lanes.byteswap()
+            return [x % p for x in lanes]
         return [
             int.from_bytes(data[k : k + width], "little") % p
             for k in range(0, count * width, width)
@@ -198,18 +224,19 @@ class PackedRows:
 
     def insert(self, residual, coeffs):
         """Add a row for (residual, coeffs) = reduce(v); returns its field ops."""
-        p, w = self.p, self._w
+        p = self.p
         piv = next((k for k, x in enumerate(residual) if x % p), None)
         if piv is None:
             raise InsertZero("cannot insert the zero vector")
         inv = pow(residual[piv], -1, p)
         row = [inv * x % p for x in residual]
         # residual = v - sum coeffs[i]*original_i, scaled by inv
-        hist = {i: -inv * c % p for i, c in coeffs.items()}
-        hist[len(self._rows)] = inv
-        packed_hist = sum(h << i * w for i, h in hist.items())
-        row_ops = 2 * sum(1 for x in row if x) + len(hist)
-        self._rows.append((piv * w, self._pack([-x for x in row]), packed_hist, row_ops))
+        hist = [0] * len(self._rows) + [inv]
+        for i, c in coeffs.items():
+            hist[i] = -inv * c
+        row_ops = 2 * sum(1 for x in row if x) + len(coeffs) + 1
+        negrow = self._pack([-x for x in row])
+        self._rows.append((piv * self._w, negrow, self._pack(hist), row_ops))
         self.pivots.append(piv)
         return 1 + self.m + len(coeffs)
 

@@ -10,7 +10,13 @@ from pointideal._selftest import (
     GOLDEN_MERGE_DELTAS,
     GOLDEN_MERGE_ITEMS,
 )
-from pointideal.deltamerge import ArityMismatch, DeltaList, delta
+from pointideal.deltamerge import (
+    ArityMismatch,
+    DeltaList,
+    delta,
+    merge_with_sources,
+    splice,
+)
 
 
 def tuples(n, max_entry=3):
@@ -115,17 +121,33 @@ def test_merge_equal_singletons():
     assert c.items == [(1, 2), (1, 2)] and c.deltas == [3]
 
 
-def test_merge_tie_rule():
-    # equal items: the argument list's copy is emitted first
-    a = DeltaList.from_items([(0, 0), (1, 1), (2, 2)])
-    b = DeltaList.from_items([(1, 1)])
-    from pointideal.deltamerge import merge_with_sources
+def _merge(la, lb, n):
+    da = DeltaList.from_items(la, arity=n)
+    db = DeltaList.from_items(lb, arity=n)
+    return merge_with_sources(da.items, da.deltas, db.items, db.deltas, n)
 
-    items, _d, sources, _e, _dc = merge_with_sources(
-        a.items, a.deltas, b.items, b.deltas, 2
-    )
+
+def test_merge_tie_rule():
+    # equal items: the second list's copy is emitted first
+    a = [(0, 0), (1, 1), (2, 2)]
+    items, deltas, b_at, _e, _dc = _merge(a, [(1, 1)], 2)
     assert items == [(0, 0), (1, 1), (1, 1), (2, 2)]
-    assert sources == [(0, 0), (1, 0), (0, 1), (0, 2)]
+    assert deltas == [1, 3, 1]
+    assert b_at == [1]
+    assert splice(["a0", "a1", "a2"], ["b0"], b_at) == ["a0", "b0", "a1", "a2"]
+
+
+def test_merge_tie_rule_swapped_host():
+    # len(b) > len(a): b hosts the walk and a's items are the probes, yet
+    # equal items still put the b copies first
+    a = [(1, 1), (1, 1)]
+    b = [(0, 0), (1, 1), (1, 1), (2, 2)]
+    items, deltas, b_at, _e, _dc = _merge(a, b, 2)
+    assert items == [(0, 0)] + [(1, 1)] * 4 + [(2, 2)]
+    assert deltas == [1, 3, 3, 3, 1]
+    assert b_at == [0, 1, 2, 5]
+    pay = splice(["a0", "a1"], ["b0", "b1", "b2", "b3"], b_at)
+    assert pay == ["b0", "b1", "b2", "a0", "a1", "b3"]
 
 
 def test_merge_arity_mismatch():
@@ -152,18 +174,35 @@ def test_merge_matches_naive_oracle(data):
 @settings(max_examples=300)
 @given(data=list_pairs)
 def test_merge_sources_permutation(data):
+    # b_at is ascending, and the items at b_at and at the other positions
+    # are items_b and items_a: every input item appears once, in order
     n, la, lb = data
-    from pointideal.deltamerge import merge_with_sources
+    items, _deltas, b_at, _e, _dc = _merge(la, lb, n)
+    assert len(items) == len(la) + len(lb)
+    assert b_at == sorted(set(b_at)) and all(0 <= k < len(items) for k in b_at)
+    assert [items[k] for k in b_at] == lb
+    taken = set(b_at)
+    assert [x for k, x in enumerate(items) if k not in taken] == la
 
-    da = DeltaList.from_items(la, arity=n)
-    db = DeltaList.from_items(lb, arity=n)
-    items, deltas, sources, _e, _dc = merge_with_sources(
-        da.items, da.deltas, db.items, db.deltas, n
-    )
-    assert sorted(sources) == [(0, i) for i in range(len(la))] + [
-        (1, j) for j in range(len(lb))
-    ]
-    assert items == [(la, lb)[w][k] for w, k in sources]
+
+@settings(max_examples=300)
+@given(data=list_pairs)
+def test_splice_matches_tagged_merge(data):
+    n, la, lb = data
+    items, _deltas, b_at, _e, _dc = _merge(la, lb, n)
+    tags_a = [("a", i) for i in range(len(la))]
+    tags_b = [("b", j) for j in range(len(lb))]
+    # two-pointer merge of (item, tag) pairs; on ties the b pair goes first
+    expect = []
+    i = j = 0
+    while i < len(la) or j < len(lb):
+        if j < len(lb) and (i == len(la) or lb[j] <= la[i]):
+            expect.append((lb[j], tags_b[j]))
+            j += 1
+        else:
+            expect.append((la[i], tags_a[i]))
+            i += 1
+    assert list(zip(items, splice(tags_a, tags_b, b_at))) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ def test_sub_scaled_is_entrywise_sub_mul(fld):
     xs = [fld.from_int(k) for k in (0, 5, -2, 9, 1)]
     for c in (fld.zero, fld.one, fld.from_int(-6), fld.inv(fld.from_int(3))):
         assert fld.sub_scaled(ys, c, xs) == [fld.sub(y, fld.mul(c, x)) for y, x in zip(ys, xs)]
+    assert fld.mul_vec(ys, xs) == [fld.mul(y, x) for y, x in zip(ys, xs)]
 
 
 @pytest.mark.parametrize("fld,elems", [(QQ, rationals), (GF5, residues5), (GF, residues_big)])

@@ -104,8 +104,11 @@ def test_coordinates_over_originals_not_residuals():
 
 
 # 2**61 - 1 and the largest prime below 2**63 give packed slots wider than
-# 64 bits
-PACKED_PRIMES = (2, 3, 101, 32003, 2**61 - 1, 9223372036854775783)
+# 64 bits; 2**31 - 1 leaves the 64-bit lanes between m = 4 and m = 5
+PACKED_PRIMES = (2, 3, 101, 32003, 2**31 - 1, 2**61 - 1, 9223372036854775783)
+PACKED_SIZES = ((1, 4), (5, 20), (40, 60), (200, 120))
+# (m, vectors, 64-bit lanes) on either side of the lane bound
+LANE_EDGE = {2**31 - 1: ((4, 16, True), (5, 20, False))}
 
 
 def _mixed_vector(rng, p, m, originals):
@@ -132,8 +135,13 @@ def _mixed_vector(rng, p, m, originals):
 def test_packed_rows_match_list_rows(p):
     fld = PrimeField(p)
     rng = random.Random(p % 997)
-    for m, count in ((1, 4), (5, 20), (40, 60), (200, 120)):
+    sizes = [(m, count, m * (p - 1) ** 2 + p < 2**64) for m, count in PACKED_SIZES]
+    for m, count, lanes in [*LANE_EDGE.get(p, ()), *sizes]:
         packed, listed = PackedRows(m, fld), ListRows(m, fld)
+        assert packed.lanes == lanes
+        # slots are 64-bit lanes, or the fewest whole bytes above the bound
+        width = 64 if lanes else -(-(m * (p - 1) ** 2 + p).bit_length() // 8) * 8
+        assert packed._w == width
         originals = []
         for _ in range(count):
             v = _mixed_vector(rng, p, m, originals)

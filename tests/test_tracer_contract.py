@@ -52,6 +52,10 @@ def test_tracer_patches_restores_and_records(tmp_path, monkeypatch, capsys):
     for sid, _inst, name, parent, _start, _end in tr.spans:
         by_name.setdefault(name, []).append((sid, parent))
     assert by_name.get("linalg.reduce") and by_name.get("bm.bm")
+    # the tracer calls merge_with_sources with five positional arguments and
+    # reads items, element and delta comparisons from its 5-tuple
+    assert by_name.get("deltamerge.merge_with_sources")
+    assert tr.replay_mismatches == 0
     assert tr.counts["projection.n_dropped"] == 2
     # read through the patched EchelonAccumulator.reduce and insert: a row
     # store that bypasses them, or miscounts, moves this value
