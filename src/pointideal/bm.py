@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from sys import modules
 
 from . import orders
 from .deltamerge import compare_from, merge_with_sources, splice
@@ -97,6 +98,35 @@ def _make_poly(t_exps, coeffs, B, fld):
     return Polynomial([(fld.one, t_exps)] + tail)
 
 
+def _progress_log():
+    """This module's logger when it logs at DEBUG, else None.
+
+    A ``logging`` that was never imported cannot have been configured, so
+    the check imports nothing: the CLI stays free of the module.
+    """
+    logging = modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger(__name__)
+    return log if log.isEnabledFor(logging.DEBUG) else None
+
+
+def probe_deltas(spec, vars_increasing):
+    """Deltas of the candidates x_i*t, i in ``vars_increasing``, and their cost.
+
+    The order vectors of x_i*t and x_j*t differ where columns i and j of the
+    order matrix differ, so the deltas of consecutive candidates and the
+    entries ``compare_from`` reads to find them are the same for every t.
+    """
+    cols = [spec.columns[i - 1] for i in vars_increasing]
+    deltas, cost = [], 0
+    for u, w in zip(cols, cols[1:]):
+        d, _s, c = compare_from(u, w, 1, spec.n)
+        deltas.append(d)
+        cost += c
+    return deltas, cost
+
+
 class PointEvaluationSystem:
     """Psi(f) = (f(p_1), ..., f(p_m))."""
 
@@ -135,6 +165,10 @@ def algorithm1(sys, spec) -> GroebnerResult:
     sys_ops0 = sys.field_ops
     acc = EchelonAccumulator(m, fld)
     vars_increasing = tuple(reversed(orders.varord(spec)))
+    new_deltas, new_cost = probe_deltas(spec, vars_increasing)
+    # progress at DEBUG: |B| each time it crosses a tenth of m, and at the end
+    log = _progress_log()
+    next_tenth = 1
 
     one = (0,) * n
     L_items = [orders.order_vector(spec, one)]
@@ -173,15 +207,15 @@ def algorithm1(sys, spec) -> GroebnerResult:
         b_index = len(B)
         B.append(t_exps)
         B_psi.append(v)
+        if log is not None and 10 * len(B) >= next_tenth * m:
+            log.debug("|B| = %d of m = %d", len(B), m)
+            next_tenth = 10 * len(B) // m + 1
 
-        new_items, new_deltas, new_pay = [], [], []
+        new_items, new_pay = [], []
         for i in vars_increasing:
             new_items.append(orders.order_vector_step(spec, t_ov, i))
             new_pay.append((orders.monomial_mul_var(t_exps, i), b_index, i))
-        for u, w in zip(new_items, new_items[1:]):
-            d, _s, cost = compare_from(u, w, 1, nvec)
-            new_deltas.append(d)
-            stats.element_cmps += cost
+        stats.element_cmps += new_cost
         L_items, L_deltas, b_at, ec, dc = merge_with_sources(
             L_items, L_deltas, new_items, new_deltas, nvec
         )
@@ -192,6 +226,8 @@ def algorithm1(sys, spec) -> GroebnerResult:
 
     stats.field_ops = sys.field_ops - sys_ops0 + acc.field_ops
     stats.wall_time = time.perf_counter() - t0
+    if log is not None:
+        log.debug("done: |B| = %d of m = %d, |G| = %d", len(B), m, len(G))
     return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=fld)
 
 

@@ -11,6 +11,12 @@ list between two probes are copied as slices, items and deltas alike.  It
 reports where the second list's items landed (``b_at``), and ``splice``
 reorders payloads carried alongside the tuples from those positions.
 
+``locate`` walks the memos without a call per step: the first comparison
+and each resumed one are inlined, memos above the running first difference
+are skipped in one loop, and a run of memos equal to it is stepped by
+reading the one entry where the items differ.  ``compare_from`` stays the
+comparison of ``delta`` and ``DeltaList``; ``locate`` counts what it would.
+
 The loops that locate and merge count their work:
 
 * ``elem``   -- one count per pair of tuple entries inspected
@@ -58,40 +64,82 @@ def locate(items, deltas, b, n, start=0, hint=1, before_equal=True):
 
     With ``before_equal`` b is placed in front of any equal run (the list's
     own contract a_i < b <= a_{i+1}); without it b goes after equal items.
+
+    The walk carries dab = delta(items[i], b) and reads one memo per step.
+    A memo above dab (or n+1, an equal neighbour) means items[i+1] precedes
+    b with the same dab; a memo below dab means b precedes items[i+1].  An
+    equal memo means items[i+1] and b agree before dab, so the comparison
+    resumes at entry dab; while items[i+1] is smaller there, dab is
+    unchanged and the step reads that one entry.  These comparisons are
+    inlined: ``elem`` and ``dcmps`` count exactly what one ``compare_from``
+    call per first and per equal-delta comparison would count.
     """
     t = len(items)
     if start >= t:
         return (start, None, None, 0, 0)
-    d, sign, elem = compare_from(items[start], b, hint, n)
-    dcmps = 0
-    if sign > 0 or (sign == 0 and before_equal):
-        return (start, None, d, elem, dcmps)
-    dab = d  # delta(items[i], b); n+1 encodes items[i] == b (after-equal mode)
+    u = items[start]
+    j = hint - 1
+    while j < n and u[j] == b[j]:
+        j += 1
+    if j == n:
+        elem = n - hint + 1
+        if before_equal:
+            return (start, None, n + 1, elem, 0)
+        dab = n + 1  # items[start] == b (after-equal mode)
+    else:
+        elem = j - hint + 2
+        if u[j] > b[j]:
+            return (start, None, j + 1, elem, 0)
+        dab = j + 1
+    last = t - 1
     i = start
+    dcmps = 0
     while True:
-        if i == t - 1:
+        # items[i+1] precedes b with the same delta, or equals items[i]
+        i0 = i
+        while i < last and deltas[i] > dab:
+            i += 1
+        dcmps += i - i0
+        if i == last:
             return (t, dab, None, elem, dcmps)
         dnext = deltas[i]
+        if dnext < dab:  # b precedes items[i+1]
+            return (i + 1, dab, dnext, elem, dcmps + 1)
+        if dab > n:  # items[i+1] == items[i] == b (after-equal mode)
+            dcmps += 1
+            i += 1
+            continue
+        # equal deltas: items[i+1] and b agree before entry k = dab-1; while
+        # items[i+1] is smaller there, it precedes b and dab is unchanged
+        k = dab - 1
+        bk = b[k]
+        i0 = i
+        while i < last and deltas[i] == dab and items[i + 1][k] < bk:
+            i += 1
+        elem += i - i0
+        dcmps += i - i0
+        if i == last:
+            return (t, dab, None, elem, dcmps)
+        if deltas[i] != dab:
+            continue
+        # resume the entrywise comparison of b and items[i+1] at entry k
         dcmps += 1
-        if dnext == n + 1:  # items[i+1] == items[i]: carry delta forward
-            i += 1
-            continue
-        if dab > dnext:  # b precedes items[i+1]
-            return (i + 1, dab, dnext, elem, dcmps)
-        if dab < dnext:  # items[i+1] still precedes b, same delta
-            i += 1
-            continue
-        # equal deltas: resume entrywise comparison at index dab
-        d2, sign2, cost = compare_from(b, items[i + 1], dab, n)
-        elem += cost
-        if sign2 < 0:
-            return (i + 1, dab, d2, elem, dcmps)
-        if sign2 == 0:
+        v = items[i + 1]
+        if v[k] > bk:
+            return (i + 1, dab, dab, elem + 1, dcmps)
+        j = k + 1
+        while j < n and v[j] == b[j]:
+            j += 1
+        if j == n:
+            elem += n - k
             if before_equal:
                 return (i + 1, dab, n + 1, elem, dcmps)
             dab = n + 1
         else:
-            dab = d2
+            elem += j - k + 1
+            if v[j] > b[j]:
+                return (i + 1, dab, j + 1, elem, dcmps)
+            dab = j + 1
         i += 1
 
 
@@ -253,10 +301,18 @@ class DeltaList:
         )
 
     def locate(self, b, hint=1) -> LocateResult:
-        """Split position of b per the staged walk over the delta memos."""
+        """Split position of b per the staged walk over the delta memos.
+
+        ``hint`` claims that b's first hint-1 entries equal those of the
+        first item; a claim outside 1..arity+1 or a false one is refused.
+        """
         b = tuple(b)
         if len(b) != self.arity:
             raise ArityMismatch(f"probe arity {len(b)} != {self.arity}")
+        if not 1 <= hint <= self.arity + 1:
+            raise ValueError(f"hint {hint} outside 1..{self.arity + 1}")
+        if self.items and b[: hint - 1] != self.items[0][: hint - 1]:
+            raise ValueError(f"probe differs from the first item before hint {hint}")
         pos, dl, dr, elem, dc = locate(
             self.items, self.deltas, b, self.arity, 0, hint, True
         )

@@ -2,7 +2,8 @@
 
 Everything here is deliberately simple; property tests and the selftest
 command compare it with the optimized paths.  The merge and divisibility
-oracles share no code with the library.  ``abbott_basis`` shares polynomial
+oracles, and ``stepwise_locate`` (the memo walk one comparison call per
+step), share no code with the library.  ``abbott_basis`` shares polynomial
 construction with ``bm`` (``bm._make_poly``, which reads a G element off the
 coordinates over B) but no elimination code: it eliminates on ``ListRows``
 below, lists of field elements reduced by ``field.sub_scaled``, for every
@@ -121,6 +122,59 @@ def naive_deltas(items):
         d = next((j + 1 for j in range(n) if u[j] != v[j]), n + 1)
         out.append(d)
     return out
+
+
+def _compare_from(u, v, k, n):
+    """(first 1-based difference from k or n+1, sign of u vs v, entries read)."""
+    cost = 0
+    for j in range(k - 1, n):
+        cost += 1
+        if u[j] != v[j]:
+            return (j + 1, (-1 if u[j] < v[j] else 1), cost)
+    return (n + 1, 0, cost)
+
+
+def stepwise_locate(items, deltas, b, n, start=0, hint=1, before_equal=True):
+    """``deltamerge.locate`` one memo per step, one comparison call per step.
+
+    Same contract and 5-tuple (pos, delta_left, delta_right, elem, dcmps):
+    the first comparison starts at ``hint``, every step reads one memo
+    (dcmps), and an equal memo resumes the entrywise comparison at that
+    index (elem counts the entries read).
+    """
+    t = len(items)
+    if start >= t:
+        return (start, None, None, 0, 0)
+    d, sign, elem = _compare_from(items[start], b, hint, n)
+    dcmps = 0
+    if sign > 0 or (sign == 0 and before_equal):
+        return (start, None, d, elem, dcmps)
+    dab = d  # delta(items[i], b); n+1 encodes items[i] == b (after-equal mode)
+    i = start
+    while True:
+        if i == t - 1:
+            return (t, dab, None, elem, dcmps)
+        dnext = deltas[i]
+        dcmps += 1
+        if dnext == n + 1:  # items[i+1] == items[i]: carry delta forward
+            i += 1
+            continue
+        if dab > dnext:  # b precedes items[i+1]
+            return (i + 1, dab, dnext, elem, dcmps)
+        if dab < dnext:  # items[i+1] still precedes b, same delta
+            i += 1
+            continue
+        d2, sign2, cost = _compare_from(b, items[i + 1], dab, n)
+        elem += cost
+        if sign2 < 0:
+            return (i + 1, dab, d2, elem, dcmps)
+        if sign2 == 0:
+            if before_equal:
+                return (i + 1, dab, n + 1, elem, dcmps)
+            dab = n + 1
+        else:
+            dab = d2
+        i += 1
 
 
 def naive_divisibility_filter(t, L_monomials, ini_G) -> bool:

@@ -1,5 +1,6 @@
 """The basis computation itself: known answers, oracle agreement, invariants."""
 
+import logging
 import random
 from fractions import Fraction
 
@@ -18,7 +19,9 @@ from pointideal.bm import (
     bm,
     normal_form,
     occ_skip,
+    probe_deltas,
 )
+from pointideal.deltamerge import compare_from
 from pointideal.fields import PrimeField, QQ
 from pointideal.poly import Polynomial, combine, evaluate_monomial
 
@@ -105,6 +108,48 @@ def test_variant_agreement_random():
         r2 = oracles.abbott_basis(pts, spec)
         assert r1.B == r2.B and r1.G == r2.G
         check_result_invariants(r1, pts)
+
+
+PROBE_ORDERS = {
+    "lex": orders.lex(5),
+    "deglex": orders.deglex(5),
+    "degrevlex": orders.degrevlex(5),
+    "lex-perm": orders.lex(5, (3, 1, 5, 2, 4)),
+    "matrix": oracles.random_matrix_order(random.Random(9), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_ORDERS))
+def test_probe_deltas_are_those_of_every_monomial(name):
+    # the deltas of x_i*t over vars_increasing, and the entries compare_from
+    # reads to find them, do not depend on t
+    spec = PROBE_ORDERS[name]
+    vars_increasing = tuple(reversed(orders.varord(spec)))
+    deltas, cost = probe_deltas(spec, vars_increasing)
+    rng = random.Random(5)
+    for _ in range(40):
+        t = oracles.random_monomial(rng, spec.n, max_deg=12)
+        ov = orders.order_vector(spec, t)
+        probes = [orders.order_vector_step(spec, ov, i) for i in vars_increasing]
+        got = [compare_from(u, w, 1, spec.n) for u, w in zip(probes, probes[1:])]
+        assert [d for d, _s, _c in got] == deltas
+        assert sum(c for _d, _s, c in got) == cost
+        assert all(s < 0 for _d, s, _c in got)
+
+
+def test_progress_logging(caplog):
+    pts = oracles.random_point_set(random.Random(3), PrimeField(101), 3, 25)
+    spec = orders.degrevlex(3)
+    quiet = bm(pts, spec)
+    with caplog.at_level(logging.DEBUG, logger="pointideal.bm"):
+        loud = bm(pts, spec)
+    assert loud.B == quiet.B and loud.G == quiet.G
+    msgs = [r.getMessage() for r in caplog.records if r.name == "pointideal.bm"]
+    # one message per tenth of m = 25 crossed (|B| = 3, 5, 8, ..., 25), then the end
+    found = [int(msg.split()[2]) for msg in msgs[:-1]]
+    assert found == [3, 5, 8, 10, 13, 15, 18, 20, 23, 25]
+    assert all(msg.endswith("of m = 25") for msg in msgs[:-1])
+    assert msgs[-1] == f"done: |B| = 25 of m = 25, |G| = {len(quiet.G)}"
 
 
 def _bm_against_oracle(fld, n, m, order, seed):

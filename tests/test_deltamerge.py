@@ -14,6 +14,7 @@ from pointideal.deltamerge import (
     ArityMismatch,
     DeltaList,
     delta,
+    locate,
     merge_with_sources,
     splice,
 )
@@ -91,6 +92,63 @@ def test_locate_matches_definition(data, b):
         assert res.delta_left == delta(items[i - 1], probe)
     if i < len(items):
         assert res.delta_right == delta(probe, items[i])
+
+
+def test_locate_refuses_impossible_hints():
+    a = DeltaList.from_items([(0, 0, 5), (0, 1, 0), (1, 0, 0)])
+    assert a.locate((0, 1, 0)).index == 1
+    assert a.locate((0, 1, 0), hint=2).index == 1  # (0,) is a true common prefix
+    for hint in (0, -1, 5):  # outside 1..arity+1
+        with pytest.raises(ValueError):
+            a.locate((0, 1, 0), hint=hint)
+    with pytest.raises(ValueError):  # (0, 1) is not a prefix of (0, 0, 5)
+        a.locate((0, 1, 0), hint=3)
+    with pytest.raises(ValueError):
+        a.locate((0, 1, 0), hint=4)
+    assert DeltaList.from_items([], arity=3).locate((0, 1, 0), hint=4).index == 0
+
+
+@st.composite
+def walk_cases(draw):
+    """A sorted list with long equal-delta runs and duplicates, and a probe.
+
+    Most items share a prefix and differ at one late entry k; their tails
+    are either one fixed tail, so that equal k entries make duplicates, or
+    small random tails.  The probe shares the prefix most of the time.
+    """
+    n = draw(st.integers(1, 8))
+    base = draw(tuples(n))
+    k = draw(st.integers(0, n - 1))
+    fixed_tail = draw(st.booleans())
+    run = []
+    length = draw(st.integers(0, 40))
+    for x in draw(st.lists(st.integers(0, 30), min_size=length, max_size=length)):
+        tail = base[k + 1 :] if fixed_tail else draw(tuples(n - k - 1, max_entry=1))
+        run.append(base[:k] + (x,) + tail)
+    items = sorted(run + draw(st.lists(tuples(n), max_size=6)))
+    kind = draw(st.sampled_from(["prefix", "item", "random"]))
+    if kind == "item" and items:
+        b = draw(st.sampled_from(items))
+    elif kind == "random":
+        b = draw(tuples(n))
+    else:
+        b = base[:k] + (draw(st.integers(0, 31)),) + draw(tuples(n - k - 1, max_entry=1))
+    return n, items, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=walk_cases(), before_equal=st.booleans(), data=st.data())
+def test_locate_matches_stepwise_oracle(case, before_equal, data):
+    # the inline walk returns the stepwise walk's 5-tuple, counters included
+    n, items, b = case
+    deltas = oracles.naive_deltas(items)
+    start = data.draw(st.integers(0, len(items)))
+    hint = 1
+    if start < len(items):
+        common = next((j for j in range(n) if items[start][j] != b[j]), n)
+        hint = data.draw(st.integers(1, common + 1))
+    got = locate(items, deltas, b, n, start, hint, before_equal)
+    assert got == oracles.stepwise_locate(items, deltas, b, n, start, hint, before_equal)
 
 
 # ---------------------------------------------------------------------------

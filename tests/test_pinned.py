@@ -44,6 +44,8 @@ def _cases():
     yield "gf-dependent-deglex", _dependent_points(rng, gf, 3, 20), orders.deglex(6)
     yield "qq-dependent-degrevlex", _dependent_points(rng, QQ, 2, 8), orders.degrevlex(5)
     yield "gf-dependent-matrix", _dependent_points(rng, gf, 2, 16), oracles.random_matrix_order(rng, 5)
+    # L_max 1100: long candidate lists with long equal-delta runs in the walk
+    yield "gf-n12-m100-lex", oracles.random_point_set(rng, PrimeField(32003), 12, 100), orders.lex(12)
 
 
 def _digest(result):
@@ -112,6 +114,11 @@ PINNED = {
     "gf-dependent-matrix": {
         "direct": {"digest": "19bd8ff89347cb2b", "element_cmps": 344, "delta_cmps": 292, "field_ops": 5875, "functional_calls": 24, "L_max": 38, "n_essential": None},
         "on": {"digest": "19bd8ff89347cb2b", "element_cmps": 89, "delta_cmps": 64, "field_ops": 5604, "functional_calls": 21, "L_max": 10, "n_essential": 2},
+    },
+    # recorded with the stepwise walk, one compare_from call per equal-delta step
+    "gf-n12-m100-lex": {
+        "direct": {"digest": "1c9592d47d3f4971", "element_cmps": 67595, "delta_cmps": 54351, "field_ops": 1048874, "functional_calls": 113, "L_max": 1100, "n_essential": None},
+        "on": {"digest": "1c9592d47d3f4971", "element_cmps": 67595, "delta_cmps": 54351, "field_ops": 1048874, "functional_calls": 113, "L_max": 1100, "n_essential": 12},
     },
 }
 
