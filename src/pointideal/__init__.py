@@ -13,11 +13,9 @@ from .bm import (
     DuplicatePoints,
     EmptyPointSet,
     GroebnerResult,
-    PointEvaluationSystem,
     PointSet,
     PointSetError,
     RunStats,
-    algorithm1,
     bm,
     normal_form,
 )
@@ -41,7 +39,6 @@ from .fileio import (
     serialize_points,
     serialize_result,
 )
-from .functionals import InconsistentSystem, MatrixActionSystem
 from .orders import (
     DegreeOverflow,
     NonAdmissibleColumn,
@@ -79,15 +76,12 @@ __all__ = [
     "EssentialSet",
     "FieldError",
     "GroebnerResult",
-    "InconsistentSystem",
     "LocateResult",
-    "MatrixActionSystem",
     "NonAdmissibleColumn",
     "NotPrime",
     "OrderError",
     "OrderSpec",
     "ParseError",
-    "PointEvaluationSystem",
     "PointSet",
     "PointSetError",
     "Polynomial",
@@ -96,7 +90,6 @@ __all__ = [
     "RationalField",
     "RunStats",
     "SingularMatrix",
-    "algorithm1",
     "bm",
     "bm_projected",
     "combine",

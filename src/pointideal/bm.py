@@ -1,12 +1,13 @@
 """Gröbner bases of vanishing ideals of finite point sets.
 
-One candidate loop, ``algorithm1``, runs over a functional system: the image
-of 1 plus a rule turning the cached image of a monomial t into the image of
-x_i*t.  ``bm`` is that loop over point evaluation.  The candidate list is a
-delta-memoized sorted list of order vectors that keeps duplicates; the length
-of the run of equal minimal elements decides, through the
-support-vs-multiplicity test, whether a candidate is an initial-ideal
-multiple, and the n new candidates of each basis monomial are merged in bulk.
+``bm`` is the one candidate loop.  The evaluation vector of a candidate
+x_i*t is the vector of t times the coordinate column of x_i, both in the
+elimination store's own format, so it is eliminated without conversion.
+The candidate list is a delta-memoized sorted list of order vectors that
+keeps duplicates; the length of the run of equal minimal elements decides,
+through the support-vs-multiplicity test, whether a candidate is an
+initial-ideal multiple, and the n new candidates of each basis monomial are
+merged in bulk.
 """
 
 from __future__ import annotations
@@ -127,43 +128,21 @@ def probe_deltas(spec, vars_increasing):
     return deltas, cost
 
 
-class PointEvaluationSystem:
-    """Psi(f) = (f(p_1), ..., f(p_m))."""
+def bm(points: PointSet, spec) -> GroebnerResult:
+    """Reduced Gröbner basis and quotient monomial basis of I(points).
 
-    def __init__(self, points: PointSet):
-        self.points = points
-        self.field = points.field
-        self.m = points.m
-        self.arity = points.n
-        self.field_ops = 0
-        self._columns = [points.coordinate_column(i) for i in range(1, points.n + 1)]
-
-    def psi_one(self):
-        return [self.field.one] * self.m
-
-    def step(self, cached, i):
-        self.field_ops += self.m
-        return self.field.mul_vec(cached, self._columns[i - 1])
-
-
-def algorithm1(sys, spec) -> GroebnerResult:
-    """Run the duplicate-preserving candidate loop over a functional system.
-
-    ``sys`` supplies ``psi_one()``, ``step(cached, i)`` (the image of x_i*t
-    from the cached image of t), ``field``, ``m``, ``arity`` and a running
-    ``field_ops`` count of its own step arithmetic.  Returns the reduced
-    basis of the kernel ideal reachable through the run and the complement
-    monomials; when the functionals are surjective the complement has
-    exactly m elements.
+    B has exactly m elements.  ``functional_calls`` counts the evaluation
+    vectors computed; ``field_ops`` counts m per step and the elimination.
     """
-    if spec.n != sys.arity:
-        raise orders.OrderError("order arity differs from system arity")
-    fld = sys.field
-    n, m = sys.arity, sys.m
+    if spec.n != points.n:
+        raise orders.OrderError("order arity differs from point arity")
+    fld = points.field
+    n, m = points.n, points.m
     stats = RunStats()
     t0 = time.perf_counter()
-    sys_ops0 = sys.field_ops
     acc = EchelonAccumulator(m, fld)
+    step = acc.step
+    columns = [acc.vector(points.coordinate_column(i)) for i in range(1, n + 1)]
     vars_increasing = tuple(reversed(orders.varord(spec)))
     new_deltas, new_cost = probe_deltas(spec, vars_increasing)
     # progress at DEBUG: |B| each time it crosses a tenth of m, and at the end
@@ -177,7 +156,7 @@ def algorithm1(sys, spec) -> GroebnerResult:
     L_pay = [(one, None, None)]
     nvec = len(L_items[0])
 
-    B, B_psi, G = [], [], []
+    B, B_vec, G = [], [], []
     stats.L_max = 1
 
     while L_items:
@@ -194,19 +173,20 @@ def algorithm1(sys, spec) -> GroebnerResult:
             continue
 
         if parent is None:
-            v = sys.psi_one()
+            v = acc.vector([fld.one] * m)
         else:
-            v = sys.step(B_psi[parent], var)
+            v = step(B_vec[parent], columns[var - 1])
+            stats.field_ops += m
         stats.functional_calls += 1
 
-        residual, coeffs = acc.reduce(v)
+        residual, coords = acc.reduce(v)
         if not any(residual):
-            G.append(_make_poly(t_exps, coeffs, B, fld))
+            G.append(_make_poly(t_exps, acc.coordinates(coords), B, fld))
             continue
-        acc.insert(residual, coeffs)
+        acc.insert(residual, coords)
         b_index = len(B)
         B.append(t_exps)
-        B_psi.append(v)
+        B_vec.append(v)
         if log is not None and 10 * len(B) >= next_tenth * m:
             log.debug("|B| = %d of m = %d", len(B), m)
             next_tenth = 10 * len(B) // m + 1
@@ -224,16 +204,11 @@ def algorithm1(sys, spec) -> GroebnerResult:
         L_pay = splice(L_pay, new_pay, b_at)
         stats.L_max = max(stats.L_max, len(L_items))
 
-    stats.field_ops = sys.field_ops - sys_ops0 + acc.field_ops
+    stats.field_ops += acc.field_ops
     stats.wall_time = time.perf_counter() - t0
     if log is not None:
         log.debug("done: |B| = %d of m = %d, |G| = %d", len(B), m, len(G))
     return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=fld)
-
-
-def bm(points: PointSet, spec) -> GroebnerResult:
-    """Reduced Gröbner basis and quotient monomial basis of I(points)."""
-    return algorithm1(PointEvaluationSystem(points), spec)
 
 
 def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Polynomial:
@@ -242,12 +217,13 @@ def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Poly
     Works through evaluations: expresses f(P) in the coordinates of the
     basis evaluation vectors.
     """
-    fld = points.field
+    fld, pts = points.field, points.points
     acc = EchelonAccumulator(points.m, fld)
     for b in result.B:
-        acc.insert(*acc.reduce([evaluate_monomial(fld, b, p) for p in points.points]))
-    residual, coeffs = acc.reduce([f.evaluate(fld, p) for p in points.points])
-    if any(x != fld.zero for x in residual):
+        acc.insert(*acc.reduce(acc.vector([evaluate_monomial(fld, b, p) for p in pts])))
+    residual, coords = acc.reduce(acc.vector([f.evaluate(fld, p) for p in pts]))
+    if any(residual):
         raise PointSetError("basis does not span the evaluation space")
+    coeffs = acc.coordinates(coords)
     B = result.B
     return Polynomial([(coeffs[i], B[i]) for i in sorted(coeffs, reverse=True)])

@@ -11,6 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# CPython's default limit on the digits of an int converted from or to text
+MAX_DIGITS = 4300
+
+
 class FieldError(Exception):
     pass
 
@@ -68,17 +72,13 @@ class RationalField:
     def mul(self, a, b):
         return a * b
 
-    def mul_vec(self, xs, ys):
-        """[mul(x, y) for x, y in zip(xs, ys)]."""
-        return [x * y for x, y in zip(xs, ys)]
-
     def neg(self, a):
         return -a
 
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return 1 / a
+        return 1 / Fraction(a)
 
     def sub_scaled(self, ys, c, xs):
         """[sub(y, mul(c, x)) for y, x in zip(ys, xs)], skipping zero x."""
@@ -88,9 +88,17 @@ class RationalField:
         return Fraction(k)
 
     def parse(self, text: str):
-        """Parse "a/b" or a plain decimal integer."""
+        """Parse "a/b", an integer or a decimal such as "0.1" or "1e-07".
+
+        A literal whose exponent would make more than ``MAX_DIGITS`` digits
+        is rejected before 10**exponent is computed.
+        """
+        text = text.strip()
+        mantissa, _e, exponent = text.lower().partition("e")
         try:
-            return Fraction(text.strip())
+            if exponent and abs(int(exponent)) + len(mantissa) > MAX_DIGITS:
+                raise ValueError("exponent too large")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {text!r}") from exc
 
@@ -134,11 +142,6 @@ class PrimeField:
 
     def mul(self, a, b):
         return a * b % self.p
-
-    def mul_vec(self, xs, ys):
-        """[mul(x, y) for x, y in zip(xs, ys)]."""
-        p = self.p
-        return [x * y % p for x, y in zip(xs, ys)]
 
     def neg(self, a):
         return -a % self.p

@@ -23,6 +23,8 @@ def _load_json(text: str, source: str):
         ) from exc
     except ValueError as exc:  # e.g. an integer literal too long to convert
         raise ParseError(f"{source}: unreadable JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{source}: unreadable JSON: nested too deeply") from exc
 
 
 def _load_document(text: str, source: str, keys):

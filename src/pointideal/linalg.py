@@ -9,30 +9,39 @@ coordinates over those originals -- which, for evaluation vectors of
 monomials, is directly a polynomial combination of those monomials.
 
 ``EchelonAccumulator`` is the one interface.  It keeps its rows in a store
-chosen by the field's kind alone:
+chosen by the field's kind alone, and the store owns the format of the
+vectors it eliminates: ``vector(elements)`` turns field elements into a
+store vector once, ``step(vec, column)`` is the pointwise product of two
+store vectors, and ``reduce`` takes a store vector.  ``reduce`` returns
+(residual, coords): the residual is a list of integers, zero exactly when
+``not any(residual)``, and coords is what ``insert`` needs besides it.
+Field elements come back only from ``coordinates(coords)``.
 
-* ``IntRows`` (the rationals) holds row k as one list of integers N_k and
-  its history as one list of integers H_k, over one common denominator
-  d_k = N_k[pivot], with the content gcd(N_k, H_k) divided out: the row
-  is N_k/d_k and the history H_k/d_k.  ``reduce`` clears v's denominators
-  once, to integers R over D, and keeps the coordinates as integers C over
-  the same D.  Reducing by a row whose pivot entry a = R[pivot] is nonzero
-  is ``R = d*R - a*N``, ``C = d*C + a*H`` and ``D *= d``, after dividing
+* ``IntRows`` (the rationals) holds a vector as (integers, D) with D > 0
+  and gcd(D, *integers) = 1, its entries integers[k]/D; the step multiplies
+  the integer lists and divides out one gcd.  Row k is one list of
+  integers N_k and its history one list of integers H_k, over one common
+  denominator d_k = N_k[pivot] > 0, with the content gcd(N_k, H_k) divided
+  out: the row is N_k/d_k and the history H_k/d_k.  ``reduce`` starts from the
+  vector's R over D and keeps the coordinates as integers C over the same
+  D.  Reducing by a row whose pivot entry a = R[pivot] is nonzero is
+  ``R = d*R - a*N``, ``C = d*C + a*H`` and ``D *= d``, after dividing
   gcd(a, d) out of a and d; that small gcd removes most of the common factor
   (84 of 103 bits on average on the qq-random benchmark).  The full content
   gcd(D, *R, *C) is divided out only once D has doubled in length since the
-  last time.  Fractions appear only in what ``reduce`` returns and
-  ``insert`` receives.  ``fractions.Fraction`` is avoided inside because
+  last time.  The residual is R and coords is (C, D); ``insert`` builds the
+  row from them as integers.  ``fractions.Fraction`` is avoided because
   each of its multiplies and adds runs a gcd and a normalisation in Python
-  code, entry by entry; here a row update is a list comprehension of int
-  multiply-adds, whose arithmetic runs in C.  Evaluation vectors of
-  small-height points share most of their denominators, so the rows stay a
-  few hundred bits long; vectors with unrelated large denominators make
-  every entry as long as their lcm, and there the list rows of the oracle
-  can be faster.
-* ``PackedRows`` (GF(p)) holds each row, and each history, as one Python
-  ``int``: slot k sits at bits [k*w, (k+1)*w), one slot per coordinate of a
-  row and one per inserted vector of a history (Kronecker substitution).
+  code, entry by entry; here a step or a row update is a list
+  comprehension of int multiplies, whose arithmetic runs in C.  Evaluation
+  vectors of small-height points share most of their denominators, so the
+  rows stay a few hundred bits long; vectors with unrelated large
+  denominators make every entry as long as their lcm, and there the list
+  rows of the oracle can be faster.
+* ``PackedRows`` (GF(p)) holds a vector as a list of residues, and each
+  row, and each history, as one Python ``int``: slot k sits at bits
+  [k*w, (k+1)*w), one slot per coordinate of a row and one per inserted
+  vector of a history (Kronecker substitution).
   A row is stored negated, each slot (p - x) % p, so reducing by it is one
   big-integer multiply-add, ``R += c * negrow``, which CPython's C
   arithmetic does over all m slots at once; the history gets the same
@@ -47,16 +56,18 @@ chosen by the field's kind alone:
   [64k, 64k+64) everywhere.  Otherwise w is the smallest whole number of
   bytes that holds the bound, packed and unpacked byte string by byte
   string.  This is exact for every prime the library accepts (p < 2**63);
-  there w is 17 bytes at m = 1000.
+  there w is 17 bytes at m = 1000.  The residual is the unpacked list of
+  residues and coords the unpacked history coefficients.
 
 ``field_ops`` counts the same model operations in both stores and in the
 test oracle's list rows (``oracles.ListRows``), as before the stores
 existed: reducing by a row whose pivot coefficient c is nonzero costs
 2*nnz(row) (a multiply and a subtract per nonzero row entry) plus the
 number of history entries (a multiply each); ``insert`` costs
-1 + m + |coeffs| (the pivot inverse, scaling the row, scaling the history).
-Each row carries its reduce cost, computed at insert, so the counter does
-not depend on how a row is stored or on the zeros a store skips.
+1 + m + nnz(coords) (the pivot inverse, scaling the row, scaling the
+history).  Each row carries its reduce cost, computed at insert, so the
+counter does not depend on how a row is stored or on the zeros a store
+skips.  A step is not counted here; its caller counts it.
 
 numpy is not used.  Importing it raises the CLI's peak resident memory from
 16 MB to 28 MB, and its int64 rows are exact only while
@@ -78,21 +89,14 @@ class InsertZero(ValueError):
     pass
 
 
-def _over_common_denominator(xs):
-    """(integers, D) with xs[k] = integers[k]/D for rationals (or ints) xs."""
-    D = lcm(*[x.denominator for x in xs])
-    return [x.numerator * (D // x.denominator) for x in xs], D
-
-
 class IntRows:
     """Semi-echelon rows over QQ, each an integer list over one denominator."""
 
     def __init__(self, m, field):
         self.m = m
-        self.zero = field.zero
         self.pivots = []
         # per row: (pivot, N, H, d, reduce ops) with row = N/d and
-        # history = H/d, d = N[pivot] and gcd(*N, *H) = 1
+        # history = H/d, d = N[pivot] > 0 and gcd(*N, *H) = 1
         self._rows = []
 
     @property
@@ -102,10 +106,32 @@ class IntRows:
     def rows(self):
         return [[Fraction(x, d) for x in N] for _p, N, _H, d, _o in self._rows]
 
-    def reduce(self, v):
-        """(residual, coeffs, field ops) with v = residual + sum coeffs[i]*original_i."""
-        # residual = R/D and coeffs = C/D throughout, starting from v
-        R, D = _over_common_denominator(v)
+    @staticmethod
+    def vector(elements):
+        """(integers, D) with elements[k] = integers[k]/D, D > 0 the least."""
+        D = lcm(*[x.denominator for x in elements])
+        return [x.numerator * (D // x.denominator) for x in elements], D
+
+    @staticmethod
+    def step(vec, column):
+        """The vector of the entrywise products of two vectors."""
+        (xs, D), (ys, E) = vec, column
+        P = [x * y for x, y in zip(xs, ys)]
+        D *= E
+        g = gcd(D, *P)
+        if g > 1:
+            P = [x // g for x in P]
+            D //= g
+        return P, D
+
+    @staticmethod
+    def coordinates(coords):
+        C, D = coords
+        return {i: Fraction(c, D) for i, c in enumerate(C) if c}
+
+    def reduce(self, vec):
+        """(R, (C, D), field ops) with v = R/D + sum C[i]/D*original_i."""
+        R, D = vec
         C = []
         ops = 0
         limit = 2 * D.bit_length() + 64
@@ -131,28 +157,27 @@ class IntRows:
                 C = [c // g for c in C]
                 D //= g
                 limit = 2 * D.bit_length() + 64
-        zero = self.zero
-        residual = [Fraction(r, D) if r else zero for r in R]
-        return residual, {i: Fraction(c, D) for i, c in enumerate(C) if c}, ops
+        return R, (C, D), ops
 
-    def insert(self, residual, coeffs):
-        """Add a row for (residual, coeffs) = reduce(v); returns its field ops."""
+    def insert(self, residual, coords):
+        """Add a row for (residual, coords) = reduce(v); returns its field ops."""
         piv = next((k for k, x in enumerate(residual) if x), None)
         if piv is None:
             raise InsertZero("cannot insert the zero vector")
-        # residual = v - sum coeffs[i]*original_i: the row is residual and
-        # the history e_idx - coeffs, both over residual[piv]
-        hist = [0] * len(self._rows) + [1]
-        for i, c in coeffs.items():
-            hist[i] = -c
-        NH, _ = _over_common_denominator([*residual, *hist])
-        g = gcd(*NH)
-        NH = [x // g for x in NH]
+        # v - sum C[i]/D*original_i = R/D: the row is R and the history
+        # D*e_idx - C, both over R[piv]
+        C, D = coords
+        NH = [*residual, *[-c for c in C], *[0] * (len(self._rows) - len(C)), D]
+        # a positive d keeps every D of reduce positive
+        g = gcd(*NH) if residual[piv] > 0 else -gcd(*NH)
+        if g != 1:
+            NH = [x // g for x in NH]
         N, H = NH[: self.m], NH[self.m :]
-        row_ops = 2 * sum(1 for x in N if x) + len(coeffs) + 1
+        nnz = len(C) - C.count(0)
+        row_ops = 2 * (self.m - N.count(0)) + nnz + 1
         self._rows.append((piv, N, H, N[piv], row_ops))
         self.pivots.append(piv)
-        return 1 + self.m + len(coeffs)
+        return 1 + self.m + nnz
 
 
 class PackedRows:
@@ -206,10 +231,23 @@ class PackedRows:
         p = self.p
         return [[-x % p for x in self._unpack(neg, self.m)] for _s, neg, _h, _o in self._rows]
 
-    def reduce(self, v):
-        """(residual, coeffs, field ops) with v = residual + sum coeffs[i]*original_i."""
+    @staticmethod
+    def vector(elements):
+        return list(elements)
+
+    def step(self, vec, column):
+        """The vector of the entrywise products of two vectors."""
+        p = self.p
+        return [x * y % p for x, y in zip(vec, column)]
+
+    @staticmethod
+    def coordinates(coords):
+        return {i: c for i, c in enumerate(coords) if c}
+
+    def reduce(self, vec):
+        """(residual, coords, field ops) with v = residual + sum coords[i]*original_i."""
         p, mask = self.p, self._mask
-        R = self._pack(v)
+        R = self._pack(vec)
         H = 0
         ops = 0
         for shift, negrow, hist, row_ops in self._rows:
@@ -218,54 +256,55 @@ class PackedRows:
                 R += c * negrow
                 H += c * hist
                 ops += row_ops
-        residual = self._unpack(R, self.m)
-        coeffs = {i: x for i, x in enumerate(self._unpack(H, len(self._rows))) if x}
-        return residual, coeffs, ops
+        return self._unpack(R, self.m), self._unpack(H, len(self._rows)), ops
 
-    def insert(self, residual, coeffs):
-        """Add a row for (residual, coeffs) = reduce(v); returns its field ops."""
+    def insert(self, residual, coords):
+        """Add a row for (residual, coords) = reduce(v); returns its field ops."""
         p = self.p
         piv = next((k for k, x in enumerate(residual) if x % p), None)
         if piv is None:
             raise InsertZero("cannot insert the zero vector")
         inv = pow(residual[piv], -1, p)
         row = [inv * x % p for x in residual]
-        # residual = v - sum coeffs[i]*original_i, scaled by inv
-        hist = [0] * len(self._rows) + [inv]
-        for i, c in coeffs.items():
-            hist[i] = -inv * c
-        row_ops = 2 * sum(1 for x in row if x) + len(coeffs) + 1
+        # residual = v - sum coords[i]*original_i, scaled by inv
+        hist = [-inv * c for c in coords] + [inv]
+        nnz = len(coords) - coords.count(0)
+        row_ops = 2 * (self.m - row.count(0)) + nnz + 1
         negrow = self._pack([-x for x in row])
         self._rows.append((piv * self._w, negrow, self._pack(hist), row_ops))
         self.pivots.append(piv)
-        return 1 + self.m + len(coeffs)
+        return 1 + self.m + nnz
 
 
 class EchelonAccumulator:
     """Semi-echelon elimination with coordinates over the inserted vectors."""
 
     def __init__(self, m, field):
-        self.store = PackedRows(m, field) if field.kind == "prime" else IntRows(m, field)
+        self.store = store = (PackedRows if field.kind == "prime" else IntRows)(m, field)
         self.field_ops = 0
+        # the store's vector format: made once, stepped, read off
+        self.vector, self.step, self.coordinates = store.vector, store.step, store.coordinates
 
     @property
     def rank(self):
         return self.store.rank
 
-    def reduce(self, v):
-        """Return (residual, coeffs) with v = residual + sum coeffs[i]*original_i.
+    def reduce(self, vec):
+        """Return (residual, coords) with vec = residual + coords over the originals.
 
-        The residual vanishes on every pivot column.
+        The residual vanishes on every pivot column, and everywhere exactly
+        when ``not any(residual)``; ``coordinates(coords)`` reads the
+        coordinates off as {insertion index: nonzero field element}.
         """
-        residual, coeffs, ops = self.store.reduce(v)
+        residual, coords, ops = self.store.reduce(vec)
         self.field_ops += ops
-        return residual, coeffs
+        return residual, coords
 
-    def insert(self, residual, coeffs):
-        """Add original v as a new row, given (residual, coeffs) = reduce(v).
+    def insert(self, residual, coords):
+        """Add original vec as a new row, given (residual, coords) = reduce(vec).
 
-        The residual must be nonzero; v gets the next insertion index.
+        The residual must be nonzero; vec gets the next insertion index.
         """
         idx = self.store.rank
-        self.field_ops += self.store.insert(residual, coeffs)
+        self.field_ops += self.store.insert(residual, coords)
         return idx

@@ -12,7 +12,7 @@ monomials is lexicographic comparison of order vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 from pathlib import Path
 
@@ -159,14 +159,18 @@ def standard_matrix(kind: str, n: int):
 
 
 def _independent_residuals(rows, width):
-    """Residuals over QQ of each row against the earlier rows; nonzero ones only."""
+    """Residuals over QQ of each row against the earlier rows; nonzero ones only.
+
+    Each is a primitive integer row, a positive multiple of the residual.
+    """
     acc = EchelonAccumulator(width, QQ)
     kept = []
     for row in rows:
-        residual, coeffs = acc.reduce([QQ.from_int(x) for x in row])
-        if any(x != QQ.zero for x in residual):
-            acc.insert(residual, coeffs)
-            kept.append(residual)
+        residual, coords = acc.reduce(acc.vector(row))
+        if any(residual):
+            acc.insert(residual, coords)
+            g = gcd(*residual)
+            kept.append(tuple(x // g for x in residual))
     return kept
 
 
@@ -242,13 +246,4 @@ def restrict(spec: OrderSpec, ess) -> OrderSpec:
         return OrderSpec(k, spec.kind)
     # keep the chosen columns, then drop rows dependent on earlier ones
     rows = [[spec.matrix[i][j - 1] for j in ess] for i in range(spec.n)]
-    kept = _independent_residuals(rows, k)
-    out = []
-    for row in kept:
-        mult = lcm(*(f.denominator for f in row))
-        ints = [int(f * mult) for f in row]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(tuple(ints))
-    return matrix_order(out)
+    return matrix_order(_independent_residuals(rows, k))

@@ -36,17 +36,17 @@ def essential_variables(points: PointSet, spec) -> EssentialSet:
     acc = EchelonAccumulator(points.m, fld)
     # raw id of each inserted vector: 0 for all-ones, else the variable index
     raw_ids = [0]
-    acc.insert(*acc.reduce([fld.one] * points.m))
+    acc.insert(*acc.reduce(acc.vector([fld.one] * points.m)))
     ess = []
     relations = {}
     for i in reversed(orders.varord(spec)):
-        residual, coeffs = acc.reduce(points.coordinate_column(i))
-        if any(x != fld.zero for x in residual):
-            acc.insert(residual, coeffs)
+        residual, coords = acc.reduce(acc.vector(points.coordinate_column(i)))
+        if any(residual):
+            acc.insert(residual, coords)
             raw_ids.append(i)
             ess.append(i)
         else:
-            flat = {raw_ids[l]: c for l, c in coeffs.items()}
+            flat = {raw_ids[l]: c for l, c in acc.coordinates(coords).items()}
             const = flat.pop(0, fld.zero)
             relations[i] = (const, flat)
     ess_desc = tuple(reversed(ess))

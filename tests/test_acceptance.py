@@ -24,7 +24,7 @@ from pointideal._selftest import (
     golden_G,
     golden_sub_G,
 )
-from pointideal.bm import PointEvaluationSystem, algorithm1, bm
+from pointideal.bm import bm
 from pointideal.cli import main
 from pointideal.deltamerge import DeltaList, compare_from
 from pointideal.projection import essential_variables, project
@@ -196,27 +196,6 @@ def test_criterion_7_basis_count_bound(capsys, variant_corpus, projection_corpus
             assert len(res.G) <= bound, f"instance {k}: {len(res.G)} > {bound}"
     with capsys.disabled():
         ok(f"criterion 7: |G| bound holds on {len(runs)} runs")
-
-
-def test_criterion_8_functional_engine(capsys):
-    """Abstract-functional loop reproduces the direct algorithm."""
-    with Timer(30.0):
-        rng = random.Random(800)
-        count = 0
-        for _ in range(100):
-            n = rng.randint(1, 6)
-            m = rng.randint(1, 12)
-            fld = oracles.random_field(rng)
-            points = oracles.random_point_set(rng, fld, n, m)
-            kind = rng.choice([orders.lex, orders.deglex, orders.degrevlex])
-            spec = kind(n)
-            res = algorithm1(PointEvaluationSystem(points), spec)
-            direct = bm(points, spec)
-            assert res.B == direct.B and res.G == direct.G
-            assert res.stats.functional_calls <= len(res.G) + m
-            count += 1
-    with capsys.disabled():
-        ok(f"criterion 8: functional engine agreement on {count} instances")
 
 
 def test_criterion_9_matrix_order_fidelity(capsys):

@@ -68,6 +68,11 @@ def test_point_set_validation():
         bm(pts, orders.lex(2))
 
 
+def test_arity_mismatch_rejected():
+    with pytest.raises(orders.OrderError):
+        bm(GOLDEN_POINTS, orders.lex(4))
+
+
 def test_occ_skip_unit():
     assert not occ_skip((1, 1, 0), 2)  # |supp| = Occ: process
     assert occ_skip((1, 1, 0), 1)  # |supp| > Occ: skip

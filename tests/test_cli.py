@@ -151,6 +151,23 @@ def test_basis_overlong_integer_is_parse_error(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def test_basis_deeply_nested_json_is_parse_error(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, "basis", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
+def test_basis_exponent_bomb_is_parse_error(capsys, tmp_path):
+    p = tmp_path / "bomb.json"
+    for literal in ("1e999999", "1e1000000000"):
+        p.write_text('{"field":{"type":"rational"},"n":1,"points":[["' + literal + '"]]}')
+        code, out, err = run_cli(capsys, "basis", str(p))
+        assert code == 2 and out == ""
+        assert "point 0, coordinate 0" in err
+
+
 def test_basis_duplicate_points(capsys, tmp_path):
     p = tmp_path / "dup.json"
     p.write_text('{"field":{"type":"rational"},"n":1,"points":[["1"],["1"]]}')

@@ -30,6 +30,28 @@ def test_rational_examples():
     assert QQ.parse("-3") == Fraction(-3)
     with pytest.raises(DivisionByZero):
         QQ.inv(QQ.zero)
+    with pytest.raises(DivisionByZero):
+        QQ.inv(0)
+
+
+def test_rational_inverse_is_exact():
+    # ints and Fractions alike give a Fraction, never a float
+    for a, want in ((3, Fraction(1, 3)), (-4, Fraction(-1, 4)), (1, Fraction(1)),
+                    (Fraction(2, 3), Fraction(3, 2)), (Fraction(-5, 7), Fraction(-7, 5))):
+        got = QQ.inv(a)
+        assert type(got) is Fraction and got == want
+
+
+def test_rational_exponent_bound():
+    assert QQ.parse("0.1") == Fraction(1, 10)
+    assert QQ.parse("1e-07") == Fraction(1, 10**7)
+    assert QQ.parse("-2.5E2") == Fraction(-250)
+    assert QQ.parse("1e4000") == 10**4000
+    # rejected before 10**exponent is computed, however large the exponent
+    for text in ("1e1000000", "1e999999", "1e-999999", "0e5000", "1e4300",
+                 "1e" + "9" * 5000, "1e"):
+        with pytest.raises(ValueError):
+            QQ.parse(text)
 
 
 def test_prime_examples():
@@ -48,7 +70,6 @@ def test_sub_scaled_is_entrywise_sub_mul(fld):
     xs = [fld.from_int(k) for k in (0, 5, -2, 9, 1)]
     for c in (fld.zero, fld.one, fld.from_int(-6), fld.inv(fld.from_int(3))):
         assert fld.sub_scaled(ys, c, xs) == [fld.sub(y, fld.mul(c, x)) for y, x in zip(ys, xs)]
-    assert fld.mul_vec(ys, xs) == [fld.mul(y, x) for y, x in zip(ys, xs)]
 
 
 @pytest.mark.parametrize("fld,elems", [(QQ, rationals), (GF5, residues5), (GF, residues_big)])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,6 +19,19 @@ def random_vector(rng, fld, m):
     return [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)]
 
 
+def elements(store, residual, coords):
+    """A residual of ``store.reduce`` as field elements."""
+    if isinstance(store, IntRows):
+        return [Fraction(r, coords[1]) for r in residual]
+    return residual
+
+
+def reduce_elements(acc, v):
+    """(residual, coeffs) of the field-element vector v, as field elements."""
+    residual, coords = acc.reduce(acc.vector(v))
+    return elements(acc.store, residual, coords), acc.coordinates(coords)
+
+
 def recombine(fld, originals, coeffs, residual):
     out = list(residual)
     for idx, c in coeffs.items():
@@ -27,10 +41,10 @@ def recombine(fld, originals, coeffs, residual):
 
 
 def test_reduce_on_empty():
-    acc = EchelonAccumulator(4, QQ)
-    v = [QQ.one] * 4
-    residual, coeffs = acc.reduce(v)
-    assert residual == v and coeffs == {}
+    for fld in (QQ, GF):
+        acc = EchelonAccumulator(4, fld)
+        v = [fld.one] * 4
+        assert reduce_elements(acc, v) == (v, {})
 
 
 def test_known_dependence():
@@ -39,11 +53,11 @@ def test_known_dependence():
     acc = EchelonAccumulator(4, QQ)
     ones = [Fraction(1)] * 4
     x5 = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
-    acc.insert(*acc.reduce(ones))
-    acc.insert(*acc.reduce(x5))
-    residual, coeffs = acc.reduce([Fraction(1), Fraction(2), Fraction(0), Fraction(3)])
-    assert all(x == 0 for x in residual)
-    assert coeffs == {0: Fraction(1), 1: Fraction(1)}
+    acc.insert(*acc.reduce(acc.vector(ones)))
+    acc.insert(*acc.reduce(acc.vector(x5)))
+    residual, coords = acc.reduce(acc.vector([Fraction(1), Fraction(2), Fraction(0), Fraction(3)]))
+    assert not any(residual)
+    assert acc.coordinates(coords) == {0: Fraction(1), 1: Fraction(1)}
 
 
 @pytest.mark.parametrize("fld", [QQ, GF])
@@ -54,19 +68,20 @@ def test_reduce_recombination_invariant(fld):
         originals = []
         for _ in range(3 * m):
             v = random_vector(rng, fld, m)
-            residual, coeffs = acc.reduce(v)
-            assert recombine(fld, originals, coeffs, residual) == [
+            residual, coords = acc.reduce(acc.vector(v))
+            coeffs = acc.coordinates(coords)
+            assert recombine(fld, originals, coeffs, elements(acc.store, residual, coords)) == [
                 fld.add(x, fld.zero) for x in v
             ]
-            if any(x != fld.zero for x in residual):
-                acc.insert(residual, coeffs)
+            if any(residual):
+                acc.insert(residual, coords)
                 originals.append(v)
             assert acc.rank <= m
             _check_echelon(acc, fld)
         if acc.rank == m:
             v = random_vector(rng, fld, m)
-            residual, _ = acc.reduce(v)
-            assert all(x == fld.zero for x in residual)
+            residual, _ = acc.reduce(acc.vector(v))
+            assert not any(residual)
 
 
 def _check_echelon(acc, fld):
@@ -79,28 +94,64 @@ def _check_echelon(acc, fld):
 
 
 def test_insert_zero_rejected():
-    acc = EchelonAccumulator(3, QQ)
     with pytest.raises(InsertZero):
-        acc.insert([QQ.zero] * 3, {})
+        EchelonAccumulator(3, QQ).insert([0] * 3, ([], 1))
+    with pytest.raises(InsertZero):
+        EchelonAccumulator(3, GF).insert([0] * 3, [])
 
 
 def test_rank_saturates():
     acc = EchelonAccumulator(2, GF)
     for v in ([1, 0], [0, 1]):
-        acc.insert(*acc.reduce(v))
+        acc.insert(*acc.reduce(acc.vector(v)))
     assert acc.rank == 2
-    residual, coeffs = acc.reduce([7, 9])
-    assert residual == [0, 0] and coeffs == {0: 7, 1: 9}
+    assert reduce_elements(acc, [7, 9]) == ([0, 0], {0: 7, 1: 9})
 
 
 def test_coordinates_over_originals_not_residuals():
     # the second residual is (0, 1); over the originals (1,1) and (1,2),
     # (2,3) = 1*(1,1) + 1*(1,2), whereas over (1,1) and (0,1) it is 2, 1
     acc = EchelonAccumulator(2, GF)
-    acc.insert(*acc.reduce([1, 1]))
-    acc.insert(*acc.reduce([1, 2]))
-    residual, coeffs = acc.reduce([2, 3])
-    assert residual == [0, 0] and coeffs == {0: 1, 1: 1}
+    acc.insert(*acc.reduce(acc.vector([1, 1])))
+    acc.insert(*acc.reduce(acc.vector([1, 2])))
+    assert reduce_elements(acc, [2, 3]) == ([0, 0], {0: 1, 1: 1})
+
+
+def _reduce_both(store, listed, v, vec):
+    """Reduce store vector vec and its elements v alike; insert if nonzero.
+
+    Residuals, coordinates and field ops must agree, and so must the ops of
+    the insert.  Returns whether v was inserted.
+    """
+    residual, coords, ops = store.reduce(vec)
+    want = listed.reduce(v)
+    assert (elements(store, residual, coords), store.coordinates(coords), ops) == want
+    if not any(residual):
+        return False
+    assert store.insert(residual, coords) == listed.insert(*want[:2])
+    return True
+
+
+@pytest.mark.parametrize("fld", [QQ, GF, PrimeField(2**61 - 1)])
+def test_step_is_entrywise_product(fld):
+    rng = random.Random(11)
+    store = EchelonAccumulator(6, fld).store
+    for k in range(60):
+        xs, ys = (random_vector(rng, fld, 6) for _ in range(2))
+        if fld.kind == "rational" and k % 3 == 0:
+            # unrelated large denominators
+            xs = [Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 2**70)) for _ in xs]
+        if k % 10 == 0:
+            ys = [fld.zero] * 6
+        products = [fld.mul(x, y) for x, y in zip(xs, ys)]
+        got = store.step(store.vector(xs), store.vector(ys))
+        assert got == store.vector(products)
+        if fld.kind == "rational":
+            ints, D = got
+            assert D > 0 and gcd(D, *ints) == 1
+            assert [Fraction(x, D) for x in ints] == products
+        else:
+            assert got == products
 
 
 # 2**61 - 1 and the largest prime below 2**63 give packed slots wider than
@@ -145,11 +196,7 @@ def test_packed_rows_match_list_rows(p):
         originals = []
         for _ in range(count):
             v = _mixed_vector(rng, p, m, originals)
-            got = packed.reduce(v)
-            assert got == listed.reduce(v)  # residual, coeffs and field ops
-            residual, coeffs, _ops = got
-            if any(residual):
-                assert packed.insert(residual, coeffs) == listed.insert(residual, coeffs)
+            if _reduce_both(packed, listed, v, packed.vector(v)):
                 originals.append(v)
             assert packed.rank == listed.rank
         assert packed.pivots == listed.pivots
@@ -187,15 +234,20 @@ def test_int_rows_match_list_rows():
     rng = random.Random(7)
     for m, count in ((1, 4), (5, 20), (40, 50)):
         ints, listed = IntRows(m, QQ), ListRows(m, QQ)
-        originals = []
+        columns = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)] for _ in range(3)]
+        originals, vectors = [], []
         for _ in range(count):
-            v = _rational_vector(rng, m, originals)
-            got = ints.reduce(v)
-            assert got == listed.reduce(v)  # residual, coeffs and field ops
-            residual, coeffs, _ops = got
-            if any(residual):
-                assert ints.insert(residual, coeffs) == listed.insert(residual, coeffs)
+            if vectors and rng.random() < 0.3:
+                # as in bm: an inserted vector times a coordinate column
+                k, col = rng.randrange(len(vectors)), rng.choice(columns)
+                vec = ints.step(vectors[k], ints.vector(col))
+                v = [x * y for x, y in zip(originals[k], col)]
+            else:
+                v = _rational_vector(rng, m, originals)
+                vec = ints.vector(v)
+            if _reduce_both(ints, listed, v, vec):
                 originals.append(v)
+                vectors.append(vec)
             assert ints.rank == listed.rank
         assert ints.pivots == listed.pivots
         assert ints.rows() == listed.rows()

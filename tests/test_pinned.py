@@ -46,6 +46,8 @@ def _cases():
     yield "gf-dependent-matrix", _dependent_points(rng, gf, 2, 16), oracles.random_matrix_order(rng, 5)
     # L_max 1100: long candidate lists with long equal-delta runs in the walk
     yield "gf-n12-m100-lex", oracles.random_point_set(rng, PrimeField(32003), 12, 100), orders.lex(12)
+    # the size of a qq-random benchmark instance; last, so earlier draws stay
+    yield "qq-n3-m36-lex", oracles.random_point_set(rng, QQ, 3, 36), orders.lex(3)
 
 
 def _digest(result):
@@ -119,6 +121,10 @@ PINNED = {
     "gf-n12-m100-lex": {
         "direct": {"digest": "1c9592d47d3f4971", "element_cmps": 67595, "delta_cmps": 54351, "field_ops": 1048874, "functional_calls": 113, "L_max": 1100, "n_essential": None},
         "on": {"digest": "1c9592d47d3f4971", "element_cmps": 67595, "delta_cmps": 54351, "field_ops": 1048874, "functional_calls": 113, "L_max": 1100, "n_essential": 12},
+    },
+    "qq-n3-m36-lex": {
+        "direct": {"digest": "873e1fd886af1da7", "element_cmps": 1189, "delta_cmps": 1180, "field_ops": 46446, "functional_calls": 41, "L_max": 66, "n_essential": None},
+        "on": {"digest": "873e1fd886af1da7", "element_cmps": 1189, "delta_cmps": 1180, "field_ops": 46446, "functional_calls": 41, "L_max": 66, "n_essential": 3},
     },
 }
 
