@@ -94,9 +94,16 @@ def occ_skip(exps, occ: int) -> bool:
 
 
 def _make_poly(t_exps, coeffs, B, fld):
-    """t - sum coeffs[i] * B[i]; t exceeds every monomial of the ascending B."""
-    tail = [(fld.neg(coeffs[i]), B[i]) for i in sorted(coeffs, reverse=True)]
-    return Polynomial([(fld.one, t_exps)] + tail)
+    """t - sum coeffs[i] * B[i]; t exceeds every monomial of the ascending B.
+
+    ``coeffs`` is {index in B: coordinate} with ascending indices, as
+    ``coordinates`` gives it, so one reversed pass writes the tail in
+    descending order with no sort.
+    """
+    neg = fld.neg
+    terms = [(fld.one, t_exps)]
+    terms += [(neg(c), B[i]) for i, c in reversed(coeffs.items())]
+    return Polynomial(terms)
 
 
 def _progress_log():

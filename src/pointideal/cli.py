@@ -68,7 +68,9 @@ def cmd_basis(args) -> int:
     result = bm_projected(points, spec, mode=args.project)
     text = fileio.serialize_result(result)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with Path(args.out).open("w") as out:
+            out.write(text)
+            out.write("\n")
     else:
         print(text)
     if args.stats:

@@ -15,6 +15,22 @@ from fractions import Fraction
 MAX_DIGITS = 4300
 
 
+# characters of a bad literal that an error message quotes
+EXCERPT = 20
+
+
+def _quote(text: str) -> str:
+    """``text`` quoted for an error message: whole when short, else cut.
+
+    A literal longer than ``EXCERPT`` characters is shown as its first
+    ``EXCERPT`` characters and its length, so the message stays short
+    however long the input is.
+    """
+    if len(text) <= EXCERPT:
+        return repr(text)
+    return f"{text[:EXCERPT]!r}... ({len(text)} characters)"
+
+
 class FieldError(Exception):
     pass
 
@@ -100,7 +116,7 @@ class RationalField:
                 raise ValueError("exponent too large")
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational literal {text!r}") from exc
+            raise ValueError(f"bad rational literal {_quote(text)}") from exc
 
     def format(self, a) -> str:
         return str(a)
@@ -163,7 +179,7 @@ class PrimeField:
         try:
             return int(text.strip(), 10) % self.p
         except ValueError as exc:
-            raise ValueError(f"bad integer literal {text!r}") from exc
+            raise ValueError(f"bad integer literal {_quote(text)}") from exc
 
     def format(self, a) -> str:
         return str(a)
@@ -194,4 +210,5 @@ def field_from_descriptor(desc: dict):
         if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError("prime field descriptor needs an integer 'p'")
         return PrimeField(p)
-    raise ValueError(f"unknown field type {kind!r}")
+    shown = _quote(kind) if isinstance(kind, str) else f"of type {type(kind).__name__}"
+    raise ValueError(f"unknown field type {shown}")

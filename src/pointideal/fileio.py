@@ -88,30 +88,72 @@ def serialize_points(points: PointSet) -> str:
     return json.dumps(doc, indent=2)
 
 
+class _MonomialText(dict):
+    """JSON text of monomials: filled with B, any other one encoded on lookup."""
+
+    def __missing__(self, m):
+        return json.dumps(list(m))
+
+
 def serialize_result(result: GroebnerResult) -> str:
-    """Result document: B ascending, G as descending [coeff, exponents] terms."""
+    """Result document: B ascending, G as descending [coeff, exponents] terms.
+
+    The text is ``json.dumps`` of the object with keys order, field, n, B
+    (exponent lists), G (lists of [coefficient text, exponent list]) and
+    stats, byte for byte, but written once per monomial rather than once per
+    term: every tail of a G element lies on B, so each B monomial is encoded
+    once and its text is reused for every term on it, and only the leading
+    monomials, which lie outside B, are encoded one by one.  The coefficient
+    is quoted by hand; ``field.format`` writes only the characters
+    ``-0123456789/``, which JSON writes between quotes unescaped.
+    """
     fld = result.field
-    doc = {
-        "order": str(result.spec),
-        "field": fld.to_descriptor(),
-        "n": result.spec.n,
-        "B": [list(b) for b in result.B],
-        "G": [
-            [[fld.format(c), list(m)] for c, m in g.terms] for g in result.G
-        ],
-        "stats": result.stats.to_dict(),
-    }
-    return json.dumps(doc)
+    fmt = fld.format
+    enc = _MonomialText((b, json.dumps(list(b))) for b in result.B)
+    head = json.dumps(
+        {"order": str(result.spec), "field": fld.to_descriptor(), "n": result.spec.n}
+    )
+    B = ", ".join([enc[b] for b in result.B])
+    G = ", ".join(
+        [
+            "[" + ", ".join([f'["{fmt(c)}", {enc[m]}]' for c, m in g.terms]) + "]"
+            for g in result.G
+        ]
+    )
+    stats = json.dumps(result.stats.to_dict())
+    # the head's closing brace moves to the end of the document
+    return f'{head[:-1]}, "B": [{B}], "G": [{G}], "stats": {stats}}}'
+
+
+def _exponents(v, n: int, what: str) -> tuple:
+    """The exponent vector ``v`` as a tuple; a list of n non-negative ints."""
+    if not (
+        isinstance(v, list)
+        and len(v) == n
+        and all(type(e) is int and e >= 0 for e in v)
+    ):
+        raise ValueError(f"{what} is not a list of {n} non-negative integers")
+    return tuple(v)
 
 
 def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
-    """Round-trip parse of a result document produced by serialize_result."""
+    """Round-trip parse of a result document produced by serialize_result.
+
+    Every exponent vector in B and G must be a list of ``spec.n``
+    non-negative integers (booleans excluded).
+    """
     doc, fld = _load_document(text, source, ("field", "B", "G"))
+    n = spec.n
     try:
-        B = [tuple(b) for b in doc["B"]]
+        B = [_exponents(b, n, f"B[{k}]") for k, b in enumerate(doc["B"])]
         G = [
-            Polynomial([(fld.parse(str(c)), tuple(m)) for c, m in terms])
-            for terms in doc["G"]
+            Polynomial(
+                [
+                    (fld.parse(str(c)), _exponents(m, n, f"G[{k}] term {t}"))
+                    for t, (c, m) in enumerate(terms)
+                ]
+            )
+            for k, terms in enumerate(doc["G"])
         ]
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{source}: bad B or G: {exc}") from exc

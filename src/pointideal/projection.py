@@ -73,18 +73,29 @@ def _embed(exps_sub, es: EssentialSet, n: int):
 def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
     """Lift a projected-ring result back to the full ring.
 
-    B and G are reindexed verbatim.  A dropped variable with relation
-    x_k = c0 + sum c_j*x_j contributes x_k - c0 - sum c_j*NF(x_j), where
-    NF(x_j) is x_j itself when x_j is in B and otherwise minus the tail of
-    the element of G led by x_j (a degree-1 monomial outside B is a corner).
+    B and G are reindexed verbatim.  The tails of ``sub.G`` lie on
+    ``sub.B``, so each B monomial is embedded once and the lifted tails
+    reuse those tuples; only the leading monomials are embedded per G
+    element.  A dropped variable with relation x_k = c0 + sum c_j*x_j
+    contributes x_k - c0 - sum c_j*NF(x_j), where NF(x_j) is x_j itself when
+    x_j is in B and otherwise minus the tail of the element of G led by x_j
+    (a degree-1 monomial outside B is a corner).  Every tail monomial of
+    the lifted G is the same tuple object as its entry of the lifted B.
     """
     fld = sub.field
     n = spec.n
-    B = [_embed(b, es, n) for b in sub.B]
+    embedded = {b: _embed(b, es, n) for b in sub.B}
+    B = [embedded[b] for b in sub.B]
     # the embedding preserves the order, so terms stay descending
-    G = [Polynomial([(c, _embed(m, es, n)) for c, m in g.terms]) for g in sub.G]
-    one = (0,) * n
-    in_B = set(B)
+    G = []
+    for g in sub.G:
+        (c0, lead), *tail = g.terms
+        terms = [(c0, _embed(lead, es, n))]
+        terms += [(c, embedded[m]) for c, m in tail]
+        G.append(Polynomial(terms))
+    # each monomial of B, mapped to its tuple in B
+    in_B = {b: b for b in B}
+    one = in_B[(0,) * n]
     by_lead = {g.leading_monomial: g for g in G}
     for k in sorted(es.relations):
         const, tail = es.relations[k]
@@ -95,7 +106,7 @@ def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
         for j, c in tail.items():
             x_j = orders.monomial_mul_var(one, j)
             if x_j in in_B:
-                parts.append((fld.neg(c), Polynomial.monomial(x_j, fld)))
+                parts.append((fld.neg(c), Polynomial.monomial(in_B[x_j], fld)))
             else:
                 parts.append((c, Polynomial(by_lead[x_j].terms[1:])))
         G.append(combine(parts, spec, fld))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from pointideal import oracles, orders
-from pointideal.bm import bm
+from pointideal.bm import PointSet, bm
 from pointideal.projection import bm_projected
 
 
@@ -37,9 +37,17 @@ def check_result_invariants(result, points):
         for b in range(len(ini)):
             if a != b:
                 assert not orders.monomial_divides(ini[a], ini[b])
-    # leading terms are exactly the minimal generators outside B
+    # leading terms are exactly the minimal generators outside B: the
+    # corners, whose every divisor by one variable lies in B
     for lt in ini:
         assert lt not in Bset
+    border = {b[:i] + (b[i] + 1,) + b[i + 1 :] for b in B for i in range(n)} - Bset
+    corners = {
+        c
+        for c in border
+        if all(c[:i] + (c[i] - 1,) + c[i + 1 :] in Bset for i in range(n) if c[i])
+    }
+    assert set(ini) == corners and len(ini) == len(corners)
 
 
 def random_instance(rng, n_max=10, m_max=30, big_field_cutoff=12):
@@ -56,6 +64,32 @@ def random_instance(rng, n_max=10, m_max=30, big_field_cutoff=12):
         fld = oracles.random_field(rng)
     points = oracles.random_point_set(rng, fld, n, m)
     return points
+
+
+def dependent_point_set(rng, fld, n_free, n_dep, m):
+    """m distinct points, n_dep of whose coordinates are affine in the others.
+
+    The n_free free coordinates are drawn as by ``random_point_set``; each
+    dependent one is c0 + sum c_j*x_j with small integer c's, and the
+    coordinates are then shuffled.
+    """
+    free = oracles.random_point_set(rng, fld, n_free, m)
+    rel = [
+        [fld.from_int(rng.randint(-3, 3)) for _ in range(n_free + 1)]
+        for _ in range(n_dep)
+    ]
+    perm = list(range(n_free + n_dep))
+    rng.shuffle(perm)
+    points = []
+    for x in free.points:
+        p = list(x)
+        for c in rel:
+            v = c[0]
+            for a, xj in zip(c[1:], x):
+                v = fld.add(v, fld.mul(a, xj))
+            p.append(v)
+        points.append(tuple(p[k] for k in perm))
+    return PointSet(field=fld, n=n_free + n_dep, points=tuple(points))
 
 
 def random_order(rng, n, matrix_every=4):

@@ -2,6 +2,7 @@
 
 import logging
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,18 @@ def test_membership_by_evaluation_known():
     pts = PointSet(field=gf7, n=1, points=((0,), (1,), (6,)))
     assert oracles.membership_by_evaluation([Polynomial([(1, (3,)), (6, (1,))])], pts)
     assert not oracles.membership_by_evaluation([Polynomial([(1, (3,))])], pts)
+
+
+def test_invariants_reject_a_dropped_g_element():
+    # what is left of G still vanishes on the points, is monic with its tails
+    # on B and pairwise indivisible; only the missing corner gives it away
+    pts = oracles.random_point_set(random.Random(1), PrimeField(32003), 3, 20)
+    res = bm(pts, orders.degrevlex(3))
+    check_result_invariants(res, pts)
+    for k in range(len(res.G)):
+        dropped = replace(res, G=res.G[:k] + res.G[k + 1 :])
+        with pytest.raises(AssertionError):
+            check_result_invariants(dropped, pts)
 
 
 @pytest.mark.parametrize("n, m, order", [(3, 40, "lex"), (4, 30, "degrevlex")])

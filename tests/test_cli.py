@@ -1,15 +1,18 @@
 """CLI commands, file formats, and exit codes."""
 
 import json
+import random
 
 import pytest
 
-from pointideal import fileio, orders
+from conftest import dependent_point_set
+from pointideal import fileio, oracles, orders
 from pointideal._selftest import GOLDEN_B, GOLDEN_POINTS, golden_G
 from pointideal.bm import bm
 from pointideal.cli import build_spoly_lists, main
-from pointideal.fields import QQ
+from pointideal.fields import PrimeField, QQ
 from pointideal.oracles import naive_merge
+from pointideal.projection import bm_projected
 
 GOLDEN_POINTS_JSON = """
 {"field": {"type": "rational"}, "n": 5,
@@ -168,6 +171,30 @@ def test_basis_exponent_bomb_is_parse_error(capsys, tmp_path):
         assert "point 0, coordinate 0" in err
 
 
+@pytest.mark.parametrize(
+    "field", [{"type": "rational"}, {"type": "prime", "p": 32003}], ids=["QQ", "GFp"]
+)
+@pytest.mark.parametrize("cell", ["7" * 20000, "x" * 20000], ids=["digits", "letters"])
+def test_basis_long_bad_cell_gives_short_error(capsys, tmp_path, field, cell):
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps({"field": field, "n": 2, "points": [["1", "2"], ["3", cell]]}))
+    code, out, err = run_cli(capsys, "basis", str(p))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and len(line.encode()) < 200
+    assert "point 1, coordinate 1" in line and "20000 characters" in line
+
+
+def test_basis_long_field_type_gives_short_error(capsys, tmp_path):
+    p = tmp_path / "long.json"
+    for kind in ("x" * 20000, ["x"] * 20000):
+        p.write_text(json.dumps({"field": {"type": kind}, "n": 1, "points": [["1"]]}))
+        code, out, err = run_cli(capsys, "basis", str(p))
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert "unknown field type" in line and len(line.encode()) < 200
+
+
 def test_basis_duplicate_points(capsys, tmp_path):
     p = tmp_path / "dup.json"
     p.write_text('{"field":{"type":"rational"},"n":1,"points":[["1"],["1"]]}')
@@ -311,7 +338,63 @@ def test_result_round_trip():
         json.dumps({**doc, "field": {"type": "bogus"}}),
         json.dumps({**doc, "field": {"type": "prime", "p": 3.7}}),
         json.dumps({**doc, "field": {"type": "prime", "p": True}}),
+        # exponent vectors: lists of n = 5 non-negative, non-bool ints
+        json.dumps({**doc, "B": ["ab", *doc["B"]]}),
+        json.dumps({**doc, "B": [[1.5, -2], *doc["B"]]}),
+        json.dumps({**doc, "B": [[True], *doc["B"]]}),
+        json.dumps({**doc, "B": [[0, 0, 0, 0, True]]}),
+        json.dumps({**doc, "B": [[0, 0, 0, 0, -1]]}),
+        json.dumps({**doc, "B": [[0, 0, 0, 0, 1.0]]}),
+        json.dumps({**doc, "B": [[0, 0, 0, 0]]}),
+        json.dumps({**doc, "B": [[0, 0, 0, 0, 0, 0]]}),
+        json.dumps({**doc, "B": {"0": [0, 0, 0, 0, 0]}}),
+        json.dumps({**doc, "G": [[["1", "abcde"]]]}),
+        json.dumps({**doc, "G": [[["1", [0, 0, 0, 0, -1]]]]}),
+        json.dumps({**doc, "G": [[["1", [0, 0, 0, 0, False]]]]}),
+        json.dumps({**doc, "G": [[["1", [0, 0, 0, 1]]]]}),
     ]
     for text in malformed:
         with pytest.raises(fileio.ParseError):
             fileio.parse_result(text, spec)
+
+
+def reference_serialize(result):
+    """The per-term document that serialize_result writes byte for byte."""
+    fld = result.field
+    doc = {
+        "order": str(result.spec),
+        "field": fld.to_descriptor(),
+        "n": result.spec.n,
+        "B": [list(b) for b in result.B],
+        "G": [[[fld.format(c), list(m)] for c, m in g.terms] for g in result.G],
+        "stats": result.stats.to_dict(),
+    }
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("shape", ["direct", "projected", "single", "single-projected"])
+@pytest.mark.parametrize("order", ["lex", "degrevlex"])
+@pytest.mark.parametrize("fld", [PrimeField(32003), QQ], ids=["GFp", "QQ"])
+def test_serialize_result_matches_per_term_document(fld, order, shape):
+    rng = random.Random(11)
+    spec = orders.parse_order(order, 5)
+    if shape == "projected":
+        # 2 free coordinates and 3 affine in them
+        pts = dependent_point_set(rng, fld, 2, 3, 15)
+        res = bm_projected(pts, spec)
+        assert res.stats.n_essential == 2
+    elif shape == "single-projected":
+        pts = oracles.random_point_set(rng, fld, 5, 1)
+        res = bm_projected(pts, spec, mode="on")
+        assert res.stats.n_essential == 0
+    else:
+        pts = oracles.random_point_set(rng, fld, 5, 1 if shape == "single" else 15)
+        res = bm(pts, spec)
+    if fld == QQ and not shape.startswith("single"):
+        coeffs = [c for g in res.G for c, _m in g.terms]
+        assert any(c < 0 for c in coeffs) and any(c.denominator > 1 for c in coeffs)
+    text = fileio.serialize_result(res)
+    assert text == reference_serialize(res)
+    back = fileio.parse_result(text, spec)
+    assert back.B == res.B and back.G == res.G
+    assert back.stats.to_dict() == res.stats.to_dict()

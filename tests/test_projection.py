@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import check_result_invariants, random_order
+from conftest import check_result_invariants, dependent_point_set, random_order
 from pointideal import oracles, orders, projection
 from pointideal._selftest import (
     GOLDEN_ESS,
@@ -15,7 +15,8 @@ from pointideal._selftest import (
     golden_sub_G,
 )
 from pointideal.bm import PointSet, bm
-from pointideal.fields import QQ
+from pointideal.fields import PrimeField, QQ
+from pointideal.poly import Polynomial, combine
 from pointideal.projection import (
     bm_projected,
     essential_variables,
@@ -120,6 +121,56 @@ def test_pipeline_equals_direct_random():
                 if e:
                     assert i in ess_set
         check_result_invariants(direct, pts)
+
+
+def reference_lift(sub, es, spec):
+    """The lift embedding every term of G on its own."""
+    fld, n = sub.field, spec.n
+    B = [projection._embed(b, es, n) for b in sub.B]
+    G = [
+        Polynomial([(c, projection._embed(m, es, n)) for c, m in g.terms])
+        for g in sub.G
+    ]
+    one = (0,) * n
+    by_lead = {g.leading_monomial: g for g in G}
+    for k in sorted(es.relations):
+        const, tail = es.relations[k]
+        parts = [
+            (fld.one, Polynomial.monomial(orders.monomial_mul_var(one, k), fld)),
+            (fld.neg(const), Polynomial.monomial(one, fld)),
+        ]
+        for j, c in tail.items():
+            x_j = orders.monomial_mul_var(one, j)
+            if x_j in B:
+                parts.append((fld.neg(c), Polynomial.monomial(x_j, fld)))
+            else:
+                parts.append((c, Polynomial(by_lead[x_j].terms[1:])))
+        G.append(combine(parts, spec, fld))
+    G.sort(key=lambda g: orders.order_vector(spec, g.leading_monomial))
+    return B, G
+
+
+def test_lift_matches_per_term_embedding():
+    rng = random.Random(17)
+    for k in range(24):
+        fld = PrimeField(32003) if k % 2 else QQ
+        n_free = rng.randint(1, 3)
+        n_dep = rng.randint(1, 4)
+        m = rng.randint(1, 15 if k % 2 else 8)
+        pts = dependent_point_set(rng, fld, n_free, n_dep, m)
+        spec = random_order(rng, pts.n)
+        es = essential_variables(pts, spec)
+        assert es.relations
+        sub = bm(project(pts, es), orders.restrict(spec, es.ess))
+        lifted = lift(sub, es, spec)
+        B, G = reference_lift(sub, es, spec)
+        # Polynomial equality is equality of the (coeff, monomial) term tuples
+        assert lifted.B == B and lifted.G == G
+        # every tail monomial is B's own tuple, not an equal copy
+        at = {b: b for b in lifted.B}
+        for g in lifted.G:
+            assert all(mo is at[mo] for _c, mo in g.terms[1:])
+        check_result_invariants(lifted, pts)
 
 
 def test_projected_wall_time_covers_lift(monkeypatch):
