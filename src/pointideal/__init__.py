@@ -49,7 +49,6 @@ from .orders import (
     degrevlex,
     lex,
     matrix_order,
-    numbits,
     parse_order,
     standard_matrix,
     varord,
@@ -104,7 +103,6 @@ __all__ = [
     "load_points",
     "matrix_order",
     "normal_form",
-    "numbits",
     "parse_merge_list",
     "parse_order",
     "parse_points",

@@ -7,7 +7,9 @@ The candidate list is a delta-memoized sorted list of order vectors that
 keeps duplicates; the length of the run of equal minimal elements decides,
 through the support-vs-multiplicity test, whether a candidate is an
 initial-ideal multiple, and the n new candidates of each basis monomial are
-merged in bulk.
+merged in bulk.  Nothing rides through the merge besides the order vectors:
+a dict keyed by order vector holds each pending candidate's monomial and
+the basis element and variable it was made from.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import asdict, dataclass
 from sys import modules
 
 from . import orders
-from .deltamerge import compare_from, merge_with_sources, splice
+from .deltamerge import compare_from, merge_with_sources
 from .linalg import EchelonAccumulator
 # combine stays bound here so that perfbench's tracer can patch bm.combine
 from .poly import Polynomial, combine, evaluate_monomial  # noqa: F401
@@ -159,8 +161,10 @@ def bm(points: PointSet, spec) -> GroebnerResult:
     one = (0,) * n
     L_items = [orders.order_vector(spec, one)]
     L_deltas = []
-    # payload per slot: (exps, parent index in B or None, multiplied variable)
-    L_pay = [(one, None, None)]
+    # order vector -> (exps, parent index in B or None, multiplied variable);
+    # a later write is the copy the merge puts first, since new items go
+    # before equal old ones, and a popped run is never made again
+    pending = {L_items[0]: (one, None, None)}
     nvec = len(L_items[0])
 
     B, B_vec, G = [], [], []
@@ -171,11 +175,10 @@ def bm(points: PointSet, spec) -> GroebnerResult:
         run = 1
         while run < len(L_items) and L_deltas[run - 1] == nvec + 1:
             run += 1
-        t_exps, parent, var = L_pay[0]
         t_ov = L_items[0]
+        t_exps, parent, var = pending.pop(t_ov)
         del L_items[:run]
         del L_deltas[: min(run, len(L_deltas))]
-        del L_pay[:run]
         if occ_skip(t_exps, run):
             continue
 
@@ -198,17 +201,17 @@ def bm(points: PointSet, spec) -> GroebnerResult:
             log.debug("|B| = %d of m = %d", len(B), m)
             next_tenth = 10 * len(B) // m + 1
 
-        new_items, new_pay = [], []
+        new_items = []
         for i in vars_increasing:
-            new_items.append(orders.order_vector_step(spec, t_ov, i))
-            new_pay.append((orders.monomial_mul_var(t_exps, i), b_index, i))
+            ov = orders.order_vector_step(spec, t_ov, i)
+            new_items.append(ov)
+            pending[ov] = (orders.monomial_mul_var(t_exps, i), b_index, i)
         stats.element_cmps += new_cost
-        L_items, L_deltas, b_at, ec, dc = merge_with_sources(
+        L_items, L_deltas, _, ec, dc = merge_with_sources(
             L_items, L_deltas, new_items, new_deltas, nvec
         )
         stats.element_cmps += ec
         stats.delta_cmps += dc
-        L_pay = splice(L_pay, new_pay, b_at)
         stats.L_max = max(stats.L_max, len(L_items))
 
     stats.field_ops += acc.field_ops

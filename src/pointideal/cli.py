@@ -86,17 +86,12 @@ def cmd_merge(args) -> int:
     if items_a and items_b and len(items_a[0]) != len(items_b[0]):
         raise ArityMismatch("the two lists have different tuple arities")
     arity = len(items_a[0]) if items_a else (len(items_b[0]) if items_b else 0)
-    if not items_a and not items_b:
-        print("deltas:")
-        print("element_cmps: 0")
-        print("delta_cmps: 0")
-        return EXIT_OK
     da = DeltaList.from_items(items_a, arity=arity)
     db = DeltaList.from_items(items_b, arity=arity)
     merged = da.merge(db)
     for it in merged.items:
         print(",".join(map(str, it)))
-    print("deltas: " + ",".join(map(str, merged.deltas)))
+    print(f"deltas: {','.join(map(str, merged.deltas))}".rstrip())
     print(f"element_cmps: {merged.element_cmps}")
     print(f"delta_cmps: {merged.delta_cmps}")
     return EXIT_OK

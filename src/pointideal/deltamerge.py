@@ -8,8 +8,8 @@ comparisons instead of the classical max(s,t)*n.
 
 The merge walks only the probes of the shorter list; the runs of the longer
 list between two probes are copied as slices, items and deltas alike.  It
-reports where the second list's items landed (``b_at``), and ``splice``
-reorders payloads carried alongside the tuples from those positions.
+moves tuples and nothing else: a caller that keeps data per item looks it
+up by the tuple.
 
 ``locate`` walks the memos without a call per step: the first comparison
 and each resumed one are inlined, memos above the running first difference
@@ -152,15 +152,12 @@ def merge_with_sources(items_a, deltas_a, items_b, deltas_b, n):
     before a-items regardless of which list is shorter.  The host items
     between two probes, and their deltas, are copied as one slice each.
 
-    Returns (items, deltas, b_at, elem, dcmps); b_at lists the output
-    positions of items_b[0], items_b[1], ... in ascending order, and the
-    items of a fill the other positions in order, so that callers can
-    ``splice`` payloads carried alongside the tuples.
+    Returns (items, deltas, None, elem, dcmps).
     """
     if not items_a:
-        return (list(items_b), list(deltas_b), list(range(len(items_b))), 0, 0)
+        return (list(items_b), list(deltas_b), None, 0, 0)
     if not items_b:
-        return (list(items_a), list(deltas_a), [], 0, 0)
+        return (list(items_a), list(deltas_a), None, 0, 0)
 
     swapped = len(items_b) > len(items_a)
     if swapped:
@@ -170,7 +167,6 @@ def merge_with_sources(items_a, deltas_a, items_b, deltas_b, n):
 
     out_items = []
     out_deltas = []
-    probe_at = []
     elem = 0
     dcmps = 0
     t = len(host)
@@ -191,10 +187,8 @@ def merge_with_sources(items_a, deltas_a, items_b, deltas_b, n):
             out_deltas.append(dl)
         elif out_items:
             out_deltas.append(probed[j - 1])
-        probe_at.append(len(out_items))
         out_items.append(b)
         if pos >= t:
-            probe_at += range(len(out_items), len(out_items) + s - j - 1)
             out_items += probes[j + 1 :]
             out_deltas += probed[j:]
             break
@@ -208,36 +202,8 @@ def merge_with_sources(items_a, deltas_a, items_b, deltas_b, n):
         out_deltas.append(link_host)
         out_items += host[start:]
         out_deltas += hostd[start:]
-    b_at = _complement(probe_at, len(out_items)) if swapped else probe_at
-    return (out_items, out_deltas, b_at, elem, dcmps)
-
-
-def _complement(at, total):
-    """The positions in range(total) missing from the ascending list at."""
-    out = []
-    prev = 0
-    for k in at:
-        out += range(prev, k)
-        prev = k + 1
-    out += range(prev, total)
-    return out
-
-
-def splice(a, b, b_at):
-    """The list with b[j] at position b_at[j] and a's entries, in order, elsewhere.
-
-    ``b_at`` is the third value ``merge_with_sources`` returns: splicing
-    payloads of items_a and items_b through it orders them as the merged items.
-    """
-    out = []
-    i = 0
-    for j, k in enumerate(b_at):
-        take = k - i - j  # a-entries between b[j-1] and b[j]
-        out += a[i : i + take]
-        i += take
-        out.append(b[j])
-    out += a[i:]
-    return out
+    # slot 2 stays None: perfbench's tracer reads elem and dcmps at 3 and 4
+    return (out_items, out_deltas, None, elem, dcmps)
 
 
 def delta(v, w) -> int:
@@ -273,7 +239,7 @@ class DeltaList:
         self.delta_cmps = delta_cmps
 
     @classmethod
-    def from_items(cls, items, arity=None, check=True):
+    def from_items(cls, items, arity=None):
         """Build from raw sorted items, recomputing every delta."""
         items = [tuple(it) for it in items]
         if arity is None:
@@ -282,7 +248,7 @@ class DeltaList:
             arity = len(items[0])
         deltas = []
         for u, v in zip(items, items[1:]):
-            if check and not u <= v:
+            if not u <= v:
                 raise ValueError("items are not sorted ascending")
             deltas.append(delta(u, v))
         if any(len(it) != arity for it in items):
@@ -324,7 +290,7 @@ class DeltaList:
         """Merge with another list; on ties the other list's items go first."""
         if self.arity != other.arity:
             raise ArityMismatch(f"arities {self.arity} and {other.arity}")
-        items, deltas, _b_at, elem, dc = merge_with_sources(
+        items, deltas, _, elem, dc = merge_with_sources(
             self.items, self.deltas, other.items, other.deltas, self.arity
         )
         return DeltaList(self.arity, items, deltas, elem, dc)

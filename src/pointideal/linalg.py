@@ -49,15 +49,14 @@ Field elements come back only from ``coordinates(coords)``.
   unpacks its result.  Before that a slot has gained less than (p-1)**2
   per row from a start below p, so it stays below m*(p-1)**2 + p, and no
   slot carries into the next.  When that bound is below 2**64 (p = 32003
-  at any practical m, p = 2**31 - 1 only while m <= 4) every slot is a
-  64-bit lane, and packing and unpacking go through ``array("Q")`` and
-  ``memoryview.cast("Q")`` in C; the lanes are laid out little-endian,
-  byteswapped on big-endian machines, so slot k sits at bits
-  [64k, 64k+64) everywhere.  Otherwise w is the smallest whole number of
-  bytes that holds the bound, packed and unpacked byte string by byte
-  string.  This is exact for every prime the library accepts (p < 2**63);
-  there w is 17 bytes at m = 1000.  The residual is the unpacked list of
-  residues and coords the unpacked history coefficients.
+  at any practical m, p = 2**31 - 1 only while m <= 4) and the machine is
+  little-endian, every slot is a 64-bit lane, and packing and unpacking go
+  through ``array("Q")`` and ``memoryview.cast("Q")`` in C.  Otherwise w
+  is the smallest whole number of bytes that holds the bound, packed and
+  unpacked byte string by byte string.  This is exact for every prime the
+  library accepts (p < 2**63); there w is 17 bytes at m = 1000.  The
+  residual is the unpacked list of residues and coords the unpacked
+  history coefficients.
 
 ``field_ops`` counts the same model operations in both stores and in the
 test oracle's list rows (``oracles.ListRows``), as before the stores
@@ -81,8 +80,8 @@ from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
-# 64-bit lanes are laid out little-endian: slot k at bits [64k, 64k+64)
-_BIG_ENDIAN = sys.byteorder == "big"
+# native 64-bit lanes put slot k at bits [64k, 64k+64) only on little-endian machines
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 class InsertZero(ValueError):
@@ -188,7 +187,7 @@ class PackedRows:
         self.p = p = field.p
         bound = m * (p - 1) ** 2 + p
         # 64-bit lanes pack and unpack through array and memoryview in C
-        self.lanes = bound < 1 << 64
+        self.lanes = _LITTLE_ENDIAN and bound < 1 << 64
         self._width = 8 if self.lanes else bound.bit_length() + 7 >> 3  # bytes
         self._w = 8 * self._width  # bits per slot
         self._mask = (1 << self._w) - 1
@@ -203,10 +202,7 @@ class PackedRows:
     def _pack(self, v):
         p = self.p
         if self.lanes:
-            lanes = array("Q", [x % p for x in v])
-            if _BIG_ENDIAN:
-                lanes.byteswap()
-            return int.from_bytes(lanes, "little")
+            return int.from_bytes(array("Q", [x % p for x in v]), "little")
         width = self._width
         return int.from_bytes(
             b"".join([(x % p).to_bytes(width, "little") for x in v]), "little"
@@ -217,11 +213,7 @@ class PackedRows:
         width, p = self._width, self.p
         data = packed.to_bytes(count * width, "little")
         if self.lanes:
-            lanes = memoryview(data).cast("Q")
-            if _BIG_ENDIAN:
-                lanes = array("Q", lanes)
-                lanes.byteswap()
-            return [x % p for x in lanes]
+            return [x % p for x in memoryview(data).cast("Q")]
         return [
             int.from_bytes(data[k : k + width], "little") % p
             for k in range(0, count * width, width)

@@ -65,13 +65,6 @@ def monomial_mul_var(m, i: int):
     return m[: i - 1] + (m[i - 1] + 1,) + m[i:]
 
 
-def numbits(a: int) -> int:
-    """Number of bits to store a signed integer: 2 for 0, floor(log2|a|)+2 else."""
-    if a == 0:
-        return 2
-    return abs(a).bit_length() + 1
-
-
 # ---------------------------------------------------------------------------
 # order specifications
 

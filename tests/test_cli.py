@@ -246,6 +246,18 @@ def test_merge_empty_second_list(capsys, tmp_path):
     assert "element_cmps: 0" in out and "delta_cmps: 0" in out
 
 
+@pytest.mark.parametrize("items_a", [[], [(1, 2)]])
+def test_merge_without_deltas(capsys, tmp_path, items_a):
+    # one item or none in all: the deltas line has no trailing space
+    fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_list(fa, items_a)
+    fb.write_text("")
+    code, out, _ = run_cli(capsys, "merge", str(fa), str(fb))
+    assert code == 0
+    lines = ["1,2"] * len(items_a) + ["deltas:", "element_cmps: 0", "delta_cmps: 0"]
+    assert out == "".join(line + "\n" for line in lines)
+
+
 def test_merge_arity_mismatch(capsys, tmp_path):
     fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
     write_list(fa, [(1, 2)])

@@ -16,7 +16,6 @@ from pointideal.deltamerge import (
     delta,
     locate,
     merge_with_sources,
-    splice,
 )
 
 
@@ -185,27 +184,49 @@ def _merge(la, lb, n):
     return merge_with_sources(da.items, da.deltas, db.items, db.deltas, n)
 
 
+def _copies(items):
+    """New tuple objects equal to items: equal entries become distinct objects."""
+    return [tuple(list(it)) for it in items]
+
+
+def _sources(items, la, lb):
+    """Per output item, "a" or "b": the input list that holds that very object.
+
+    Asserts that the output interleaves la and lb, each in its own order.
+    """
+    src = []
+    i = j = 0
+    for x in items:
+        if i < len(la) and x is la[i]:
+            src.append("a")
+            i += 1
+        else:
+            assert j < len(lb) and x is lb[j]
+            src.append("b")
+            j += 1
+    assert (i, j) == (len(la), len(lb))
+    return src
+
+
 def test_merge_tie_rule():
     # equal items: the second list's copy is emitted first
-    a = [(0, 0), (1, 1), (2, 2)]
-    items, deltas, b_at, _e, _dc = _merge(a, [(1, 1)], 2)
+    a = _copies([(0, 0), (1, 1), (2, 2)])
+    b = _copies([(1, 1)])
+    items, deltas, _, _e, _dc = _merge(a, b, 2)
     assert items == [(0, 0), (1, 1), (1, 1), (2, 2)]
     assert deltas == [1, 3, 1]
-    assert b_at == [1]
-    assert splice(["a0", "a1", "a2"], ["b0"], b_at) == ["a0", "b0", "a1", "a2"]
+    assert _sources(items, a, b) == list("abaa")
 
 
 def test_merge_tie_rule_swapped_host():
     # len(b) > len(a): b hosts the walk and a's items are the probes, yet
     # equal items still put the b copies first
-    a = [(1, 1), (1, 1)]
-    b = [(0, 0), (1, 1), (1, 1), (2, 2)]
-    items, deltas, b_at, _e, _dc = _merge(a, b, 2)
+    a = _copies([(1, 1), (1, 1)])
+    b = _copies([(0, 0), (1, 1), (1, 1), (2, 2)])
+    items, deltas, _, _e, _dc = _merge(a, b, 2)
     assert items == [(0, 0)] + [(1, 1)] * 4 + [(2, 2)]
     assert deltas == [1, 3, 3, 3, 1]
-    assert b_at == [0, 1, 2, 5]
-    pay = splice(["a0", "a1"], ["b0", "b1", "b2", "b3"], b_at)
-    assert pay == ["b0", "b1", "b2", "a0", "a1", "b3"]
+    assert _sources(items, a, b) == list("bbbaab")
 
 
 def test_merge_arity_mismatch():
@@ -232,35 +253,16 @@ def test_merge_matches_naive_oracle(data):
 @settings(max_examples=300)
 @given(data=list_pairs)
 def test_merge_sources_permutation(data):
-    # b_at is ascending, and the items at b_at and at the other positions
-    # are items_b and items_a: every input item appears once, in order
+    # every input object appears once, each list in its own order, and in
+    # a run of equal items every b-item precedes every a-item, whichever
+    # list hosts the walk
     n, la, lb = data
-    items, _deltas, b_at, _e, _dc = _merge(la, lb, n)
-    assert len(items) == len(la) + len(lb)
-    assert b_at == sorted(set(b_at)) and all(0 <= k < len(items) for k in b_at)
-    assert [items[k] for k in b_at] == lb
-    taken = set(b_at)
-    assert [x for k, x in enumerate(items) if k not in taken] == la
-
-
-@settings(max_examples=300)
-@given(data=list_pairs)
-def test_splice_matches_tagged_merge(data):
-    n, la, lb = data
-    items, _deltas, b_at, _e, _dc = _merge(la, lb, n)
-    tags_a = [("a", i) for i in range(len(la))]
-    tags_b = [("b", j) for j in range(len(lb))]
-    # two-pointer merge of (item, tag) pairs; on ties the b pair goes first
-    expect = []
-    i = j = 0
-    while i < len(la) or j < len(lb):
-        if j < len(lb) and (i == len(la) or lb[j] <= la[i]):
-            expect.append((lb[j], tags_b[j]))
-            j += 1
-        else:
-            expect.append((la[i], tags_a[i]))
-            i += 1
-    assert list(zip(items, splice(tags_a, tags_b, b_at))) == expect
+    la, lb = _copies(la), _copies(lb)
+    items, _deltas, _, _e, _dc = _merge(la, lb, n)
+    src = _sources(items, la, lb)
+    for k in range(len(items) - 1):
+        if items[k] == items[k + 1]:
+            assert (src[k], src[k + 1]) != ("a", "b")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Incremental row reduction with provenance over the inserted originals."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from pointideal import linalg
 from pointideal.fields import PrimeField, QQ
 from pointideal.linalg import EchelonAccumulator, InsertZero, IntRows, PackedRows
 from pointideal.oracles import ListRows
@@ -158,7 +160,7 @@ def test_step_is_entrywise_product(fld):
 # 64 bits; 2**31 - 1 leaves the 64-bit lanes between m = 4 and m = 5
 PACKED_PRIMES = (2, 3, 101, 32003, 2**31 - 1, 2**61 - 1, 9223372036854775783)
 PACKED_SIZES = ((1, 4), (5, 20), (40, 60), (200, 120))
-# (m, vectors, 64-bit lanes) on either side of the lane bound
+# (m, vectors, bound below 2**64) on either side of the lane bound
 LANE_EDGE = {2**31 - 1: ((4, 16, True), (5, 20, False))}
 
 
@@ -182,26 +184,41 @@ def _mixed_vector(rng, p, m, originals):
     return [rng.randrange(p) for _ in range(m)]
 
 
+def _packed_matches_list_rows(fld, m, count, lanes, rng):
+    p = fld.p
+    packed, listed = PackedRows(m, fld), ListRows(m, fld)
+    assert packed.lanes == lanes
+    # slots are 64-bit lanes, or the fewest whole bytes above the bound
+    width = 64 if lanes else -(-(m * (p - 1) ** 2 + p).bit_length() // 8) * 8
+    assert packed._w == width
+    originals = []
+    for _ in range(count):
+        v = _mixed_vector(rng, p, m, originals)
+        if _reduce_both(packed, listed, v, packed.vector(v)):
+            originals.append(v)
+        assert packed.rank == listed.rank
+    assert packed.pivots == listed.pivots
+    assert packed.rows() == listed.rows()
+    assert 0 < packed.rank < count
+
+
 @pytest.mark.parametrize("p", PACKED_PRIMES)
 def test_packed_rows_match_list_rows(p):
     fld = PrimeField(p)
     rng = random.Random(p % 997)
+    little = sys.byteorder == "little"
     sizes = [(m, count, m * (p - 1) ** 2 + p < 2**64) for m, count in PACKED_SIZES]
-    for m, count, lanes in [*LANE_EDGE.get(p, ()), *sizes]:
-        packed, listed = PackedRows(m, fld), ListRows(m, fld)
-        assert packed.lanes == lanes
-        # slots are 64-bit lanes, or the fewest whole bytes above the bound
-        width = 64 if lanes else -(-(m * (p - 1) ** 2 + p).bit_length() // 8) * 8
-        assert packed._w == width
-        originals = []
-        for _ in range(count):
-            v = _mixed_vector(rng, p, m, originals)
-            if _reduce_both(packed, listed, v, packed.vector(v)):
-                originals.append(v)
-            assert packed.rank == listed.rank
-        assert packed.pivots == listed.pivots
-        assert packed.rows() == listed.rows()
-        assert 0 < packed.rank < count
+    for m, count, fits in [*LANE_EDGE.get(p, ()), *sizes]:
+        _packed_matches_list_rows(fld, m, count, fits and little, rng)
+
+
+def test_packed_rows_byte_path_below_lane_bound(monkeypatch):
+    # a big-endian machine packs whole-byte slots even where a lane would do
+    monkeypatch.setattr(linalg, "_LITTLE_ENDIAN", False)
+    fld = PrimeField(32003)
+    rng = random.Random(7)
+    for m, count in PACKED_SIZES:
+        _packed_matches_list_rows(fld, m, count, False, rng)
 
 
 def _rational_vector(rng, m, originals):

@@ -20,7 +20,6 @@ from pointideal.orders import (
     monomial_divides,
     monomial_mul,
     monomial_mul_var,
-    numbits,
     order_vector,
     order_vector_step,
     parse_order,
@@ -227,14 +226,6 @@ def test_restrict_to_all_variables():
 
 # ---------------------------------------------------------------------------
 # monomial utilities
-
-def test_numbits():
-    assert numbits(0) == 2
-    assert numbits(1) == 2
-    assert numbits(-1) == 2
-    assert numbits(1024) == 12
-    assert numbits(-1023) == 11
-
 
 def test_monomial_helpers():
     assert monomial_divides((1, 0, 2), (1, 1, 2))
