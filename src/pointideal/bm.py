@@ -8,8 +8,9 @@ keeps duplicates; the length of the run of equal minimal elements decides,
 through the support-vs-multiplicity test, whether a candidate is an
 initial-ideal multiple, and the n new candidates of each basis monomial are
 merged in bulk.  Nothing rides through the merge besides the order vectors:
-a dict keyed by order vector holds each pending candidate's monomial and
-the basis element and variable it was made from.
+``pending``, keyed by order vector, holds each candidate's (parent in B,
+variable).  The skip test needs no more, so a monomial is built only for a
+run that is not skipped.
 """
 
 from __future__ import annotations
@@ -85,14 +86,14 @@ class GroebnerResult:
     field: object = None
 
 
-def occ_skip(exps, occ: int) -> bool:
-    """True iff the run's monomial is an initial-ideal multiple.
+def occ_skip(pe, var: int, occ: int) -> bool:
+    """True iff the run's monomial pe * x_var is an initial-ideal multiple.
 
     Valid only for the minimal element of the duplicate-preserving candidate
     list: the monomial has |supp| divisors of one degree less, each divisor
     in B contributed one copy.
     """
-    return orders.support_size(exps) > occ
+    return len(pe) - pe.count(0) + (pe[var - 1] == 0) > occ
 
 
 def _make_poly(t_exps, coeffs, B, fld):
@@ -161,10 +162,10 @@ def bm(points: PointSet, spec) -> GroebnerResult:
     one = (0,) * n
     L_items = [orders.order_vector(spec, one)]
     L_deltas = []
-    # order vector -> (exps, parent index in B or None, multiplied variable);
-    # a later write is the copy the merge puts first, since new items go
+    # order vector -> (parent index in B or None, multiplied variable); a
+    # later write is the copy the merge puts first, since new items go
     # before equal old ones, and a popped run is never made again
-    pending = {L_items[0]: (one, None, None)}
+    pending = {L_items[0]: (None, None)}
     nvec = len(L_items[0])
 
     B, B_vec, G = [], [], []
@@ -176,15 +177,17 @@ def bm(points: PointSet, spec) -> GroebnerResult:
         while run < len(L_items) and L_deltas[run - 1] == nvec + 1:
             run += 1
         t_ov = L_items[0]
-        t_exps, parent, var = pending.pop(t_ov)
+        parent, var = pending.pop(t_ov)
         del L_items[:run]
         del L_deltas[: min(run, len(L_deltas))]
-        if occ_skip(t_exps, run):
-            continue
-
         if parent is None:
+            t_exps = one
             v = acc.vector([fld.one] * m)
         else:
+            pe = B[parent]
+            if occ_skip(pe, var, run):
+                continue
+            t_exps = orders.monomial_mul_var(pe, var)
             v = step(B_vec[parent], columns[var - 1])
             stats.field_ops += m
         stats.functional_calls += 1
@@ -205,7 +208,7 @@ def bm(points: PointSet, spec) -> GroebnerResult:
         for i in vars_increasing:
             ov = orders.order_vector_step(spec, t_ov, i)
             new_items.append(ov)
-            pending[ov] = (orders.monomial_mul_var(t_exps, i), b_index, i)
+            pending[ov] = (b_index, i)
         stats.element_cmps += new_cost
         L_items, L_deltas, _, ec, dc = merge_with_sources(
             L_items, L_deltas, new_items, new_deltas, nvec

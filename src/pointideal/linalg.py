@@ -38,10 +38,12 @@ Field elements come back only from ``coordinates(coords)``.
   rows stay a few hundred bits long; vectors with unrelated large
   denominators make every entry as long as their lcm, and there the list
   rows of the oracle can be faster.
-* ``PackedRows`` (GF(p)) holds a vector as a list of residues, and each
-  row, and each history, as one Python ``int``: slot k sits at bits
-  [k*w, (k+1)*w), one slot per coordinate of a row and one per inserted
-  vector of a history (Kronecker substitution).
+* ``PackedRows`` (GF(p)) holds a vector as a list of residues in [0, p),
+  which ``vector``, ``step`` and ``reduce`` return and packing writes as
+  they are; and each row, and each history, as one Python ``int``: slot k
+  sits at bits [k*w, (k+1)*w), one slot per coordinate of a row and one per
+  inserted vector of a history (Kronecker substitution).  ``insert`` writes
+  the negated row and the history in one pass each.
   A row is stored negated, each slot (p - x) % p, so reducing by it is one
   big-integer multiply-add, ``R += c * negrow``, which CPython's C
   arithmetic does over all m slots at once; the history gets the same
@@ -200,13 +202,10 @@ class PackedRows:
         return len(self._rows)
 
     def _pack(self, v):
-        p = self.p
         if self.lanes:
-            return int.from_bytes(array("Q", [x % p for x in v]), "little")
+            return int.from_bytes(array("Q", v), "little")
         width = self._width
-        return int.from_bytes(
-            b"".join([(x % p).to_bytes(width, "little") for x in v]), "little"
-        )
+        return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in v]), "little")
 
     def _unpack(self, packed, count):
         """The first count slots of packed, each reduced mod p."""
@@ -223,9 +222,8 @@ class PackedRows:
         p = self.p
         return [[-x % p for x in self._unpack(neg, self.m)] for _s, neg, _h, _o in self._rows]
 
-    @staticmethod
-    def vector(elements):
-        return list(elements)
+    def vector(self, elements):
+        return [x % self.p for x in elements]
 
     def step(self, vec, column):
         """The vector of the entrywise products of two vectors."""
@@ -251,19 +249,20 @@ class PackedRows:
         return self._unpack(R, self.m), self._unpack(H, len(self._rows)), ops
 
     def insert(self, residual, coords):
-        """Add a row for (residual, coords) = reduce(v); returns its field ops."""
+        """Add a row for (residual, coords) = reduce(v), both residues; returns its field ops."""
         p = self.p
-        piv = next((k for k, x in enumerate(residual) if x % p), None)
-        if piv is None:
+        lead = next(filter(None, residual), None)
+        if lead is None:
             raise InsertZero("cannot insert the zero vector")
-        inv = pow(residual[piv], -1, p)
-        row = [inv * x % p for x in residual]
-        # residual = v - sum coords[i]*original_i, scaled by inv
-        hist = [-inv * c for c in coords] + [inv]
+        piv = residual.index(lead)
+        inv = pow(lead, -1, p)
+        q = p - inv
+        # residual = v - sum coords[i]*original_i, scaled by inv and negated
+        negrow = self._pack([q * x % p for x in residual])
+        hist = self._pack([q * c % p for c in coords] + [inv])
         nnz = len(coords) - coords.count(0)
-        row_ops = 2 * (self.m - row.count(0)) + nnz + 1
-        negrow = self._pack([-x for x in row])
-        self._rows.append((piv * self._w, negrow, self._pack(hist), row_ops))
+        row_ops = 2 * (self.m - residual.count(0)) + nnz + 1
+        self._rows.append((piv * self._w, negrow, hist, row_ops))
         self.pivots.append(piv)
         return 1 + self.m + nnz
 

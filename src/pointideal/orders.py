@@ -43,10 +43,6 @@ class DegreeOverflow(OverflowError):
 # ---------------------------------------------------------------------------
 # monomial helpers
 
-def support_size(exps) -> int:
-    return sum(1 for e in exps if e > 0)
-
-
 def monomial_divides(d, m) -> bool:
     return all(a <= b for a, b in zip(d, m))
 

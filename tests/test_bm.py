@@ -75,34 +75,41 @@ def test_arity_mismatch_rejected():
 
 
 def test_occ_skip_unit():
-    assert not occ_skip((1, 1, 0), 2)  # |supp| = Occ: process
-    assert occ_skip((1, 1, 0), 1)  # |supp| > Occ: skip
-    assert not occ_skip((0, 0, 0), 1)
+    # (parent, variable): the run's monomial is parent * x_variable
+    assert not occ_skip((1, 0, 0), 2, 2)  # x1*x2: |supp| = Occ, process
+    assert occ_skip((1, 0, 0), 2, 1)  # x1*x2: |supp| > Occ, skip
+    assert not occ_skip((1, 1, 0), 1, 2)  # x1**2*x2: x1 already in the support
+    assert occ_skip((1, 1, 0), 3, 2)  # x1*x2*x3: |supp| = 3 > Occ
+    assert not occ_skip((0, 0, 0), 3, 1)  # x3: |supp| = 1 = Occ
 
 
 def test_occ_skip_agrees_with_divisibility(monkeypatch):
     """Every skip decision matches a scan against the final leading terms."""
     rng = random.Random(99)
+    calls = []
+    real = occ_skip
+
+    def spy(pe, var, occ):
+        out = real(pe, var, occ)
+        calls.append((orders.monomial_mul_var(pe, var), out))
+        return out
+
+    monkeypatch.setattr(bm_mod, "occ_skip", spy)
+    seen = set()
     for _ in range(30):
         pts = random_instance(rng, n_max=5, m_max=10)
         spec = random_order(rng, pts.n)
-        calls = []
-        real = occ_skip
-
-        def spy(exps, occ):
-            out = real(exps, occ)
-            calls.append((exps, out))
-            return out
-
-        monkeypatch.setattr(bm_mod, "occ_skip", spy)
+        calls.clear()
         res = bm(pts, spec)
-        monkeypatch.setattr(bm_mod, "occ_skip", real)
         ini = [g.leading_monomial for g in res.G]
         for exps, skipped in calls:
             expect = any(
                 l != exps and orders.monomial_divides(l, exps) for l in ini
             )
             assert skipped == expect, (pts, exps)
+            seen.add(skipped)
+    # the spy saw both decisions, so the loop above checked something
+    assert seen == {True, False}
 
 
 def test_variant_agreement_random():

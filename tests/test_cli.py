@@ -1,10 +1,15 @@
 """CLI commands, file formats, and exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pointideal
 from conftest import dependent_point_set
 from pointideal import fileio, oracles, orders
 from pointideal._selftest import GOLDEN_B, GOLDEN_POINTS, golden_G
@@ -410,3 +415,23 @@ def test_serialize_result_matches_per_term_document(fld, order, shape):
     back = fileio.parse_result(text, spec)
     assert back.B == res.B and back.G == res.G
     assert back.stats.to_dict() == res.stats.to_dict()
+
+
+# ``oracles`` is loaded because the benchmark's tracer reads it from
+# sys.modules; ``_selftest`` loads only when the selftest command runs
+CLI_MODULES = [
+    "pointideal", "pointideal.bm", "pointideal.cli", "pointideal.deltamerge",
+    "pointideal.fields", "pointideal.fileio", "pointideal.linalg",
+    "pointideal.oracles", "pointideal.orders", "pointideal.poly",
+    "pointideal.projection",
+]
+
+
+def test_cli_import_loads_exactly_these_modules():
+    # a fresh interpreter, so that no other test's imports count; a new
+    # import then shows up here as a deliberate diff
+    src = str(Path(pointideal.__file__).resolve().parent.parent)
+    code = "import sys, pointideal.cli; print(*sorted(k for k in sys.modules if k.split('.')[0] == 'pointideal'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == CLI_MODULES

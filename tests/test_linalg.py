@@ -221,6 +221,37 @@ def test_packed_rows_byte_path_below_lane_bound(monkeypatch):
         _packed_matches_list_rows(fld, m, count, False, rng)
 
 
+@pytest.mark.parametrize("lanes", [True, False], ids=["lanes", "bytes"])
+def test_packed_store_vectors_are_residues(monkeypatch, lanes):
+    if lanes and sys.byteorder != "little":
+        pytest.skip("64-bit lanes need a little-endian machine")
+    monkeypatch.setattr(linalg, "_LITTLE_ENDIAN", lanes)
+    p, m = 32003, 40
+    fld = PrimeField(p)
+    packed, listed = PackedRows(m, fld), ListRows(m, fld)
+    assert packed.lanes == lanes
+    rng = random.Random(13)
+    # negative entries and entries of p and above become their residues
+    raw = [rng.choice((-1, -p, -p - 5, p, p + 1, 3 * p - 1, 2**70 + 9, 5)) for _ in range(m)]
+    vec = packed.vector(raw)
+    assert vec == [x % p for x in raw]
+    assert _reduce_both(packed, listed, vec, vec)
+    # a residual with many leading zeros, its leading entry repeated later:
+    # the pivot is the first nonzero entry, not a later equal one
+    a, b = rng.randrange(2, p), rng.randrange(2, p)
+    v = [0] * (m - 4) + [a, b, a, 0]
+    assert _reduce_both(packed, listed, v, packed.vector(v))
+    assert packed.pivots == listed.pivots and packed.pivots[-1] == m - 4
+    assert packed.rows() == listed.rows()
+    # a combination of the two reduces to zero, and zero is not inserted
+    dep = [(3 * x + 7 * y) % p for x, y in zip(vec, v)]
+    assert not _reduce_both(packed, listed, dep, packed.vector(dep))
+    residual, coords, _ops = packed.reduce(packed.vector(dep))
+    with pytest.raises(InsertZero):
+        packed.insert(residual, coords)
+    assert packed.rank == 2
+
+
 def _rational_vector(rng, m, originals):
     """Small height or up to 2**200, sparse, zero or dependent; signs mixed.
 

@@ -32,6 +32,13 @@ def _dependent_points(rng, fld, free, m):
     return PointSet(field=fld, n=n, points=tuple(sorted(pts)))
 
 
+def _boolean_points(rng, fld, n, m):
+    """m distinct points with 0/1 coordinates, as on the gfp-boolean benchmark."""
+    codes = rng.sample(range(2**n), m)
+    pts = (tuple(fld.from_int(k >> i & 1) for i in range(n)) for k in codes)
+    return PointSet(field=fld, n=n, points=tuple(pts))
+
+
 def _cases():
     gf = PrimeField(32003)
     yield "golden-lex", GOLDEN_POINTS, orders.lex(5)
@@ -48,6 +55,9 @@ def _cases():
     yield "gf-n12-m100-lex", oracles.random_point_set(rng, PrimeField(32003), 12, 100), orders.lex(12)
     # the size of a qq-random benchmark instance; last, so earlier draws stay
     yield "qq-n3-m36-lex", oracles.random_point_set(rng, QQ, 3, 36), orders.lex(3)
+    # 0/1 points: about 40 % of the row multipliers in reduce are zero.  Its
+    # own generator, so the draws of the cases above stay the same
+    yield "gf-n8-m80-boolean-degrevlex", _boolean_points(random.Random(80), gf, 8, 80), orders.degrevlex(8)
 
 
 def _digest(result):
@@ -125,6 +135,11 @@ PINNED = {
     "qq-n3-m36-lex": {
         "direct": {"digest": "873e1fd886af1da7", "element_cmps": 1189, "delta_cmps": 1180, "field_ops": 46446, "functional_calls": 41, "L_max": 66, "n_essential": None},
         "on": {"digest": "873e1fd886af1da7", "element_cmps": 1189, "delta_cmps": 1180, "field_ops": 46446, "functional_calls": 41, "L_max": 66, "n_essential": 3},
+    },
+    # recorded before GF(p) store vectors became residues and insert became one pass
+    "gf-n8-m80-boolean-degrevlex": {
+        "direct": {"digest": "fbe416f5e54ab99b", "element_cmps": 6482, "delta_cmps": 17340, "field_ops": 370530, "functional_calls": 130, "L_max": 406, "n_essential": None},
+        "on": {"digest": "fbe416f5e54ab99b", "element_cmps": 6482, "delta_cmps": 17340, "field_ops": 370530, "functional_calls": 130, "L_max": 406, "n_essential": 8},
     },
 }
 
