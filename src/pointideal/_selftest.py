@@ -13,7 +13,8 @@ from fractions import Fraction
 from . import oracles, orders
 from .bm import PointSet, bm
 from .deltamerge import DeltaList
-from .fields import QQ
+from .fields import QQ, PrimeField
+from .linalg import PackedRows
 from .poly import Polynomial
 
 # A merge instance with a known interleaving, including a duplicate pair
@@ -116,6 +117,41 @@ def _random_sorted_list(rng, n, max_len):
     return items
 
 
+def boolean_vectors(rng, m, n, count):
+    """count evaluation vectors of monomials at m distinct 0/1 points.
+
+    Each is the product of up to four coordinate columns of the n-variable
+    points, as the vectors of ``bm`` are products of coordinate columns.
+    """
+    points = rng.sample(range(1 << n), m)
+    columns = [[x >> j & 1 for x in points] for j in range(n)]
+    vectors = []
+    for _ in range(count):
+        v = [1] * m
+        for j in rng.sample(range(n), rng.randint(0, 4)):
+            v = [a * b for a, b in zip(v, columns[j])]
+        vectors.append(v)
+    return vectors
+
+
+def packed_rows_agree(fld, vectors):
+    """Whether ``PackedRows`` eliminates vectors as ``oracles.ListRows`` does.
+
+    Every reduce must give the same residual, coordinates and field ops,
+    every insert the same field ops, and the rows and pivots must agree.
+    """
+    m = len(vectors[0])
+    packed, listed = PackedRows(m, fld), oracles.ListRows(m, fld)
+    for v in vectors:
+        residual, coords, ops = packed.reduce(packed.vector(v))
+        want = listed.reduce(v)
+        if (residual, packed.coordinates(coords), ops) != want:
+            return False
+        if any(residual) and packed.insert(residual, coords) != listed.insert(*want[:2]):
+            return False
+    return packed.pivots == listed.pivots and packed.rows() == listed.rows()
+
+
 def run_selftest(seed=0, report=print):
     """Cross-check optimized paths against oracles; returns the failure count.
 
@@ -186,6 +222,13 @@ def run_selftest(seed=0, report=print):
         proj.B == res.B and proj.G == res.G,
         "lifted result differs",
     )
+
+    # the packed GF(p) store against list rows on 0/1 points: GF(32003)
+    # packs 64-bit lanes on little-endian machines and whole bytes on
+    # big-endian ones; GF(2**61 - 1) packs whole bytes on every machine
+    vectors = boolean_vectors(random.Random(seed), 40, 8, 80)
+    bad = [p for p in (32003, 2**61 - 1) if not packed_rows_agree(PrimeField(p), vectors)]
+    check("packed rows vs list rows (0/1 points)", not bad, f"differ over GF{bad}")
 
     # agreement with the Abbott-style oracle on random point sets
     bad = 0

@@ -96,19 +96,6 @@ def occ_skip(pe, var: int, occ: int) -> bool:
     return len(pe) - pe.count(0) + (pe[var - 1] == 0) > occ
 
 
-def _make_poly(t_exps, coeffs, B, fld):
-    """t - sum coeffs[i] * B[i]; t exceeds every monomial of the ascending B.
-
-    ``coeffs`` is {index in B: coordinate} with ascending indices, as
-    ``coordinates`` gives it, so one reversed pass writes the tail in
-    descending order with no sort.
-    """
-    neg = fld.neg
-    terms = [(fld.one, t_exps)]
-    terms += [(neg(c), B[i]) for i, c in reversed(coeffs.items())]
-    return Polynomial(terms)
-
-
 def _progress_log():
     """This module's logger when it logs at DEBUG, else None.
 
@@ -194,7 +181,8 @@ def bm(points: PointSet, spec) -> GroebnerResult:
 
         residual, coords = acc.reduce(v)
         if not any(residual):
-            G.append(_make_poly(t_exps, acc.coordinates(coords), B, fld))
+            # t - sum coords[i]*B[i]: t exceeds all of the ascending B
+            G.append(Polynomial([(fld.one, t_exps), *acc.tail(coords, B)]))
             continue
         acc.insert(residual, coords)
         b_index = len(B)

@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_SELFTEST = 3
+SPOLY_MAX_S = 1000
 
 
 def build_spoly_lists(s: int):
@@ -36,10 +37,11 @@ def build_spoly_lists(s: int):
     host tuple on the first s+1 entries while consecutive host tuples differ
     late, so the memoized merge pays the long common prefix once and the
     entrywise merge pays it s-2 times.  Returns (a_items, b_items) of
-    ascending order vectors (negated so they ascend).
+    ascending order vectors (negated so they ascend).  s runs from 3 to
+    ``SPOLY_MAX_S``; a larger s is refused before anything is built.
     """
-    if s < 3:
-        raise ValueError("s must be at least 3")
+    if not 3 <= s <= SPOLY_MAX_S:
+        raise ValueError(f"s must be between 3 and {SPOLY_MAX_S}")
     n = 2 * s
     spec = orders.degrevlex(n)
 
@@ -152,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_merge)
 
     s = sub.add_parser("bench-spoly", help="comparison-count benchmark")
-    s.add_argument("--s", type=int, required=True, help="size parameter, >= 3")
+    s.add_argument("--s", type=int, required=True, help=f"size parameter, 3 to {SPOLY_MAX_S}")
     s.set_defaults(func=cmd_bench_spoly)
 
     t = sub.add_parser("selftest", help="run the built-in cross-checks")

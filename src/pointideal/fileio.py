@@ -14,6 +14,14 @@ class ParseError(ValueError):
     pass
 
 
+def read_text(path) -> str:
+    """The file's text as UTF-8; undecodable bytes are a ParseError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
+
+
 def _load_json(text: str, source: str):
     try:
         return json.loads(text)
@@ -75,8 +83,7 @@ def parse_points(text: str, source: str = "<points>") -> PointSet:
 
 
 def load_points(path) -> PointSet:
-    path = Path(path)
-    return parse_points(path.read_text(), str(path))
+    return parse_points(read_text(path), str(path))
 
 
 def serialize_points(points: PointSet) -> str:
@@ -181,5 +188,4 @@ def parse_merge_list(text: str, source: str = "<list>"):
 
 
 def load_merge_list(path):
-    path = Path(path)
-    return parse_merge_list(path.read_text(), str(path))
+    return parse_merge_list(read_text(path), str(path))

@@ -15,7 +15,9 @@ store vector once, ``step(vec, column)`` is the pointwise product of two
 store vectors, and ``reduce`` takes a store vector.  ``reduce`` returns
 (residual, coords): the residual is a list of integers, zero exactly when
 ``not any(residual)``, and coords is what ``insert`` needs besides it.
-Field elements come back only from ``coordinates(coords)``.
+Field elements come back only from ``coordinates(coords)`` and from
+``tail(coords, B)``, the terms (-c_i, B[i]) of the nonzero coordinates c_i,
+i descending: the tail of the G element t - sum c_i*B[i].
 
 * ``IntRows`` (the rationals) holds a vector as (integers, D) with D > 0
   and gcd(D, *integers) = 1, its entries integers[k]/D; the step multiplies
@@ -40,25 +42,29 @@ Field elements come back only from ``coordinates(coords)``.
   rows of the oracle can be faster.
 * ``PackedRows`` (GF(p)) holds a vector as a list of residues in [0, p),
   which ``vector``, ``step`` and ``reduce`` return and packing writes as
-  they are; and each row, and each history, as one Python ``int``: slot k
-  sits at bits [k*w, (k+1)*w), one slot per coordinate of a row and one per
-  inserted vector of a history (Kronecker substitution).  ``insert`` writes
-  the negated row and the history in one pass each.
-  A row is stored negated, each slot (p - x) % p, so reducing by it is one
-  big-integer multiply-add, ``R += c * negrow``, which CPython's C
-  arithmetic does over all m slots at once; the history gets the same
-  update, ``H += c * hist``.  Slots are reduced mod p only when ``reduce``
-  unpacks its result.  Before that a slot has gained less than (p-1)**2
-  per row from a start below p, so it stays below m*(p-1)**2 + p, and no
-  slot carries into the next.  When that bound is below 2**64 (p = 32003
-  at any practical m, p = 2**31 - 1 only while m <= 4) and the machine is
-  little-endian, every slot is a 64-bit lane, and packing and unpacking go
-  through ``array("Q")`` and ``memoryview.cast("Q")`` in C.  Otherwise w
-  is the smallest whole number of bytes that holds the bound, packed and
-  unpacked byte string by byte string.  This is exact for every prime the
-  library accepts (p < 2**63); there w is 17 bytes at m = 1000.  The
-  residual is the unpacked list of residues and coords the unpacked
-  history coefficients.
+  they are; and each row, and each history, as one Python ``int`` with a
+  w-bit slot per entry (Kronecker substitution).  A history keeps index
+  order, inserted vector i in slot i; a vector or row is packed reversed,
+  coordinate k in slot m-1-k, so a row, zero before its pivot, ends at the
+  pivot's slot.  ``insert`` writes the negated row and the history in one
+  pass each.  A row is stored negated, each slot (p - x) % p, so reducing by
+  it is one big-integer multiply-add, ``R += c * negrow``, which CPython
+  does in C, the product over the row's m - pivot slots; the history gets
+  the same update, ``H += c * hist``.  c is the pivot's slot of R mod p, read
+  from the shorter side: ``R >> shift & mask`` copies the slots above it, so
+  a pivot past the middle is read as ``(R & low) >> shift``, with ``low``
+  the row's mask of the slots up to the pivot's (an ``&`` is as long as its
+  shorter operand).  Slots are reduced mod p only when ``reduce`` unpacks its
+  result.  Before that a slot has gained less than (p-1)**2 per row from a
+  start below p, so it stays below m*(p-1)**2 + p, and no slot carries into
+  the next.  When that bound is below 2**64 (p = 32003 at any practical m,
+  p = 2**31 - 1 only while m <= 4) and the machine is little-endian, every
+  slot is a 64-bit lane, and packing and unpacking go through ``array("Q")``
+  and ``memoryview.cast("Q")`` in C.  Otherwise w is the smallest whole
+  number of bytes that holds the bound, packed and unpacked byte string by
+  byte string.  This is exact for every prime the library accepts
+  (p < 2**63); there w is 17 bytes at m = 1000.  The residual is the
+  unpacked list of residues and coords the unpacked history coefficients.
 
 ``field_ops`` counts the same model operations in both stores and in the
 test oracle's list rows (``oracles.ListRows``), as before the stores
@@ -130,6 +136,11 @@ class IntRows:
         C, D = coords
         return {i: Fraction(c, D) for i, c in enumerate(C) if c}
 
+    @staticmethod
+    def tail(coords, B):
+        C, D = coords
+        return [(Fraction(-c, D), b) for c, b in zip(reversed(C), reversed(B[: len(C)])) if c]
+
     def reduce(self, vec):
         """(R, (C, D), field ops) with v = R/D + sum C[i]/D*original_i."""
         R, D = vec
@@ -194,7 +205,7 @@ class PackedRows:
         self._w = 8 * self._width  # bits per slot
         self._mask = (1 << self._w) - 1
         self.pivots = []
-        # per row: (pivot shift, packed negated row, packed history, reduce ops)
+        # per row: (pivot shift, low mask or 0, negated row, history, reduce ops)
         self._rows = []
 
     @property
@@ -219,8 +230,8 @@ class PackedRows:
         ]
 
     def rows(self):
-        p = self.p
-        return [[-x % p for x in self._unpack(neg, self.m)] for _s, neg, _h, _o in self._rows]
+        p, m = self.p, self.m
+        return [[-x % p for x in self._unpack(row[2], m)[::-1]] for row in self._rows]
 
     def vector(self, elements):
         return [x % self.p for x in elements]
@@ -234,19 +245,23 @@ class PackedRows:
     def coordinates(coords):
         return {i: c for i, c in enumerate(coords) if c}
 
+    def tail(self, coords, B):
+        p = self.p
+        return [(p - c, b) for c, b in zip(reversed(coords), reversed(B[: len(coords)])) if c]
+
     def reduce(self, vec):
         """(residual, coords, field ops) with v = residual + sum coords[i]*original_i."""
         p, mask = self.p, self._mask
-        R = self._pack(vec)
+        R = self._pack(vec[::-1])
         H = 0
         ops = 0
-        for shift, negrow, hist, row_ops in self._rows:
-            c = (R >> shift & mask) % p
+        for shift, low, negrow, hist, row_ops in self._rows:
+            c = ((R & low) >> shift if low else R >> shift & mask) % p
             if c:
                 R += c * negrow
                 H += c * hist
                 ops += row_ops
-        return self._unpack(R, self.m), self._unpack(H, len(self._rows)), ops
+        return self._unpack(R, self.m)[::-1], self._unpack(H, len(self._rows)), ops
 
     def insert(self, residual, coords):
         """Add a row for (residual, coords) = reduce(v), both residues; returns its field ops."""
@@ -258,11 +273,13 @@ class PackedRows:
         inv = pow(lead, -1, p)
         q = p - inv
         # residual = v - sum coords[i]*original_i, scaled by inv and negated
-        negrow = self._pack([q * x % p for x in residual])
+        negrow = self._pack([q * x % p for x in reversed(residual)])
         hist = self._pack([q * c % p for c in coords] + [inv])
         nnz = len(coords) - coords.count(0)
         row_ops = 2 * (self.m - residual.count(0)) + nnz + 1
-        self._rows.append((piv * self._w, negrow, hist, row_ops))
+        s = self.m - 1 - piv  # the pivot's slot, piv slots below the top
+        low = (1 << (s + 1) * self._w) - 1 if s < piv else 0  # fewer slots below than above
+        self._rows.append((s * self._w, low, negrow, hist, row_ops))
         self.pivots.append(piv)
         return 1 + self.m + nnz
 
@@ -274,7 +291,8 @@ class EchelonAccumulator:
         self.store = store = (PackedRows if field.kind == "prime" else IntRows)(m, field)
         self.field_ops = 0
         # the store's vector format: made once, stepped, read off
-        self.vector, self.step, self.coordinates = store.vector, store.step, store.coordinates
+        self.vector, self.step = store.vector, store.step
+        self.coordinates, self.tail = store.coordinates, store.tail
 
     @property
     def rank(self):

@@ -3,15 +3,16 @@
 Everything here is deliberately simple; property tests and the selftest
 command compare it with the optimized paths.  The merge and divisibility
 oracles, and ``stepwise_locate`` (the memo walk one comparison call per
-step), share no code with the library.  ``abbott_basis`` shares polynomial
-construction with ``bm`` (``bm._make_poly``, which reads a G element off the
-coordinates over B) but no elimination code: it eliminates on ``ListRows``
-below, lists of field elements reduced by ``field.sub_scaled``, for every
-field, while ``bm`` eliminates on the integer stores of ``linalg`` (packed
-rows over GF(p), rows over one common denominator over QQ).  Comparing the
-two therefore checks both the candidate bookkeeping (the memoized
-duplicate-preserving list against explicit divisibility filtering) and the
-library's elimination arithmetic, over either field.
+step), share no code with the library.  ``abbott_basis`` shares no
+elimination code with ``bm`` and builds each G element from its own
+coordinates over B, sorted by ``Polynomial.from_dict``: it eliminates on
+``ListRows`` below, lists of field elements reduced by
+``field.sub_scaled``, for every field, while ``bm`` eliminates on the
+integer stores of ``linalg`` (packed rows over GF(p), rows over one common
+denominator over QQ).  Comparing the two therefore checks both the
+candidate bookkeeping (the memoized duplicate-preserving list against
+explicit divisibility filtering) and the library's elimination arithmetic
+and G construction, over either field.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import random
 from fractions import Fraction
 
 from . import orders
-from .bm import GroebnerResult, PointSet, RunStats, _make_poly
+from .bm import GroebnerResult, PointSet, RunStats
 from .fields import PrimeField, RationalField
 from .linalg import InsertZero
+from .poly import Polynomial
 
 
 class ListRows:
@@ -212,7 +214,8 @@ def abbott_basis(points: PointSet, spec) -> GroebnerResult:
             v = [fld.mul(a, b) for a, b in zip(B_evals[parent], col)]
         residual, coeffs, _ops = acc.reduce(v)
         if all(x == fld.zero for x in residual):
-            g = _make_poly(t_exps, coeffs, B, fld)
+            terms = {B[i]: fld.neg(c) for i, c in coeffs.items()} | {t_exps: fld.one}
+            g = Polynomial.from_dict(terms, spec, fld)
             G.append(g)
             ini_G.append(g.leading_monomial)
             continue

@@ -171,7 +171,7 @@ def parse_order(text: str, n: int) -> OrderSpec:
     naming its position or line.
     """
     # deferred: fileio imports this module through bm
-    from .fileio import ParseError
+    from .fileio import ParseError, read_text
 
     kind, _, rest = text.partition(":")
     kind = kind.strip()
@@ -191,7 +191,7 @@ def parse_order(text: str, n: int) -> OrderSpec:
     if kind == "matrix":
         path = Path(rest.strip())
         rows = []
-        for ln, line in enumerate(path.read_text().splitlines(), start=1):
+        for ln, line in enumerate(read_text(path).splitlines(), start=1):
             line = line.strip()
             if line:
                 try:

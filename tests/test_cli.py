@@ -16,6 +16,7 @@ from pointideal._selftest import GOLDEN_B, GOLDEN_POINTS, golden_G
 from pointideal.bm import bm
 from pointideal.cli import build_spoly_lists, main
 from pointideal.fields import PrimeField, QQ
+from pointideal.linalg import PackedRows
 from pointideal.oracles import naive_merge
 from pointideal.projection import bm_projected
 
@@ -106,6 +107,26 @@ def test_basis_bad_json_position(capsys, tmp_path):
 def test_basis_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "basis", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+# bytes no UTF-8 text has: a UTF-16 byte-order mark
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"
+
+
+def test_basis_undecodable_points_file_is_parse_error(capsys, tmp_path):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "basis", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {p}: not UTF-8 text: byte 0:")
+
+
+def test_basis_undecodable_order_matrix_is_parse_error(capsys, points_file, tmp_path):
+    grid = tmp_path / "A.txt"
+    grid.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "basis", str(points_file), "--order", f"matrix:{grid}")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {grid}: not UTF-8 text: byte 0:")
 
 
 def test_basis_bad_order(capsys, points_file, tmp_path):
@@ -279,6 +300,16 @@ def test_merge_bad_tuple(capsys, tmp_path):
     assert code == 2 and "line 1" in err
 
 
+def test_merge_undecodable_list_is_parse_error(capsys, tmp_path):
+    fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_list(fa, [(1, 2)])
+    # valid UTF-8 up to byte 4
+    fb.write_bytes(b"1,2\n\xe9\n")
+    code, out, err = run_cli(capsys, "merge", str(fa), str(fb))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {fb}: not UTF-8 text: byte 4:")
+
+
 # ---------------------------------------------------------------------------
 # bench-spoly
 
@@ -297,6 +328,19 @@ def test_bench_spoly_degenerate(capsys):
     assert doc["naive"]["element_cmps"] <= doc["n"]
     code, _, _ = run_cli(capsys, "bench-spoly", "--s", "2")
     assert code == 1
+
+
+def test_bench_spoly_rejects_huge_s_before_building(capsys, monkeypatch):
+    # the order and the lists for s = 10**11 would not fit in memory
+    def refuse(n):
+        raise AssertionError("an order was built")
+
+    monkeypatch.setattr(orders, "degrevlex", refuse)
+    code, out, err = run_cli(capsys, "bench-spoly", "--s", "100000000000")
+    assert code == 1 and out == ""
+    assert err == "error: s must be between 3 and 1000\n"
+    code, out, _ = run_cli(capsys, "bench-spoly", "--s", "1001")
+    assert code == 1 and out == ""
 
 
 def test_spoly_lists_shape():
@@ -325,6 +369,21 @@ def test_selftest_failure_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "selftest")
     assert code == 3 and out == ""
     assert "selftest: 1 failure(s)" in err
+
+
+def test_selftest_catches_a_broken_packed_store(capsys, monkeypatch):
+    # one wrong coordinate in every GF(p) reduce that has coordinates; a
+    # wrong residual would keep bm inserting rows
+    reduce = PackedRows.reduce
+
+    def broken(self, vec):
+        residual, coords, ops = reduce(self, vec)
+        return residual, [(c + 1) % self.p for c in coords[:1]] + coords[1:], ops
+
+    monkeypatch.setattr(PackedRows, "reduce", broken)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 3
+    assert "FAIL packed rows vs list rows (0/1 points): differ over GF[32003, 2305843009213693951]" in out.splitlines()
 
 
 def test_points_round_trip():

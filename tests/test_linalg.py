@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from pointideal import linalg
+from pointideal._selftest import boolean_vectors
 from pointideal.fields import PrimeField, QQ
 from pointideal.linalg import EchelonAccumulator, InsertZero, IntRows, PackedRows
 from pointideal.oracles import ListRows
@@ -250,6 +251,44 @@ def test_packed_store_vectors_are_residues(monkeypatch, lanes):
     with pytest.raises(InsertZero):
         packed.insert(residual, coords)
     assert packed.rank == 2
+
+
+@pytest.mark.parametrize("lanes", [True, False], ids=["lanes", "bytes"])
+def test_packed_rows_end_at_their_pivots(monkeypatch, lanes):
+    # index k sits in slot m - 1 - k, so a row, zero before its pivot, is
+    # no longer than the m - piv slots from its pivot on
+    if lanes and sys.byteorder != "little":
+        pytest.skip("64-bit lanes need a little-endian machine")
+    monkeypatch.setattr(linalg, "_LITTLE_ENDIAN", lanes)
+    fld, m = PrimeField(32003), 60
+    packed, listed = PackedRows(m, fld), ListRows(m, fld)
+    assert packed.lanes == lanes
+    rng = random.Random(17)
+    originals = []
+    for _ in range(120):
+        v = _mixed_vector(rng, fld.p, m, originals)
+        if _reduce_both(packed, listed, v, packed.vector(v)):
+            originals.append(v)
+    assert min(packed.pivots) == 0 and max(packed.pivots) >= m - 2
+    for piv, (_shift, _low, negrow, _hist, _ops) in zip(packed.pivots, packed._rows):
+        assert 0 < negrow.bit_length() <= (m - piv) * packed._w
+
+
+@pytest.mark.parametrize("lanes", [True, False], ids=["lanes", "bytes"])
+def test_packed_rows_match_list_rows_on_boolean_points(monkeypatch, lanes):
+    # the gfp-boolean shape: products of coordinate columns of 0/1 points;
+    # full rank, so pivots lie in both halves and both reads are taken
+    if lanes and sys.byteorder != "little":
+        pytest.skip("64-bit lanes need a little-endian machine")
+    monkeypatch.setattr(linalg, "_LITTLE_ENDIAN", lanes)
+    fld, m = PrimeField(32003), 160
+    packed, listed = PackedRows(m, fld), ListRows(m, fld)
+    assert packed.lanes == lanes
+    for v in boolean_vectors(random.Random(3), m, 10, 400):
+        _reduce_both(packed, listed, v, packed.vector(v))
+    assert packed.rank == m
+    assert packed.pivots == listed.pivots
+    assert packed.rows() == listed.rows()
 
 
 def _rational_vector(rng, m, originals):
