@@ -16,7 +16,6 @@ run that is not skipped.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from sys import modules
 
 from . import orders
@@ -38,21 +37,37 @@ class EmptyPointSet(PointSetError):
     pass
 
 
-@dataclass(frozen=True)
 class PointSet:
-    field: object
-    n: int
-    points: tuple  # m tuples of field elements
+    """m distinct points of n coordinates each, over ``field``.
 
-    def __post_init__(self):
-        pts = tuple(tuple(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
+    A value: equal point sets compare equal and hash alike.
+    """
+
+    __slots__ = ("field", "n", "points")
+
+    def __init__(self, field, n: int, points):
+        pts = tuple(tuple(p) for p in points)  # m tuples of field elements
         if not pts:
             raise EmptyPointSet("at least one point is required")
-        if any(len(p) != self.n for p in pts):
+        if any(len(p) != n for p in pts):
             raise PointSetError("point arity mismatch")
         if len(set(pts)) != len(pts):
             raise DuplicatePoints("points must be pairwise distinct")
+        self.field, self.n, self.points = field, n, pts
+
+    def _key(self):
+        return (self.field, self.n, self.points)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"PointSet(field={self.field!r}, n={self.n!r}, points={self.points!r})"
 
     @property
     def m(self):
@@ -63,27 +78,63 @@ class PointSet:
         return [p[i - 1] for p in self.points]
 
 
-@dataclass
 class RunStats:
-    element_cmps: int = 0
-    delta_cmps: int = 0
-    field_ops: int = 0
-    functional_calls: int = 0
-    L_max: int = 0
-    n_essential: int | None = None
-    wall_time: float = 0.0
+    """Counters and wall time of one run; ``to_dict`` keeps this key order."""
+
+    __slots__ = (
+        "element_cmps",
+        "delta_cmps",
+        "field_ops",
+        "functional_calls",
+        "L_max",
+        "n_essential",
+        "wall_time",
+    )
+
+    def __init__(
+        self,
+        element_cmps: int = 0,
+        delta_cmps: int = 0,
+        field_ops: int = 0,
+        functional_calls: int = 0,
+        L_max: int = 0,
+        n_essential: int | None = None,
+        wall_time: float = 0.0,
+    ):
+        self.element_cmps = element_cmps
+        self.delta_cmps = delta_cmps
+        self.field_ops = field_ops
+        self.functional_calls = functional_calls
+        self.L_max = L_max
+        self.n_essential = n_essential
+        self.wall_time = wall_time
 
     def to_dict(self):
-        return asdict(self)
+        return {k: getattr(self, k) for k in self.__slots__}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __repr__(self):
+        return "RunStats(" + ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items()) + ")"
 
 
-@dataclass
 class GroebnerResult:
-    G: list  # Polynomial, ascending leading monomials
-    B: list  # monomial tuples, ascending
-    stats: RunStats
-    spec: object = None
-    field: object = None
+    """G (Polynomials, ascending leading monomials) and B (ascending monomials)."""
+
+    __slots__ = ("G", "B", "stats", "spec", "field")
+
+    def __init__(self, G: list, B: list, stats: RunStats, spec=None, field=None):
+        self.G, self.B, self.stats, self.spec, self.field = G, B, stats, spec, field
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.G, self.B, self.stats, self.spec, self.field) == (
+            other.G, other.B, other.stats, other.spec, other.field
+        )
 
 
 def occ_skip(pe, var: int, occ: int) -> bool:

@@ -39,17 +39,22 @@ def build_spoly_lists(s: int):
     entrywise merge pays it s-2 times.  Returns (a_items, b_items) of
     ascending order vectors (negated so they ascend).  s runs from 3 to
     ``SPOLY_MAX_S``; a larger s is refused before anything is built.
+
+    Each monomial has at most three nonzero exponents, so its order vector
+    is the sum of those multiples of the order's columns: O(s) per tuple,
+    where the full matrix product would be O(s^2).
     """
     if not 3 <= s <= SPOLY_MAX_S:
         raise ValueError(f"s must be between 3 and {SPOLY_MAX_S}")
     n = 2 * s
-    spec = orders.degrevlex(n)
+    columns = orders.degrevlex(n).columns
 
     def neg_ov(pairs):
-        exps = [0] * n
-        for var, e in pairs:
-            exps[var - 1] = e
-        return tuple(-x for x in orders.order_vector(spec, tuple(exps)))
+        ov = [0] * n
+        # a variable listed twice has the later exponent (s = 4 lists x_3 twice)
+        for var, e in dict(pairs).items():
+            ov = [x - e * c for x, c in zip(ov, columns[var - 1])]
+        return tuple(ov)
 
     a_items = [neg_ov([(2, 2), (s, 1)])]
     b_items = [neg_ov([(2, 1), (3, 2)])]

@@ -25,8 +25,6 @@ The loops that locate and merge count their work:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # the merge kernel is pure Python; reported by benchmarks next to timings
 BACKEND = "python"
 
@@ -214,11 +212,28 @@ def delta(v, w) -> int:
     return d
 
 
-@dataclass
 class LocateResult:
-    index: int  # number of list items preceding b
-    delta_left: int | None  # delta(a_index, b), when index >= 1
-    delta_right: int | None  # delta(b, a_{index+1}), when index < len
+    """Where ``DeltaList.locate`` put b, with the deltas to its neighbours."""
+
+    __slots__ = ("index", "delta_left", "delta_right")
+
+    def __init__(self, index: int, delta_left: int | None, delta_right: int | None):
+        self.index = index  # number of list items preceding b
+        self.delta_left = delta_left  # delta(a_index, b), when index >= 1
+        self.delta_right = delta_right  # delta(b, a_{index+1}), when index < len
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index, self.delta_left, self.delta_right) == (
+            other.index, other.delta_left, other.delta_right
+        )
+
+    def __repr__(self):
+        return (
+            f"LocateResult(index={self.index!r}, delta_left={self.delta_left!r}, "
+            f"delta_right={self.delta_right!r})"
+        )
 
 
 class DeltaList:

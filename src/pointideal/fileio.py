@@ -22,9 +22,9 @@ def read_text(path) -> str:
         raise ParseError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
 
 
-def _load_json(text: str, source: str):
+def _load_json(text: str, source: str, parse_float=None):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=parse_float)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -35,9 +35,9 @@ def _load_json(text: str, source: str):
         raise ParseError(f"{source}: unreadable JSON: nested too deeply") from exc
 
 
-def _load_document(text: str, source: str, keys):
+def _load_document(text: str, source: str, keys, parse_float=None):
     """The top-level object, checked for ``keys``, and its field."""
-    doc = _load_json(text, source)
+    doc = _load_json(text, source, parse_float)
     if not isinstance(doc, dict):
         raise ParseError(f"{source}: top level must be an object")
     for key in keys:
@@ -58,8 +58,12 @@ def parse_points(text: str, source: str = "<points>") -> PointSet:
         {"field": {"type": "rational"} | {"type": "prime", "p": ...},
          "n": N,
          "points": [["a/b", ...], ...]}
+
+    A coordinate may also be a JSON number.  A non-integer number reaches
+    ``field.parse`` as its literal text, never through a float, so a
+    rational keeps every digit and a prime field rejects it.
     """
-    doc, fld = _load_document(text, source, ("field", "n", "points"))
+    doc, fld = _load_document(text, source, ("field", "n", "points"), parse_float=str)
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"{source}: 'n' must be a positive integer")

@@ -11,7 +11,6 @@ monomials is lexicographic comparison of order vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from operator import add, mul
 from pathlib import Path
@@ -78,30 +77,27 @@ def _standard_rows(n, kind, perm):
     return ones + tuple(unit(i, -1) for i in reversed(perm[1:]))
 
 
-@dataclass(frozen=True)
 class OrderSpec:
     """An admissible order on n variables, held as its integer matrix.
 
     Built from a standard kind and a permutation, or from a matrix; either
-    way it is checked here, so every ``OrderSpec`` is admissible.
+    way it is checked here, so every ``OrderSpec`` is admissible.  A value:
+    equality and hash go by (n, kind, perm, matrix); ``columns``, the
+    transposed matrix, is derived from them.
     """
 
-    n: int
-    kind: str  # "lex" | "deglex" | "degrevlex" | "matrix"
-    perm: tuple = None  # var_perm (i_1,...,i_n): x_{i_1} > ... > x_{i_n}
-    matrix: tuple = None  # n rows of n ints
-    columns: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("n", "kind", "perm", "matrix", "columns")
 
-    def __post_init__(self):
-        n = self.n
-        if self.kind in STANDARD_KINDS:
-            perm = tuple(self.perm if self.perm is not None else range(1, n + 1))
+    def __init__(self, n: int, kind: str, perm: tuple = None, matrix: tuple = None):
+        # kind: "lex" | "deglex" | "degrevlex" | "matrix"
+        # perm: (i_1,...,i_n) with x_{i_1} > ... > x_{i_n}; matrix: n rows of n ints
+        if kind in STANDARD_KINDS:
+            perm = tuple(perm if perm is not None else range(1, n + 1))
             if sorted(perm) != list(range(1, n + 1)):
                 raise OrderError(f"perm {perm} is not a permutation of 1..{n}")
-            object.__setattr__(self, "perm", perm)
-            mat = _standard_rows(n, self.kind, perm)
-        elif self.kind == "matrix":
-            mat = tuple(tuple(int(x) for x in row) for row in self.matrix or ())
+            mat = _standard_rows(n, kind, perm)
+        elif kind == "matrix":
+            mat = tuple(tuple(int(x) for x in row) for row in matrix or ())
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise OrderError(
                     f"order matrix must be {n}x{n}, got row lengths {list(map(len, mat))}"
@@ -115,9 +111,26 @@ class OrderSpec:
             if len(_independent_residuals(mat, n)) != n:
                 raise SingularMatrix("order matrix is singular over Q")
         else:
-            raise OrderError(f"unknown order kind {self.kind!r}")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "columns", tuple(zip(*mat)))
+            raise OrderError(f"unknown order kind {kind!r}")
+        self.n, self.kind, self.perm, self.matrix = n, kind, perm, mat
+        self.columns = tuple(zip(*mat))
+
+    def _key(self):
+        return (self.n, self.kind, self.perm, self.matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"OrderSpec(n={self.n!r}, kind={self.kind!r}, perm={self.perm!r}, "
+            f"matrix={self.matrix!r})"
+        )
 
     def __str__(self):
         if self.kind in STANDARD_KINDS:

@@ -12,18 +12,29 @@ variable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 
 from . import orders
-from .bm import GroebnerResult, PointSet, bm
+from .bm import GroebnerResult, PointSet, RunStats, bm
 from .linalg import EchelonAccumulator
 from .poly import Polynomial, combine
 
 
-@dataclass
 class EssentialSet:
-    ess: tuple  # essential variable indices, descending in the order
-    relations: dict  # var index -> (constant, {essential var index: coeff})
+    """The essential variables and the affine relation of each dropped one."""
+
+    __slots__ = ("ess", "relations")
+
+    def __init__(self, ess: tuple, relations: dict):
+        self.ess = ess  # essential variable indices, descending in the order
+        self.relations = relations  # var index -> (constant, {essential var index: coeff})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ess, self.relations) == (other.ess, other.relations)
+
+    def __repr__(self):
+        return f"EssentialSet(ess={self.ess!r}, relations={self.relations!r})"
 
 
 def essential_variables(points: PointSet, spec) -> EssentialSet:
@@ -111,7 +122,7 @@ def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
                 parts.append((c, Polynomial(by_lead[x_j].terms[1:])))
         G.append(combine(parts, spec, fld))
     G.sort(key=lambda g: orders.order_vector(spec, g.leading_monomial))
-    stats = replace(sub.stats, n_essential=len(es.ess))
+    stats = RunStats(**{**sub.stats.to_dict(), "n_essential": len(es.ess)})
     return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=fld)
 
 

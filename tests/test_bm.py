@@ -2,7 +2,6 @@
 
 import logging
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,9 @@ from pointideal._selftest import GOLDEN_B, GOLDEN_POINTS, golden_G
 from pointideal.bm import (
     DuplicatePoints,
     EmptyPointSet,
+    GroebnerResult,
     PointSet,
+    RunStats,
     bm,
     normal_form,
     occ_skip,
@@ -67,6 +68,41 @@ def test_point_set_validation():
     pts = PointSet(field=QQ, n=1, points=((Fraction(0),),))
     with pytest.raises(orders.OrderError):
         bm(pts, orders.lex(2))
+
+
+def test_point_set_is_a_value():
+    f = Fraction
+    a = PointSet(field=QQ, n=2, points=[[f(1), f(2)], (f(3), f(4))])
+    b = PointSet(QQ, 2, ((f(1), f(2)), (f(3), f(4))))
+    assert a.points == b.points and all(type(p) is tuple for p in a.points)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != PointSet(QQ, 2, a.points[:1])
+    assert a != PointSet(PrimeField(5), 2, ((1, 2), (3, 4)))
+    assert a != (QQ, 2, a.points)
+
+
+def test_run_stats_keys_and_equality():
+    stats = RunStats(field_ops=5, n_essential=2)
+    assert list(stats.to_dict()) == [
+        "element_cmps", "delta_cmps", "field_ops", "functional_calls",
+        "L_max", "n_essential", "wall_time",
+    ]
+    assert list(stats.to_dict().values()) == [0, 0, 5, 0, 0, 2, 0.0]
+    assert RunStats(**stats.to_dict()) == stats and RunStats() != stats
+    with pytest.raises(TypeError):
+        RunStats(**{**stats.to_dict(), "bogus": 1})
+    with pytest.raises(TypeError):
+        hash(stats)
+
+
+def test_result_is_compared_by_value():
+    res = bm(GOLDEN_POINTS, orders.lex(5))
+    copy = GroebnerResult(list(res.G), list(res.B), RunStats(**res.stats.to_dict()), res.spec, res.field)
+    assert copy == res
+    copy.stats.wall_time += 1
+    assert copy != res
+    with pytest.raises(TypeError):
+        hash(res)
 
 
 def test_arity_mismatch_rejected():
@@ -210,7 +246,9 @@ def test_invariants_reject_a_dropped_g_element():
     res = bm(pts, orders.degrevlex(3))
     check_result_invariants(res, pts)
     for k in range(len(res.G)):
-        dropped = replace(res, G=res.G[:k] + res.G[k + 1 :])
+        dropped = GroebnerResult(
+            G=res.G[:k] + res.G[k + 1 :], B=res.B, stats=res.stats, spec=res.spec, field=res.field
+        )
         with pytest.raises(AssertionError):
             check_result_invariants(dropped, pts)
 

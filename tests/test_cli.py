@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,36 @@ def test_basis_duplicate_points(capsys, tmp_path):
     assert code == 1
 
 
+def test_basis_rational_numbers_keep_every_digit(capsys, tmp_path):
+    # both literals are the same float; as rationals they are distinct points
+    p = tmp_path / "close.json"
+    p.write_text('{"field":{"type":"rational"},"n":1,"points":[[0.10000000000000001],[0.1]]}')
+    assert fileio.load_points(p).points == ((Fraction("0.10000000000000001"),), (Fraction(1, 10),))
+    code, out, _ = run_cli(capsys, "basis", str(p))
+    assert code == 0
+    assert json.loads(out)["B"] == [[0], [1]]
+
+
+def test_basis_long_rational_number_is_exact(capsys, tmp_path):
+    # through a float the first point read as 12345678901234567000
+    p = tmp_path / "long.json"
+    p.write_text('{"field":{"type":"rational"},"n":1,"points":[[12345678901234567890.5],[2]]}')
+    code, out, _ = run_cli(capsys, "basis", str(p))
+    assert code == 0
+    a = Fraction("12345678901234567890.5")
+    # (x - a)(x - 2) = x^2 - (a + 2) x + 2a
+    (g,) = json.loads(out)["G"]
+    assert g == [["1", [2]], [str(-(a + 2)), [1]], [str(2 * a), [0]]]
+
+
+def test_basis_prime_field_rejects_decimal_number(capsys, tmp_path):
+    p = tmp_path / "decimal.json"
+    p.write_text('{"field":{"type":"prime","p":7},"n":1,"points":[[1.0],[2]]}')
+    code, out, err = run_cli(capsys, "basis", str(p))
+    assert code == 2 and out == ""
+    assert err == f"error: {p}: point 0, coordinate 0: bad integer literal '1.0'\n"
+
+
 # ---------------------------------------------------------------------------
 # merge
 
@@ -343,6 +374,42 @@ def test_bench_spoly_rejects_huge_s_before_building(capsys, monkeypatch):
     assert code == 1 and out == ""
 
 
+def _spoly_lists_by_order_vector(s):
+    # the family as the paper states it, one full order vector per monomial
+    n = 2 * s
+    spec = orders.degrevlex(n)
+
+    def neg_ov(pairs):
+        exps = [0] * n
+        for var, e in pairs:
+            exps[var - 1] = e
+        return tuple(-x for x in orders.order_vector(spec, tuple(exps)))
+
+    b = [neg_ov([(2, 1), (3, 2)])]
+    if s >= 5:
+        b.append(neg_ov([(3, 2), (4, 1)]))
+    b += [neg_ov([(3, 1), (j + 1, 1), (j + 2, 1)]) for j in range(3, s - 2)]
+    if s >= 4:
+        b.append(neg_ov([(3, 1), (s - 1, 2)]))
+    return [neg_ov([(2, 2), (s, 1)])], b
+
+
+def test_spoly_lists_match_order_vectors():
+    for s in range(3, 41):
+        assert build_spoly_lists(s) == _spoly_lists_by_order_vector(s), s
+
+
+def test_bench_spoly_computes_no_order_vector(capsys, monkeypatch):
+    # an order vector is a 2s x 2s matrix product: s = 1000 took minutes
+    def refuse(spec, exps):
+        raise AssertionError("order_vector was called")
+
+    monkeypatch.setattr(orders, "order_vector", refuse)
+    code, out, _ = run_cli(capsys, "bench-spoly", "--s", "40")
+    assert code == 0
+    assert json.loads(out)["naive"]["element_cmps"] == 40 * 40 - 4
+
+
 def test_spoly_lists_shape():
     for s in (3, 4, 5, 8):
         a, b = build_spoly_lists(s)
@@ -434,6 +501,17 @@ def test_result_round_trip():
             fileio.parse_result(text, spec)
 
 
+def test_parse_result_unknown_stats_key_is_parse_error():
+    # ParseError is what ``main`` reports with exit code 2
+    spec = orders.lex(5)
+    doc = json.loads(fileio.serialize_result(bm(GOLDEN_POINTS, spec)))
+    doc["stats"]["L_min"] = 1
+    with pytest.raises(fileio.ParseError, match="bad stats: .*'L_min'"):
+        fileio.parse_result(json.dumps(doc), spec)
+    del doc["stats"]["L_min"], doc["stats"]["wall_time"]
+    assert fileio.parse_result(json.dumps(doc), spec).stats.wall_time == 0.0
+
+
 def reference_serialize(result):
     """The per-term document that serialize_result writes byte for byte."""
     fld = result.field
@@ -494,3 +572,27 @@ def test_cli_import_loads_exactly_these_modules():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == CLI_MODULES
+
+
+def test_cli_import_loads_no_dataclasses_and_no_test_oracles():
+    # both cost set-up time in every CLI process: ``dataclasses`` compiles
+    # code per class and pulls in ``inspect``, and the test oracles are
+    # hundreds of lines nobody runs there
+    src = str(Path(pointideal.__file__).resolve().parent.parent)
+    code = "; ".join([
+        "import sys",
+        "before = 'dataclasses' in sys.modules",
+        "import pointideal.cli",
+        "from pointideal import oracles",
+        "print(before or 'dataclasses' not in sys.modules)",
+        "print('pointideal._oracles' in sys.modules)",
+        "print(oracles.naive_merge is pointideal.cli.naive_merge)",
+        "print(hasattr(oracles, '__path__'), hasattr(oracles, '__wrapped__'))",
+        "print('pointideal._oracles' in sys.modules)",
+        "print(hasattr(oracles, 'nope'), callable(oracles.abbott_basis))",
+    ])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:-1] == [
+        "True", "False", "True", "False False", "False", "False True",
+    ]

@@ -13,6 +13,7 @@ from pointideal._selftest import (
 from pointideal.deltamerge import (
     ArityMismatch,
     DeltaList,
+    LocateResult,
     delta,
     locate,
     merge_with_sources,
@@ -49,9 +50,8 @@ def test_delta_examples():
 def test_locate_known_split():
     a = DeltaList.from_items(GOLDEN_MERGE_A)
     res = a.locate((2, 1, 0, 1, 1))
-    assert res.index == 4
-    assert res.delta_left == 4
-    assert res.delta_right == 4
+    assert res == LocateResult(index=4, delta_left=4, delta_right=4)
+    assert res != LocateResult(4, 4, None)
 
 
 def test_locate_equal_element():

@@ -137,6 +137,21 @@ def test_order_spec_checked_when_built():
         OrderSpec(2, "matrix", matrix=((1, 0), (0, -1)))
 
 
+def test_order_spec_is_a_value():
+    a, b = lex(3), OrderSpec(3, "lex", (1, 2, 3))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.columns == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # columns, derived from the matrix, take no part in equality or hash
+    b.columns = ()
+    assert a == b and hash(a) == hash(b)
+    assert "columns" not in repr(a)
+    # the same matrix under another kind is another spec
+    assert matrix_order(a.matrix) != a and matrix_order(a.matrix).matrix == a.matrix
+    assert deglex(3, (2, 1, 3)) != deglex(3)
+    assert matrix_order([[1, 1], [0, 1]]) == matrix_order(((1, 1), (0, 1)))
+    assert hash(matrix_order([[1, 1], [0, 1]])) == hash(matrix_order(((1, 1), (0, 1))))
+
+
 def test_parse_order(tmp_path):
     assert parse_order("lex", 3) == lex(3)
     assert parse_order("deglex:2,1,3", 3) == deglex(3, (2, 1, 3))

@@ -173,6 +173,17 @@ def test_lift_matches_per_term_embedding():
         check_result_invariants(lifted, pts)
 
 
+def test_lift_copies_the_stats():
+    spec = orders.lex(5)
+    es = essential_variables(GOLDEN_POINTS, spec)
+    assert es == essential_variables(GOLDEN_POINTS, spec)
+    sub = bm(project(GOLDEN_POINTS, es), orders.restrict(spec, es.ess))
+    before = sub.stats.to_dict()
+    lifted = lift(sub, es, spec)
+    assert sub.stats.to_dict() == before and lifted.stats is not sub.stats
+    assert lifted.stats.to_dict() == {**before, "n_essential": len(es.ess)}
+
+
 def test_projected_wall_time_covers_lift(monkeypatch):
     real_lift = projection.lift
 
