@@ -19,6 +19,7 @@ import time
 from sys import modules
 
 from . import orders
+from ._record import FrozenRecord, Record
 from .deltamerge import compare_from, merge_with_sources
 from .linalg import EchelonAccumulator
 # combine stays bound here so that perfbench's tracer can patch bm.combine
@@ -37,13 +38,13 @@ class EmptyPointSet(PointSetError):
     pass
 
 
-class PointSet:
+class PointSet(FrozenRecord):
     """m distinct points of n coordinates each, over ``field``.
 
     A value: equal point sets compare equal and hash alike.
     """
 
-    __slots__ = ("field", "n", "points")
+    __slots__ = _fields = ("field", "n", "points")
 
     def __init__(self, field, n: int, points):
         pts = tuple(tuple(p) for p in points)  # m tuples of field elements
@@ -55,20 +56,6 @@ class PointSet:
             raise DuplicatePoints("points must be pairwise distinct")
         self.field, self.n, self.points = field, n, pts
 
-    def _key(self):
-        return (self.field, self.n, self.points)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"PointSet(field={self.field!r}, n={self.n!r}, points={self.points!r})"
-
     @property
     def m(self):
         return len(self.points)
@@ -78,10 +65,10 @@ class PointSet:
         return [p[i - 1] for p in self.points]
 
 
-class RunStats:
+class RunStats(Record):
     """Counters and wall time of one run; ``to_dict`` keeps this key order."""
 
-    __slots__ = (
+    __slots__ = _fields = (
         "element_cmps",
         "delta_cmps",
         "field_ops",
@@ -110,31 +97,16 @@ class RunStats:
         self.wall_time = wall_time
 
     def to_dict(self):
-        return {k: getattr(self, k) for k in self.__slots__}
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __repr__(self):
-        return "RunStats(" + ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items()) + ")"
+        return dict(zip(self._fields, self._key()))
 
 
-class GroebnerResult:
+class GroebnerResult(Record):
     """G (Polynomials, ascending leading monomials) and B (ascending monomials)."""
 
-    __slots__ = ("G", "B", "stats", "spec", "field")
+    __slots__ = _fields = ("G", "B", "stats", "spec", "field")
 
     def __init__(self, G: list, B: list, stats: RunStats, spec=None, field=None):
         self.G, self.B, self.stats, self.spec, self.field = G, B, stats, spec, field
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.G, self.B, self.stats, self.spec, self.field) == (
-            other.G, other.B, other.stats, other.spec, other.field
-        )
 
 
 def occ_skip(pe, var: int, occ: int) -> bool:

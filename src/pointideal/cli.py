@@ -40,20 +40,21 @@ def build_spoly_lists(s: int):
     ascending order vectors (negated so they ascend).  s runs from 3 to
     ``SPOLY_MAX_S``; a larger s is refused before anything is built.
 
-    Each monomial has at most three nonzero exponents, so its order vector
-    is the sum of those multiples of the order's columns: O(s) per tuple,
-    where the full matrix product would be O(s^2).
+    Each monomial has at most three nonzero exponents, all on x_2 .. x_n,
+    and column i >= 2 of the degrevlex matrix (rows (1, ..., 1), -e_n, ...,
+    -e_2) is 1 in entry 0 and -1 in entry n+1-i: O(s) per tuple, where the
+    matrix alone is O(s^2), and no matrix is built.
     """
     if not 3 <= s <= SPOLY_MAX_S:
         raise ValueError(f"s must be between 3 and {SPOLY_MAX_S}")
     n = 2 * s
-    columns = orders.degrevlex(n).columns
 
     def neg_ov(pairs):
         ov = [0] * n
         # a variable listed twice has the later exponent (s = 4 lists x_3 twice)
         for var, e in dict(pairs).items():
-            ov = [x - e * c for x, c in zip(ov, columns[var - 1])]
+            ov[0] -= e
+            ov[n + 1 - var] += e
         return tuple(ov)
 
     a_items = [neg_ov([(2, 2), (s, 1)])]

@@ -25,6 +25,8 @@ The loops that locate and merge count their work:
 
 from __future__ import annotations
 
+from ._record import Record
+
 # the merge kernel is pure Python; reported by benchmarks next to timings
 BACKEND = "python"
 
@@ -212,31 +214,18 @@ def delta(v, w) -> int:
     return d
 
 
-class LocateResult:
+class LocateResult(Record):
     """Where ``DeltaList.locate`` put b, with the deltas to its neighbours."""
 
-    __slots__ = ("index", "delta_left", "delta_right")
+    __slots__ = _fields = ("index", "delta_left", "delta_right")
 
     def __init__(self, index: int, delta_left: int | None, delta_right: int | None):
         self.index = index  # number of list items preceding b
         self.delta_left = delta_left  # delta(a_index, b), when index >= 1
         self.delta_right = delta_right  # delta(b, a_{index+1}), when index < len
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.index, self.delta_left, self.delta_right) == (
-            other.index, other.delta_left, other.delta_right
-        )
 
-    def __repr__(self):
-        return (
-            f"LocateResult(index={self.index!r}, delta_left={self.delta_left!r}, "
-            f"delta_right={self.delta_right!r})"
-        )
-
-
-class DeltaList:
+class DeltaList(Record):
     """Lexicographically ascending tuples plus their delta sequence.
 
     Duplicates are allowed and preserved.  ``element_cmps`` and
@@ -244,7 +233,8 @@ class DeltaList:
     this value.
     """
 
-    __slots__ = ("arity", "items", "deltas", "element_cmps", "delta_cmps")
+    _fields = ("arity", "items", "deltas")
+    __slots__ = _fields + ("element_cmps", "delta_cmps")
 
     def __init__(self, arity, items, deltas, element_cmps=0, delta_cmps=0):
         self.arity = arity
@@ -272,14 +262,6 @@ class DeltaList:
 
     def __len__(self):
         return len(self.items)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DeltaList)
-            and self.arity == other.arity
-            and self.items == other.items
-            and self.deltas == other.deltas
-        )
 
     def locate(self, b, hint=1) -> LocateResult:
         """Split position of b per the staged walk over the delta memos.

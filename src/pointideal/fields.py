@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._record import FrozenRecord
+
 
 # CPython's default limit on the digits of an int converted from or to text
 MAX_DIGITS = 4300
@@ -71,7 +73,7 @@ def is_probable_prime(p: int) -> bool:
     return True
 
 
-class RationalField:
+class RationalField(FrozenRecord):
     """The field of arbitrary-precision rationals."""
 
     kind = "rational"
@@ -121,12 +123,6 @@ class RationalField:
     def format(self, a) -> str:
         return str(a)
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational")
-
     def __repr__(self):
         return "QQ"
 
@@ -134,10 +130,11 @@ class RationalField:
         return {"type": "rational"}
 
 
-class PrimeField:
+class PrimeField(FrozenRecord):
     """Z_p for a prime p below 2**63."""
 
     kind = "prime"
+    _fields = ("p",)
 
     def __init__(self, p: int):
         if p < 2:
@@ -183,12 +180,6 @@ class PrimeField:
 
     def format(self, a) -> str:
         return str(a)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime", self.p))
 
     def __repr__(self):
         return f"GF({self.p})"

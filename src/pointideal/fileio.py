@@ -22,9 +22,10 @@ def read_text(path) -> str:
         raise ParseError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
 
 
-def _load_json(text: str, source: str, parse_float=None):
+def _load_json(text: str, source: str):
+    """The JSON value; a non-integer number is left as its literal text."""
     try:
-        return json.loads(text, parse_float=parse_float)
+        return json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -35,9 +36,9 @@ def _load_json(text: str, source: str, parse_float=None):
         raise ParseError(f"{source}: unreadable JSON: nested too deeply") from exc
 
 
-def _load_document(text: str, source: str, keys, parse_float=None):
+def _load_document(text: str, source: str, keys):
     """The top-level object, checked for ``keys``, and its field."""
-    doc = _load_json(text, source, parse_float)
+    doc = _load_json(text, source)
     if not isinstance(doc, dict):
         raise ParseError(f"{source}: top level must be an object")
     for key in keys:
@@ -63,7 +64,7 @@ def parse_points(text: str, source: str = "<points>") -> PointSet:
     ``field.parse`` as its literal text, never through a float, so a
     rational keeps every digit and a prime field rejects it.
     """
-    doc, fld = _load_document(text, source, ("field", "n", "points"), parse_float=str)
+    doc, fld = _load_document(text, source, ("field", "n", "points"))
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"{source}: 'n' must be a positive integer")
@@ -151,7 +152,9 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
     """Round-trip parse of a result document produced by serialize_result.
 
     Every exponent vector in B and G must be a list of ``spec.n``
-    non-negative integers (booleans excluded).
+    non-negative integers (booleans excluded).  As in ``parse_points``, a
+    coefficient written as a JSON number keeps every digit; the
+    ``wall_time`` stat is turned back into a float.
     """
     doc, fld = _load_document(text, source, ("field", "B", "G"))
     n = spec.n
@@ -170,7 +173,8 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
         raise ParseError(f"{source}: bad B or G: {exc}") from exc
     try:
         stats = RunStats(**doc.get("stats", {}))
-    except TypeError as exc:
+        stats.wall_time = float(stats.wall_time)
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{source}: bad stats: {exc}") from exc
     return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=fld)
 

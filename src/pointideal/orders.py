@@ -15,6 +15,7 @@ from math import gcd
 from operator import add, mul
 from pathlib import Path
 
+from ._record import FrozenRecord
 from .fields import QQ
 from .linalg import EchelonAccumulator
 
@@ -77,7 +78,7 @@ def _standard_rows(n, kind, perm):
     return ones + tuple(unit(i, -1) for i in reversed(perm[1:]))
 
 
-class OrderSpec:
+class OrderSpec(FrozenRecord):
     """An admissible order on n variables, held as its integer matrix.
 
     Built from a standard kind and a permutation, or from a matrix; either
@@ -86,7 +87,8 @@ class OrderSpec:
     transposed matrix, is derived from them.
     """
 
-    __slots__ = ("n", "kind", "perm", "matrix", "columns")
+    _fields = ("n", "kind", "perm", "matrix")
+    __slots__ = _fields + ("columns",)
 
     def __init__(self, n: int, kind: str, perm: tuple = None, matrix: tuple = None):
         # kind: "lex" | "deglex" | "degrevlex" | "matrix"
@@ -114,23 +116,6 @@ class OrderSpec:
             raise OrderError(f"unknown order kind {kind!r}")
         self.n, self.kind, self.perm, self.matrix = n, kind, perm, mat
         self.columns = tuple(zip(*mat))
-
-    def _key(self):
-        return (self.n, self.kind, self.perm, self.matrix)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"OrderSpec(n={self.n!r}, kind={self.kind!r}, perm={self.perm!r}, "
-            f"matrix={self.matrix!r})"
-        )
 
     def __str__(self):
         if self.kind in STANDARD_KINDS:

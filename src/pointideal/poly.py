@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 from . import orders
+from ._record import FrozenRecord
 
 
-class Polynomial:
+class Polynomial(FrozenRecord):
     """Terms (coeff, exponent tuple), strictly descending in the active order.
 
     Instances are built through ``from_dict`` so the invariant (no zero
     coefficients, strictly decreasing monomials) always holds.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = _fields = ("terms",)
 
     def __init__(self, terms):
         self.terms = tuple(terms)
@@ -45,12 +46,6 @@ class Polynomial:
         for c, m in self.terms:
             acc = field.add(acc, field.mul(c, evaluate_monomial(field, m, point)))
         return acc
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
 
     def __repr__(self):
         if not self.terms:

@@ -14,27 +14,20 @@ from __future__ import annotations
 import time
 
 from . import orders
+from ._record import Record
 from .bm import GroebnerResult, PointSet, RunStats, bm
 from .linalg import EchelonAccumulator
 from .poly import Polynomial, combine
 
 
-class EssentialSet:
+class EssentialSet(Record):
     """The essential variables and the affine relation of each dropped one."""
 
-    __slots__ = ("ess", "relations")
+    __slots__ = _fields = ("ess", "relations")
 
     def __init__(self, ess: tuple, relations: dict):
         self.ess = ess  # essential variable indices, descending in the order
         self.relations = relations  # var index -> (constant, {essential var index: coeff})
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ess, self.relations) == (other.ess, other.relations)
-
-    def __repr__(self):
-        return f"EssentialSet(ess={self.ess!r}, relations={self.relations!r})"
 
 
 def essential_variables(points: PointSet, spec) -> EssentialSet:

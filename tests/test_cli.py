@@ -1,5 +1,6 @@
 """CLI commands, file formats, and exit codes."""
 
+import importlib.util
 import json
 import os
 import random
@@ -400,11 +401,13 @@ def test_spoly_lists_match_order_vectors():
 
 
 def test_bench_spoly_computes_no_order_vector(capsys, monkeypatch):
-    # an order vector is a 2s x 2s matrix product: s = 1000 took minutes
-    def refuse(spec, exps):
-        raise AssertionError("order_vector was called")
+    # an order vector is a 2s x 2s matrix product: s = 1000 took minutes;
+    # the 2s x 2s matrix alone took 0.4 s and 76 MB at s = 1000
+    def refuse(*args):
+        raise AssertionError("an order vector or an order was built")
 
     monkeypatch.setattr(orders, "order_vector", refuse)
+    monkeypatch.setattr(orders, "degrevlex", refuse)
     code, out, _ = run_cli(capsys, "bench-spoly", "--s", "40")
     assert code == 0
     assert json.loads(out)["naive"]["element_cmps"] == 40 * 40 - 4
@@ -512,6 +515,35 @@ def test_parse_result_unknown_stats_key_is_parse_error():
     assert fileio.parse_result(json.dumps(doc), spec).stats.wall_time == 0.0
 
 
+@pytest.mark.parametrize("literal", ["12345678901234567890.5", "0.10000000000000001", "-7", "1e-3"])
+def test_parse_result_reads_number_coefficients_exactly(literal):
+    # through a float the first two read as 12345678901234567000 and 1/10
+    text = '{"field": {"type": "rational"}, "B": [[0]], "G": [[["1", [1]], [%s, [0]]]]}'
+    (g,) = fileio.parse_result(text % literal, orders.lex(1)).G
+    assert g.terms == ((Fraction(1), (1,)), (Fraction(literal), (0,)))
+
+
+def test_parse_result_prime_field_rejects_decimal_number():
+    text = '{"field": {"type": "prime", "p": 7}, "B": [[0]], "G": [[["1", [1]], [1.0, [0]]]]}'
+    with pytest.raises(fileio.ParseError, match="bad integer literal '1.0'"):
+        fileio.parse_result(text, orders.lex(1))
+
+
+@pytest.mark.parametrize("wall_time", [0.1, 0.123456789012345, 1e-05, 2.0])
+def test_parse_result_wall_time_is_a_float(wall_time):
+    spec = orders.lex(5)
+    res = bm(GOLDEN_POINTS, spec)
+    res.stats.wall_time = wall_time
+    text = fileio.serialize_result(res)
+    back = fileio.parse_result(text, spec)
+    assert type(back.stats.wall_time) is float and back == res
+    assert fileio.serialize_result(back) == text
+    doc = json.loads(text)
+    doc["stats"]["wall_time"] = "soon"
+    with pytest.raises(fileio.ParseError, match="bad stats"):
+        fileio.parse_result(json.dumps(doc), spec)
+
+
 def reference_serialize(result):
     """The per-term document that serialize_result writes byte for byte."""
     fld = result.field
@@ -557,21 +589,28 @@ def test_serialize_result_matches_per_term_document(fld, order, shape):
 # ``oracles`` is loaded because the benchmark's tracer reads it from
 # sys.modules; ``_selftest`` loads only when the selftest command runs
 CLI_MODULES = [
-    "pointideal", "pointideal.bm", "pointideal.cli", "pointideal.deltamerge",
-    "pointideal.fields", "pointideal.fileio", "pointideal.linalg",
-    "pointideal.oracles", "pointideal.orders", "pointideal.poly",
-    "pointideal.projection",
+    "pointideal", "pointideal._record", "pointideal.bm", "pointideal.cli",
+    "pointideal.deltamerge", "pointideal.fields", "pointideal.fileio",
+    "pointideal.linalg", "pointideal.oracles", "pointideal.orders",
+    "pointideal.poly", "pointideal.projection",
 ]
+# source lines those modules hold: every CLI process compiles them
+CLI_LINES = 2119
 
 
 def test_cli_import_loads_exactly_these_modules():
     # a fresh interpreter, so that no other test's imports count; a new
-    # import then shows up here as a deliberate diff
+    # import, or more lines to compile, then shows up here as a deliberate diff
     src = str(Path(pointideal.__file__).resolve().parent.parent)
     code = "import sys, pointideal.cli; print(*sorted(k for k in sys.modules if k.split('.')[0] == 'pointideal'))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == CLI_MODULES
+    lines = sum(
+        len(Path(importlib.util.find_spec(name).origin).read_text(encoding="utf-8").splitlines())
+        for name in CLI_MODULES
+    )
+    assert lines <= CLI_LINES
 
 
 def test_cli_import_loads_no_dataclasses_and_no_test_oracles():
