@@ -41,13 +41,17 @@ class EmptyPointSet(PointSetError):
 class PointSet(FrozenRecord):
     """m distinct points of n coordinates each, over ``field``.
 
-    A value: equal point sets compare equal and hash alike.
+    A value: equal point sets compare equal and hash alike.  Coordinates go
+    through ``field.canonical``, so points equal in the field are duplicates.
     """
 
     __slots__ = _fields = ("field", "n", "points")
 
     def __init__(self, field, n: int, points):
-        pts = tuple(tuple(p) for p in points)  # m tuples of field elements
+        try:  # m tuples of field elements
+            pts = tuple(tuple(map(field.canonical, p)) for p in points)
+        except TypeError as exc:
+            raise PointSetError(f"coordinate not in {field}: {exc}") from None
         if not pts:
             raise EmptyPointSet("at least one point is required")
         if any(len(p) != n for p in pts):
@@ -103,7 +107,8 @@ class RunStats(Record):
 class GroebnerResult(Record):
     """G (Polynomials, ascending leading monomials) and B (ascending monomials)."""
 
-    __slots__ = _fields = ("G", "B", "stats", "spec", "field")
+    _fields = ("G", "B", "spec", "field")  # not stats: the run report
+    __slots__ = _fields + ("stats",)
 
     def __init__(self, G: list, B: list, stats: RunStats, spec=None, field=None):
         self.G, self.B, self.stats, self.spec, self.field = G, B, stats, spec, field
@@ -241,6 +246,9 @@ def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Poly
     Works through evaluations: expresses f(P) in the coordinates of the
     basis evaluation vectors.
     """
+    n = points.n
+    if result.spec.n != n or any(len(m) != n for _c, m in f.terms):
+        raise PointSetError(f"normal_form: arity differs from point arity {n}")
     fld, pts = points.field, points.points
     acc = EchelonAccumulator(points.m, fld)
     for b in result.B:

@@ -105,6 +105,12 @@ class RationalField(FrozenRecord):
     def from_int(self, k: int):
         return Fraction(k)
 
+    def canonical(self, a):
+        """``a`` itself when it is an int or a Fraction, else a TypeError."""
+        if type(a) is Fraction or type(a) is int:
+            return a
+        raise TypeError(f"{type(a).__name__} is not a rational")
+
     def parse(self, text: str):
         """Parse "a/b", an integer or a decimal such as "0.1" or "1e-07".
 
@@ -171,6 +177,12 @@ class PrimeField(FrozenRecord):
 
     def from_int(self, k: int):
         return k % self.p
+
+    def canonical(self, a):
+        """The residue of the int ``a``; ``a`` itself when it is one already."""
+        if type(a) is not int:
+            raise TypeError(f"{type(a).__name__} is not an integer")
+        return a if 0 <= a < self.p else a % self.p
 
     def parse(self, text: str):
         try:

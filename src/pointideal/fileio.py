@@ -111,13 +111,13 @@ def serialize_result(result: GroebnerResult) -> str:
     """Result document: B ascending, G as descending [coeff, exponents] terms.
 
     The text is ``json.dumps`` of the object with keys order, field, n, B
-    (exponent lists), G (lists of [coefficient text, exponent list]) and
-    stats, byte for byte, but written once per monomial rather than once per
-    term: every tail of a G element lies on B, so each B monomial is encoded
-    once and its text is reused for every term on it, and only the leading
+    (exponent lists) and G (lists of [coefficient text, exponent list]),
+    byte for byte, but written once per monomial rather than once per term:
+    every tail of a G element lies on B, so each B monomial is encoded once
+    and its text is reused for every term on it, and only the leading
     monomials, which lie outside B, are encoded one by one.  The coefficient
-    is quoted by hand; ``field.format`` writes only the characters
-    ``-0123456789/``, which JSON writes between quotes unescaped.
+    is quoted by hand; ``field.format`` writes only ``-0123456789/``, which
+    JSON writes between quotes unescaped.  ``result.stats`` is not written.
     """
     fld = result.field
     fmt = fld.format
@@ -132,9 +132,8 @@ def serialize_result(result: GroebnerResult) -> str:
             for g in result.G
         ]
     )
-    stats = json.dumps(result.stats.to_dict())
     # the head's closing brace moves to the end of the document
-    return f'{head[:-1]}, "B": [{B}], "G": [{G}], "stats": {stats}}}'
+    return f'{head[:-1]}, "B": [{B}], "G": [{G}]}}'
 
 
 def _exponents(v, n: int, what: str) -> tuple:
@@ -153,8 +152,8 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
 
     Every exponent vector in B and G must be a list of ``spec.n``
     non-negative integers (booleans excluded).  As in ``parse_points``, a
-    coefficient written as a JSON number keeps every digit; the
-    ``wall_time`` stat is turned back into a float.
+    coefficient written as a JSON number keeps every digit.  The members
+    order, n and an older document's stats are not read; stats are zero.
     """
     doc, fld = _load_document(text, source, ("field", "B", "G"))
     n = spec.n
@@ -171,12 +170,7 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
         ]
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{source}: bad B or G: {exc}") from exc
-    try:
-        stats = RunStats(**doc.get("stats", {}))
-        stats.wall_time = float(stats.wall_time)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{source}: bad stats: {exc}") from exc
-    return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=fld)
+    return GroebnerResult(G=G, B=B, stats=RunStats(), spec=spec, field=fld)
 
 
 def parse_merge_list(text: str, source: str = "<list>"):

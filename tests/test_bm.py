@@ -2,6 +2,7 @@
 
 import logging
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from pointideal.bm import (
     EmptyPointSet,
     GroebnerResult,
     PointSet,
+    PointSetError,
     RunStats,
     bm,
     normal_form,
@@ -26,6 +28,7 @@ from pointideal.bm import (
 from pointideal.deltamerge import compare_from
 from pointideal.fields import PrimeField, QQ
 from pointideal.poly import Polynomial, combine, evaluate_monomial
+from pointideal.projection import bm_projected
 
 
 def test_single_point():
@@ -70,6 +73,30 @@ def test_point_set_validation():
         bm(pts, orders.lex(2))
 
 
+def test_point_set_coordinates_are_field_elements():
+    gf101 = PrimeField(101)
+    # 102 is 1 in GF(101): once taken for a third point, giving |B| = 2 for m = 3
+    with pytest.raises(DuplicatePoints):
+        PointSet(field=gf101, n=1, points=[(1,), (102,), (5,)])
+    pts = PointSet(field=gf101, n=1, points=[(-1,), (102,), (5,)])
+    assert pts.points == ((100,), (1,), (5,))
+    assert len(bm(pts, orders.lex(1)).B) == 3
+    # a canonical value is kept, not rebuilt
+    big = PrimeField(2**61 - 1)
+    x = 2**60 + 12345
+    assert PointSet(field=big, n=1, points=[(x,)]).points[0][0] is x
+    half, three = Fraction(1, 2), 3
+    (p,) = PointSet(field=QQ, n=2, points=[(half, three)]).points
+    assert p[0] is half and p[1] is three
+    with pytest.raises(DuplicatePoints):
+        PointSet(field=QQ, n=1, points=[(Fraction(2),), (2,)])
+    # over QQ a float once failed inside linalg with an AttributeError
+    for fld, bad in [(gf101, True), (gf101, 1.0), (gf101, Fraction(1)), (gf101, "1"),
+                     (QQ, 0.5), (QQ, "1/2"), (QQ, False)]:
+        with pytest.raises(PointSetError, match=re.escape(f"not in {fld}: {type(bad).__name__} is")):
+            PointSet(field=fld, n=2, points=[(0, bad)])
+
+
 def test_point_set_is_a_value():
     f = Fraction
     a = PointSet(field=QQ, n=2, points=[[f(1), f(2)], (f(3), f(4))])
@@ -99,10 +126,21 @@ def test_result_is_compared_by_value():
     res = bm(GOLDEN_POINTS, orders.lex(5))
     copy = GroebnerResult(list(res.G), list(res.B), RunStats(**res.stats.to_dict()), res.spec, res.field)
     assert copy == res
+    # the run report takes no part in the value
     copy.stats.wall_time += 1
+    assert copy == res
+    copy.B.pop()
     assert copy != res
     with pytest.raises(TypeError):
         hash(res)
+
+
+def test_two_runs_on_one_input_are_equal():
+    # their wall times differ; once part of the result, they made it unequal
+    pts = oracles.random_point_set(random.Random(5), PrimeField(32003), 5, 80)
+    spec = orders.degrevlex(5)
+    assert bm(pts, spec) == bm(pts, spec)
+    assert bm_projected(pts, spec, "on") == bm_projected(pts, spec, "on")
 
 
 def test_arity_mismatch_rejected():
@@ -314,6 +352,20 @@ def test_normal_form_known():
         spec,
         QQ,
     )
+
+
+def test_normal_form_rejects_arity_mismatch():
+    pts = oracles.random_point_set(random.Random(3), PrimeField(7), 2, 5)
+    res = bm(pts, orders.lex(2))
+    # the exponents were once zipped against the shorter point
+    with pytest.raises(PointSetError, match="arity"):
+        normal_form(Polynomial([(1, (1, 0, 5))]), res, pts)
+    with pytest.raises(PointSetError, match="arity"):
+        normal_form(Polynomial([(1, (1,))]), res, pts)
+    other = bm(oracles.random_point_set(random.Random(3), PrimeField(7), 3, 5), orders.lex(3))
+    with pytest.raises(PointSetError, match="arity"):
+        normal_form(Polynomial([(1, (1, 0))]), other, pts)
+    assert normal_form(Polynomial([(1, (1, 0))]), res, pts).terms
 
 
 def test_normal_form_fixed_points_and_kernel():

@@ -15,7 +15,7 @@ import pointideal
 from conftest import dependent_point_set
 from pointideal import fileio, oracles, orders
 from pointideal._selftest import GOLDEN_B, GOLDEN_POINTS, golden_G
-from pointideal.bm import bm
+from pointideal.bm import RunStats, bm
 from pointideal.cli import build_spoly_lists, main
 from pointideal.fields import PrimeField, QQ
 from pointideal.linalg import PackedRows
@@ -46,6 +46,9 @@ def run_cli(capsys, *argv):
 
 # ---------------------------------------------------------------------------
 # basis
+
+RESULT_KEYS = ["order", "field", "n", "B", "G"]
+
 
 def expected_result_dict():
     spec = orders.lex(5)
@@ -78,8 +81,24 @@ def test_basis_output_and_stats_files(capsys, points_file, tmp_path):
     assert code == 0 and out == ""
     doc = json.loads(out_file.read_text())
     stats = json.loads(stats_file.read_text())
-    assert doc["stats"] == stats
-    assert stats["functional_calls"] > 0
+    # the run report goes to --stats alone
+    assert list(doc) == RESULT_KEYS
+    assert list(stats) == [
+        "element_cmps", "delta_cmps", "field_ops", "functional_calls",
+        "L_max", "n_essential", "wall_time",
+    ]
+    assert stats["functional_calls"] > 0 and type(stats["wall_time"]) is float
+
+
+def test_basis_twice_writes_identical_bytes(capsys, tmp_path):
+    # once the document held the run's wall time, so no two runs agreed
+    pts = oracles.random_point_set(random.Random(5), PrimeField(32003), 5, 80)
+    src = tmp_path / "points.json"
+    src.write_text(fileio.serialize_points(pts))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert run_cli(capsys, "basis", str(src), "--order", "degrevlex", "--out", str(out))[0] == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_basis_bad_arity_names_row(capsys, tmp_path):
@@ -468,14 +487,8 @@ def test_result_round_trip():
     res = bm(GOLDEN_POINTS, spec)
     text = fileio.serialize_result(res)
     back = fileio.parse_result(text, spec)
-    assert back.B == res.B
-    assert back.G == res.G
-    assert back.stats.to_dict() == res.stats.to_dict()
+    assert back == res
     doc = json.loads(text)
-    doc["stats"]["bogus"] = 1
-    with pytest.raises(fileio.ParseError, match="bogus"):
-        fileio.parse_result(json.dumps(doc), spec)
-    del doc["stats"]["bogus"]
     malformed = [
         "{}",
         json.dumps({**doc, "B": 5}),
@@ -504,15 +517,18 @@ def test_result_round_trip():
             fileio.parse_result(text, spec)
 
 
-def test_parse_result_unknown_stats_key_is_parse_error():
-    # ParseError is what ``main`` reports with exit code 2
+def test_parse_result_ignores_a_legacy_stats_member():
+    # older documents carry the run report; none of it is read, not even a
+    # key or a value that ``RunStats`` would not hold
     spec = orders.lex(5)
-    doc = json.loads(fileio.serialize_result(bm(GOLDEN_POINTS, spec)))
-    doc["stats"]["L_min"] = 1
-    with pytest.raises(fileio.ParseError, match="bad stats: .*'L_min'"):
-        fileio.parse_result(json.dumps(doc), spec)
-    del doc["stats"]["L_min"], doc["stats"]["wall_time"]
-    assert fileio.parse_result(json.dumps(doc), spec).stats.wall_time == 0.0
+    res = bm(GOLDEN_POINTS, spec)
+    doc = json.loads(fileio.serialize_result(res))
+    for stats in [
+        res.stats.to_dict(),
+        {"L_min": 1, "L_max": "abc", "field_ops": 1.5, "n_essential": [3], "wall_time": "soon"},
+    ]:
+        back = fileio.parse_result(json.dumps({**doc, "stats": stats}), spec)
+        assert back == res and back.stats == RunStats()
 
 
 @pytest.mark.parametrize("literal", ["12345678901234567890.5", "0.10000000000000001", "-7", "1e-3"])
@@ -530,18 +546,17 @@ def test_parse_result_prime_field_rejects_decimal_number():
 
 
 @pytest.mark.parametrize("wall_time", [0.1, 0.123456789012345, 1e-05, 2.0])
-def test_parse_result_wall_time_is_a_float(wall_time):
+def test_result_document_leaves_out_the_run_report(wall_time):
+    # the digits of wall_time once moved the document's bytes
     spec = orders.lex(5)
     res = bm(GOLDEN_POINTS, spec)
-    res.stats.wall_time = wall_time
     text = fileio.serialize_result(res)
+    res.stats.wall_time = wall_time
+    assert fileio.serialize_result(res) == text
+    assert list(json.loads(text)) == RESULT_KEYS
     back = fileio.parse_result(text, spec)
-    assert type(back.stats.wall_time) is float and back == res
+    assert back == res and back.stats == RunStats()
     assert fileio.serialize_result(back) == text
-    doc = json.loads(text)
-    doc["stats"]["wall_time"] = "soon"
-    with pytest.raises(fileio.ParseError, match="bad stats"):
-        fileio.parse_result(json.dumps(doc), spec)
 
 
 def reference_serialize(result):
@@ -553,7 +568,6 @@ def reference_serialize(result):
         "n": result.spec.n,
         "B": [list(b) for b in result.B],
         "G": [[[fld.format(c), list(m)] for c, m in g.terms] for g in result.G],
-        "stats": result.stats.to_dict(),
     }
     return json.dumps(doc)
 
@@ -581,9 +595,7 @@ def test_serialize_result_matches_per_term_document(fld, order, shape):
         assert any(c < 0 for c in coeffs) and any(c.denominator > 1 for c in coeffs)
     text = fileio.serialize_result(res)
     assert text == reference_serialize(res)
-    back = fileio.parse_result(text, spec)
-    assert back.B == res.B and back.G == res.G
-    assert back.stats.to_dict() == res.stats.to_dict()
+    assert fileio.parse_result(text, spec) == res
 
 
 # ``oracles`` is loaded because the benchmark's tracer reads it from
@@ -595,7 +607,7 @@ CLI_MODULES = [
     "pointideal.poly", "pointideal.projection",
 ]
 # source lines those modules hold: every CLI process compiles them
-CLI_LINES = 2119
+CLI_LINES = 2133
 
 
 def test_cli_import_loads_exactly_these_modules():
