@@ -1,8 +1,8 @@
 """Test oracles: naive reference implementations and seeded generators.
 
-``pointideal.oracles`` loads this module on first use of any name it does
-not define itself, so the CLI, which needs only ``naive_merge``, never
-compiles it.  Import the names from ``pointideal.oracles``.
+Tests and the selftest command import these names from here; the CLI
+needs only the merge oracle, ``oracles.naive_merge``, and never loads this
+module.
 
 Everything here is deliberately simple; property tests and the selftest
 command compare it with the optimized paths.  The divisibility oracle and

@@ -10,11 +10,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import oracles, orders
+from . import orders
+from ._oracles import (
+    ListRows,
+    abbott_basis,
+    membership_by_evaluation,
+    naive_deltas,
+    random_field,
+    random_point_set,
+)
 from .bm import PointSet, bm
 from .deltamerge import DeltaList
 from .fields import QQ, PrimeField
 from .linalg import PackedRows
+from .oracles import naive_merge
 from .poly import Polynomial
 
 # A merge instance with a known interleaving, including a duplicate pair
@@ -135,13 +144,13 @@ def boolean_vectors(rng, m, n, count):
 
 
 def packed_rows_agree(fld, vectors):
-    """Whether ``PackedRows`` eliminates vectors as ``oracles.ListRows`` does.
+    """Whether ``PackedRows`` eliminates vectors as the test oracle ``ListRows`` does.
 
     Every reduce must give the same residual, coordinates and field ops,
     every insert the same field ops, and the rows and pivots must agree.
     """
     m = len(vectors[0])
-    packed, listed = PackedRows(m, fld), oracles.ListRows(m, fld)
+    packed, listed = PackedRows(m, fld), ListRows(m, fld)
     for v in vectors:
         residual, coords, ops = packed.reduce(packed.vector(v))
         want = listed.reduce(v)
@@ -188,12 +197,12 @@ def run_selftest(seed=0, report=print):
         da = DeltaList.from_items(la, arity=n)
         db = DeltaList.from_items(lb, arity=n)
         out = da.merge(db)
-        expect, _cost = oracles.naive_merge(la, lb)
+        expect, _cost = naive_merge(la, lb)
         s, t = len(la), len(lb)
         bound = max(s, t) + min(s, t) * n
         if (
             out.items != expect
-            or out.deltas != oracles.naive_deltas(expect)
+            or out.deltas != naive_deltas(expect)
             or out.element_cmps > bound
         ):
             bad += 1
@@ -233,15 +242,15 @@ def run_selftest(seed=0, report=print):
     # agreement with the Abbott-style oracle on random point sets
     bad = 0
     for _ in range(10):
-        fld = oracles.random_field(rng)
+        fld = random_field(rng)
         n = rng.randint(1, 4)
         m = rng.randint(1, 8)
-        pts = oracles.random_point_set(rng, fld, n, m)
+        pts = random_point_set(rng, fld, n, m)
         sp = rng.choice(
             [orders.lex(n), orders.deglex(n), orders.degrevlex(n)]
         )
         r1 = bm(pts, sp)
-        r2 = oracles.abbott_basis(pts, sp)
+        r2 = abbott_basis(pts, sp)
         if r1.B != r2.B or r1.G != r2.G:
             bad += 1
     check("agreement with abbott_basis (10 seeded)", bad == 0, f"{bad} mismatches")
@@ -249,12 +258,12 @@ def run_selftest(seed=0, report=print):
     # every basis element vanishes on its points
     bad = 0
     for _ in range(5):
-        fld = oracles.random_field(rng)
+        fld = random_field(rng)
         n = rng.randint(1, 3)
-        pts = oracles.random_point_set(rng, fld, n, rng.randint(1, 6))
+        pts = random_point_set(rng, fld, n, rng.randint(1, 6))
         sp = orders.deglex(n)
         r = bm(pts, sp)
-        if not oracles.membership_by_evaluation(r.G, pts):
+        if not membership_by_evaluation(r.G, pts):
             bad += 1
     check("basis elements vanish (5 seeded)", bad == 0, f"{bad} bad runs")
 

@@ -17,10 +17,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import fileio, orders
+from . import fileio, orders, projection
 from .deltamerge import ArityMismatch, BACKEND, DeltaList
 from .fields import FieldError
-from .bm import PointSetError
 from .oracles import naive_merge
 
 EXIT_OK = 0
@@ -71,9 +70,7 @@ def build_spoly_lists(s: int):
 def cmd_basis(args) -> int:
     points = fileio.load_points(args.points_file)
     spec = orders.parse_order(args.order, points.n)
-    from .projection import bm_projected
-
-    result = bm_projected(points, spec, mode=args.project)
+    result = projection.bm_projected(points, spec, mode=args.project)
     text = fileio.serialize_result(result)
     if args.out:
         with Path(args.out).open("w") as out:
@@ -177,13 +174,7 @@ def main(argv=None) -> int:
     except (fileio.ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        orders.OrderError,
-        FieldError,
-        PointSetError,
-        ArityMismatch,
-        ValueError,
-    ) as exc:
+    except (orders.OrderError, FieldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -8,13 +8,20 @@ only bundle the operations.
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 from ._record import FrozenRecord
 
 
-# CPython's default limit on the digits of an int converted from or to text
+# CPython's default limit on the digits of an int converted from or to text.
+# A result's coefficients outgrow its points, so format and read convert
+# longer numerals through decimal, which has no such limit
 MAX_DIGITS = 4300
+
+# what RationalField.format writes: an integer, or a/b with b not zero
+_RATIO = re.compile(r"[-+]?\d+(/0*[1-9]\d*)?")
 
 
 # characters of a bad literal that an error message quotes
@@ -126,8 +133,19 @@ class RationalField(FrozenRecord):
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {_quote(text)}") from exc
 
+    def read(self, text: str):
+        """``parse``, and an integer or "a/b" of any length, as ``format`` writes."""
+        if len(text) > MAX_DIGITS and _RATIO.fullmatch(text):
+            return Fraction(*[int(Decimal(k)) for k in text.split("/")])
+        return self.parse(text)
+
     def format(self, a) -> str:
-        return str(a)
+        """``str(a)``: "a/b", or the integer when b is 1, of any length."""
+        try:
+            return str(a)
+        except ValueError:  # more than MAX_DIGITS digits
+            num, den = Decimal(a.numerator), Decimal(a.denominator)
+            return f"{num}" if den == 1 else f"{num}/{den}"
 
     def __repr__(self):
         return "QQ"
@@ -189,6 +207,8 @@ class PrimeField(FrozenRecord):
             return int(text.strip(), 10) % self.p
         except ValueError as exc:
             raise ValueError(f"bad integer literal {_quote(text)}") from exc
+
+    read = parse  # format writes residues below p, never long numerals
 
     def format(self, a) -> str:
         return str(a)

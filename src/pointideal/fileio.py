@@ -162,7 +162,7 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
         G = [
             Polynomial(
                 [
-                    (fld.parse(str(c)), _exponents(m, n, f"G[{k}] term {t}"))
+                    (fld.read(str(c)), _exponents(m, n, f"G[{k}] term {t}"))
                     for t, (c, m) in enumerate(terms)
                 ]
             )

@@ -67,7 +67,7 @@ i descending: the tail of the G element t - sum c_i*B[i].
   unpacked list of residues and coords the unpacked history coefficients.
 
 ``field_ops`` counts the same model operations in both stores and in the
-test oracle's list rows (``oracles.ListRows``), as before the stores
+test oracle's list rows (``_oracles.ListRows``), as before the stores
 existed: reducing by a row whose pivot coefficient c is nonzero costs
 2*nnz(row) (a multiply and a subtract per nonzero row entry) plus the
 number of history entries (a multiply each); ``insert`` costs
@@ -314,6 +314,4 @@ class EchelonAccumulator:
 
         The residual must be nonzero; vec gets the next insertion index.
         """
-        idx = self.store.rank
         self.field_ops += self.store.insert(residual, coords)
-        return idx

@@ -1,13 +1,10 @@
-"""Naive reference implementations and seeded generators.
+"""The merge oracle: a classical two-pointer merge and its comparison cost.
 
-Only the merge oracle is defined here: ``bench-spoly`` reports its
-comparison count and the benchmark's tracer replays every merge through
-it, so every CLI process loads this module.  The test oracles (``ListRows``, ``abbott_basis``, ``stepwise_locate``,
-``naive_deltas``, ``membership_by_evaluation`` and the random generators)
-live in ``_oracles`` and load on the first lookup of one of their names
-here, so ``oracles.abbott_basis`` and ``from pointideal.oracles import
-ListRows`` work as if they were defined in this module.  Everything is
-deliberately simple and shares no code with the library.
+``bench-spoly`` reports its comparison count and the benchmark's tracer
+replays every merge through it, so every CLI process loads this module.
+The test oracles live in ``_oracles``, which the CLI never loads; tests
+import them from there by name.  Everything here is deliberately simple
+and shares no code with the library.
 """
 
 from __future__ import annotations
@@ -43,17 +40,3 @@ def naive_merge(a_items, b_items):
     out.extend(a_items[i:])
     out.extend(b_items[j:])
     return out, cost
-
-
-def __getattr__(name):
-    """Any other name, from ``_oracles``, loaded on first use.
-
-    Dunder lookups (``from .oracles import naive_merge`` asks for
-    ``__path__``) never load it.
-    """
-    if not name.startswith("__"):
-        from . import _oracles
-
-        if hasattr(_oracles, name):
-            return getattr(_oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,7 @@ monomials is lexicographic comparison of order vectors.
 from __future__ import annotations
 
 from math import gcd
-from operator import add, mul
+from operator import add
 from pathlib import Path
 
 from ._record import FrozenRecord
@@ -204,9 +204,14 @@ def parse_order(text: str, n: int) -> OrderSpec:
 # order vectors
 
 def order_vector(spec: OrderSpec, exps) -> tuple:
+    """The matrix times exps: e_i times column i, summed over the support."""
     if len(exps) != spec.n:
         raise OrderError(f"arity mismatch: {len(exps)} != {spec.n}")
-    return tuple(sum(map(mul, row, exps)) for row in spec.matrix)
+    ov = [0] * spec.n
+    for col, e in zip(spec.columns, exps):
+        if e:
+            ov = [x + e * c for x, c in zip(ov, col)]
+    return tuple(ov)
 
 
 def order_vector_step(spec: OrderSpec, ov: tuple, i: int) -> tuple:

@@ -7,10 +7,11 @@ from ._record import FrozenRecord
 
 
 class Polynomial(FrozenRecord):
-    """Terms (coeff, exponent tuple), strictly descending in the active order.
-
-    Instances are built through ``from_dict`` so the invariant (no zero
-    coefficients, strictly decreasing monomials) always holds.
+    """Terms (coeff, exponent tuple): no zero coefficient, and monomials
+    strictly descending in the active order.  The constructor trusts its
+    caller to keep this: ``from_dict`` filters and sorts, ``bm`` reads
+    tails off the ascending B in reverse, ``lift`` keeps the sub-run's
+    order, and ``parse_result`` does not check it.
     """
 
     __slots__ = _fields = ("terms",)

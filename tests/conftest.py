@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from pointideal import oracles, orders
+from pointideal import orders
+from pointideal._oracles import (
+    abbott_basis,
+    membership_by_evaluation,
+    random_field,
+    random_matrix_order,
+    random_point_set,
+)
 from pointideal.bm import PointSet, bm
 from pointideal.projection import bm_projected
 
@@ -32,7 +39,7 @@ def check_result_invariants(result, points):
     for g in result.G:
         assert g.leading_coeff == fld.one
         assert all(mo in Bset for _c, mo in g.terms[1:])
-    assert oracles.membership_by_evaluation(result.G, points)
+    assert membership_by_evaluation(result.G, points)
     for a in range(len(ini)):
         for b in range(len(ini)):
             if a != b:
@@ -55,14 +62,14 @@ def random_instance(rng, n_max=10, m_max=30, big_field_cutoff=12):
     n = rng.randint(1, n_max)
     m = rng.randint(1, m_max)
     if m > big_field_cutoff:
-        fld = oracles.random_field(rng)
+        fld = random_field(rng)
         if fld.kind == "rational":
             from pointideal.fields import PrimeField
 
             fld = PrimeField(32003)
     else:
-        fld = oracles.random_field(rng)
-    points = oracles.random_point_set(rng, fld, n, m)
+        fld = random_field(rng)
+    points = random_point_set(rng, fld, n, m)
     return points
 
 
@@ -73,7 +80,7 @@ def dependent_point_set(rng, fld, n_free, n_dep, m):
     dependent one is c0 + sum c_j*x_j with small integer c's, and the
     coordinates are then shuffled.
     """
-    free = oracles.random_point_set(rng, fld, n_free, m)
+    free = random_point_set(rng, fld, n_free, m)
     rel = [
         [fld.from_int(rng.randint(-3, 3)) for _ in range(n_free + 1)]
         for _ in range(n_dep)
@@ -94,7 +101,7 @@ def dependent_point_set(rng, fld, n_free, n_dep, m):
 
 def random_order(rng, n, matrix_every=4):
     if rng.randrange(matrix_every) == 0:
-        return oracles.random_matrix_order(rng, n)
+        return random_matrix_order(rng, n)
     kind = rng.choice([orders.lex, orders.deglex, orders.degrevlex])
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
@@ -110,7 +117,7 @@ def variant_corpus():
         points = random_instance(rng, m_max=30 if k % 3 else 12)
         spec = random_order(rng, points.n)
         r_mmm = bm(points, spec)
-        r_abb = oracles.abbott_basis(points, spec)
+        r_abb = abbott_basis(points, spec)
         runs.append((points, spec, r_mmm, r_abb))
     return runs
 
@@ -123,8 +130,8 @@ def projection_corpus():
     for _ in range(200):
         n = rng.randint(2, 10)
         m = rng.randint(1, n - 1)
-        fld = oracles.random_field(rng)
-        points = oracles.random_point_set(rng, fld, n, m)
+        fld = random_field(rng)
+        points = random_point_set(rng, fld, n, m)
         spec = random_order(rng, n)
         direct = bm(points, spec)
         piped = bm_projected(points, spec, mode="on")

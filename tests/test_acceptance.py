@@ -11,7 +11,8 @@ import time
 import pytest
 
 from conftest import check_result_invariants
-from pointideal import oracles, orders
+from pointideal import orders
+from pointideal._oracles import naive_deltas
 from pointideal._selftest import (
     GOLDEN_B,
     GOLDEN_ESS,
@@ -27,6 +28,7 @@ from pointideal._selftest import (
 from pointideal.bm import bm
 from pointideal.cli import main
 from pointideal.deltamerge import DeltaList, compare_from
+from pointideal.oracles import naive_merge
 from pointideal.projection import essential_variables, project
 
 
@@ -144,10 +146,10 @@ def test_criterion_4_merge_bound(capsys):
             c = DeltaList.from_items(la, arity=n).merge(
                 DeltaList.from_items(lb, arity=n)
             )
-            expect, _cost = oracles.naive_merge(la, lb)
+            expect, _cost = naive_merge(la, lb)
             s, t = len(la), len(lb)
             assert c.items == expect, f"instance {k}"
-            assert c.deltas == oracles.naive_deltas(expect), f"instance {k}"
+            assert c.deltas == naive_deltas(expect), f"instance {k}"
             assert c.element_cmps <= max(s, t) + min(s, t) * n, f"instance {k}"
     with capsys.disabled():
         ok("criterion 4: 1000 seeded merges within bound, equal to naive oracle")

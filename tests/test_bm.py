@@ -11,7 +11,14 @@ from conftest import check_result_invariants, random_instance, random_order
 import importlib
 
 bm_mod = importlib.import_module("pointideal.bm")
-from pointideal import oracles, orders
+from pointideal import orders
+from pointideal._oracles import (
+    abbott_basis,
+    membership_by_evaluation,
+    random_matrix_order,
+    random_monomial,
+    random_point_set,
+)
 from pointideal._selftest import GOLDEN_B, GOLDEN_POINTS, golden_G
 from pointideal.bm import (
     DuplicatePoints,
@@ -52,7 +59,7 @@ def test_two_points_on_a_line():
     ]
 
 
-@pytest.mark.parametrize("basis", [bm, oracles.abbott_basis], ids=["mmm", "abbott"])
+@pytest.mark.parametrize("basis", [bm, abbott_basis], ids=["mmm", "abbott"])
 def test_known_five_variable_instance(basis):
     spec = orders.lex(5)
     res = basis(GOLDEN_POINTS, spec)
@@ -137,7 +144,7 @@ def test_result_is_compared_by_value():
 
 def test_two_runs_on_one_input_are_equal():
     # their wall times differ; once part of the result, they made it unequal
-    pts = oracles.random_point_set(random.Random(5), PrimeField(32003), 5, 80)
+    pts = random_point_set(random.Random(5), PrimeField(32003), 5, 80)
     spec = orders.degrevlex(5)
     assert bm(pts, spec) == bm(pts, spec)
     assert bm_projected(pts, spec, "on") == bm_projected(pts, spec, "on")
@@ -192,7 +199,7 @@ def test_variant_agreement_random():
         pts = random_instance(rng, n_max=5, m_max=10)
         spec = random_order(rng, pts.n)
         r1 = bm(pts, spec)
-        r2 = oracles.abbott_basis(pts, spec)
+        r2 = abbott_basis(pts, spec)
         assert r1.B == r2.B and r1.G == r2.G
         check_result_invariants(r1, pts)
 
@@ -202,7 +209,7 @@ PROBE_ORDERS = {
     "deglex": orders.deglex(5),
     "degrevlex": orders.degrevlex(5),
     "lex-perm": orders.lex(5, (3, 1, 5, 2, 4)),
-    "matrix": oracles.random_matrix_order(random.Random(9), 5),
+    "matrix": random_matrix_order(random.Random(9), 5),
 }
 
 
@@ -215,7 +222,7 @@ def test_probe_deltas_are_those_of_every_monomial(name):
     deltas, cost = probe_deltas(spec, vars_increasing)
     rng = random.Random(5)
     for _ in range(40):
-        t = oracles.random_monomial(rng, spec.n, max_deg=12)
+        t = random_monomial(rng, spec.n, max_deg=12)
         ov = orders.order_vector(spec, t)
         probes = [orders.order_vector_step(spec, ov, i) for i in vars_increasing]
         got = [compare_from(u, w, 1, spec.n) for u, w in zip(probes, probes[1:])]
@@ -225,7 +232,7 @@ def test_probe_deltas_are_those_of_every_monomial(name):
 
 
 def test_progress_logging(caplog):
-    pts = oracles.random_point_set(random.Random(3), PrimeField(101), 3, 25)
+    pts = random_point_set(random.Random(3), PrimeField(101), 3, 25)
     spec = orders.degrevlex(3)
     quiet = bm(pts, spec)
     with caplog.at_level(logging.DEBUG, logger="pointideal.bm"):
@@ -241,10 +248,10 @@ def test_progress_logging(caplog):
 
 def _bm_against_oracle(fld, n, m, order, seed):
     """bm (integer rows) and abbott_basis (list rows) on seeded points."""
-    pts = oracles.random_point_set(random.Random(seed), fld, n, m)
+    pts = random_point_set(random.Random(seed), fld, n, m)
     spec = orders.parse_order(order, n)
     res = bm(pts, spec)
-    ref = oracles.abbott_basis(pts, spec)
+    ref = abbott_basis(pts, spec)
     assert res.B == ref.B and res.G == ref.G
     check_result_invariants(res, pts)
     return res
@@ -268,19 +275,19 @@ def test_membership_by_evaluation_known():
     pts = PointSet(field=QQ, n=2, points=half)
     xy_2 = Polynomial([(QQ.one, (1, 1)), (Fraction(-2), (0, 0))])
     xy_1 = Polynomial([(QQ.one, (1, 1)), (Fraction(-1), (0, 0))])
-    assert oracles.membership_by_evaluation([xy_2], pts)
-    assert not oracles.membership_by_evaluation([xy_2, xy_1], pts)
+    assert membership_by_evaluation([xy_2], pts)
+    assert not membership_by_evaluation([xy_2, xy_1], pts)
     # over GF(7), x^3 - x = x(x - 1)(x + 1) vanishes on 0, 1 and 6; x^3 does not
     gf7 = PrimeField(7)
     pts = PointSet(field=gf7, n=1, points=((0,), (1,), (6,)))
-    assert oracles.membership_by_evaluation([Polynomial([(1, (3,)), (6, (1,))])], pts)
-    assert not oracles.membership_by_evaluation([Polynomial([(1, (3,))])], pts)
+    assert membership_by_evaluation([Polynomial([(1, (3,)), (6, (1,))])], pts)
+    assert not membership_by_evaluation([Polynomial([(1, (3,))])], pts)
 
 
 def test_invariants_reject_a_dropped_g_element():
     # what is left of G still vanishes on the points, is monic with its tails
     # on B and pairwise indivisible; only the missing corner gives it away
-    pts = oracles.random_point_set(random.Random(1), PrimeField(32003), 3, 20)
+    pts = random_point_set(random.Random(1), PrimeField(32003), 3, 20)
     res = bm(pts, orders.degrevlex(3))
     check_result_invariants(res, pts)
     for k in range(len(res.G)):
@@ -322,7 +329,7 @@ def test_evaluate_matches_naive():
     fld = PrimeField(32003)
     for _ in range(50):
         n = rng.randint(1, 4)
-        exps = oracles.random_monomial(rng, n, max_deg=8)
+        exps = random_monomial(rng, n, max_deg=8)
         p = tuple(rng.randrange(fld.p) for _ in range(n))
         expect = 1
         for e, x in zip(exps, p):
@@ -355,14 +362,14 @@ def test_normal_form_known():
 
 
 def test_normal_form_rejects_arity_mismatch():
-    pts = oracles.random_point_set(random.Random(3), PrimeField(7), 2, 5)
+    pts = random_point_set(random.Random(3), PrimeField(7), 2, 5)
     res = bm(pts, orders.lex(2))
     # the exponents were once zipped against the shorter point
     with pytest.raises(PointSetError, match="arity"):
         normal_form(Polynomial([(1, (1, 0, 5))]), res, pts)
     with pytest.raises(PointSetError, match="arity"):
         normal_form(Polynomial([(1, (1,))]), res, pts)
-    other = bm(oracles.random_point_set(random.Random(3), PrimeField(7), 3, 5), orders.lex(3))
+    other = bm(random_point_set(random.Random(3), PrimeField(7), 3, 5), orders.lex(3))
     with pytest.raises(PointSetError, match="arity"):
         normal_form(Polynomial([(1, (1, 0))]), other, pts)
     assert normal_form(Polynomial([(1, (1, 0))]), res, pts).terms
@@ -386,7 +393,7 @@ def test_normal_form_idempotent_and_linear():
         res = bm(pts, spec)
         def rand_poly():
             d = {
-                oracles.random_monomial(rng, pts.n, 4): fld.from_int(
+                random_monomial(rng, pts.n, 4): fld.from_int(
                     rng.randint(-5, 5)
                 )
                 for _ in range(4)

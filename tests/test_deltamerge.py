@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointideal import oracles
+from pointideal._oracles import naive_deltas, stepwise_locate
 from pointideal._selftest import (
     GOLDEN_MERGE_A,
     GOLDEN_MERGE_B,
@@ -18,6 +18,7 @@ from pointideal.deltamerge import (
     locate,
     merge_with_sources,
 )
+from pointideal.oracles import naive_merge
 
 
 def tuples(n, max_entry=3):
@@ -140,14 +141,14 @@ def walk_cases(draw):
 def test_locate_matches_stepwise_oracle(case, before_equal, data):
     # the inline walk returns the stepwise walk's 5-tuple, counters included
     n, items, b = case
-    deltas = oracles.naive_deltas(items)
+    deltas = naive_deltas(items)
     start = data.draw(st.integers(0, len(items)))
     hint = 1
     if start < len(items):
         common = next((j for j in range(n) if items[start][j] != b[j]), n)
         hint = data.draw(st.integers(1, common + 1))
     got = locate(items, deltas, b, n, start, hint, before_equal)
-    assert got == oracles.stepwise_locate(items, deltas, b, n, start, hint, before_equal)
+    assert got == stepwise_locate(items, deltas, b, n, start, hint, before_equal)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +244,9 @@ def test_merge_matches_naive_oracle(data):
     a = DeltaList.from_items(la, arity=n)
     b = DeltaList.from_items(lb, arity=n)
     c = a.merge(b)
-    expect, _cost = oracles.naive_merge(la, lb)
+    expect, _cost = naive_merge(la, lb)
     assert c.items == expect
-    assert c.deltas == oracles.naive_deltas(expect)
+    assert c.deltas == naive_deltas(expect)
     s, t = len(la), len(lb)
     assert c.element_cmps <= max(s, t) + min(s, t) * n
 

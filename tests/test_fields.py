@@ -54,6 +54,19 @@ def test_rational_exponent_bound():
             QQ.parse(text)
 
 
+def test_rational_read_takes_format_at_any_length():
+    for c in (Fraction(-(10**6000) - 7, 3 * 10**5000 + 1), Fraction(1, 10**9000), Fraction(10**5000)):
+        text = QQ.format(c)
+        assert QQ.read(text) == c and len(text) > 5000
+    # point coordinates keep the interpreter's limit on digits
+    with pytest.raises(ValueError):
+        QQ.parse("7" * 5000)
+    for text in ("1/" + "0" * 5000, "1e4300", "7" * 5000 + ".5", "x" * 5000):
+        with pytest.raises(ValueError):
+            QQ.read(text)
+    assert QQ.read("-3/4") == Fraction(-3, 4) and GF5.read("7") == 2
+
+
 def test_prime_examples():
     assert GF5.inv(2) == 3
     assert GF5.parse("7") == 2

@@ -8,10 +8,10 @@ from math import gcd
 import pytest
 
 from pointideal import linalg
+from pointideal._oracles import ListRows
 from pointideal._selftest import boolean_vectors
 from pointideal.fields import PrimeField, QQ
 from pointideal.linalg import EchelonAccumulator, InsertZero, IntRows, PackedRows
-from pointideal.oracles import ListRows
 
 GF = PrimeField(101)
 

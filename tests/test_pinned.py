@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from pointideal import oracles, orders
+from pointideal import orders
+from pointideal._oracles import random_matrix_order, random_point_set
 from pointideal._selftest import GOLDEN_POINTS
 from pointideal.bm import PointSet, bm
 from pointideal.fields import PrimeField, QQ
@@ -43,18 +44,18 @@ def _cases():
     gf = PrimeField(32003)
     yield "golden-lex", GOLDEN_POINTS, orders.lex(5)
     rng = random.Random(2024)
-    yield "gf-n4-m40-degrevlex", oracles.random_point_set(rng, gf, 4, 40), orders.degrevlex(4)
-    yield "qq-n3-m12-lex", oracles.random_point_set(rng, QQ, 3, 12), orders.lex(3)
-    yield "gf-n5-m25-lexperm", oracles.random_point_set(rng, gf, 5, 25), orders.lex(5, (3, 1, 5, 2, 4))
-    yield "qq-n4-m10-degrevlex", oracles.random_point_set(rng, QQ, 4, 10), orders.degrevlex(4)
-    yield "gf101-n3-m30-matrix", oracles.random_point_set(rng, PrimeField(101), 3, 30), oracles.random_matrix_order(rng, 3)
+    yield "gf-n4-m40-degrevlex", random_point_set(rng, gf, 4, 40), orders.degrevlex(4)
+    yield "qq-n3-m12-lex", random_point_set(rng, QQ, 3, 12), orders.lex(3)
+    yield "gf-n5-m25-lexperm", random_point_set(rng, gf, 5, 25), orders.lex(5, (3, 1, 5, 2, 4))
+    yield "qq-n4-m10-degrevlex", random_point_set(rng, QQ, 4, 10), orders.degrevlex(4)
+    yield "gf101-n3-m30-matrix", random_point_set(rng, PrimeField(101), 3, 30), random_matrix_order(rng, 3)
     yield "gf-dependent-deglex", _dependent_points(rng, gf, 3, 20), orders.deglex(6)
     yield "qq-dependent-degrevlex", _dependent_points(rng, QQ, 2, 8), orders.degrevlex(5)
-    yield "gf-dependent-matrix", _dependent_points(rng, gf, 2, 16), oracles.random_matrix_order(rng, 5)
+    yield "gf-dependent-matrix", _dependent_points(rng, gf, 2, 16), random_matrix_order(rng, 5)
     # L_max 1100: long candidate lists with long equal-delta runs in the walk
-    yield "gf-n12-m100-lex", oracles.random_point_set(rng, PrimeField(32003), 12, 100), orders.lex(12)
+    yield "gf-n12-m100-lex", random_point_set(rng, PrimeField(32003), 12, 100), orders.lex(12)
     # the size of a qq-random benchmark instance; last, so earlier draws stay
-    yield "qq-n3-m36-lex", oracles.random_point_set(rng, QQ, 3, 36), orders.lex(3)
+    yield "qq-n3-m36-lex", random_point_set(rng, QQ, 3, 36), orders.lex(3)
     # 0/1 points: about 40 % of the row multipliers in reduce are zero.  Its
     # own generator, so the draws of the cases above stay the same
     yield "gf-n8-m80-boolean-degrevlex", _boolean_points(random.Random(80), gf, 8, 80), orders.degrevlex(8)

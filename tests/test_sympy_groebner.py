@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from pointideal import oracles, orders
+from pointideal import orders
+from pointideal._oracles import random_point_set
 from pointideal.bm import bm
 from pointideal.fields import PrimeField, QQ
 
@@ -34,7 +35,7 @@ def to_sympy(g, xs, fld):
 def test_g_is_sympys_reduced_basis(fld, order, seed):
     rng = random.Random(seed)
     n, m = rng.randint(2, 3), rng.randint(1, 8)
-    points = oracles.random_point_set(rng, fld, n, m)
+    points = random_point_set(rng, fld, n, m)
     G = bm(points, getattr(orders, order)(n)).G
     xs = sympy.symbols(f"x1:{n + 1}")
     ours = [to_sympy(g, xs, fld) for g in G]

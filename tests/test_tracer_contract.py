@@ -57,6 +57,9 @@ def test_tracer_patches_restores_and_records(tmp_path, monkeypatch, capsys):
     assert by_name.get("deltamerge.merge_with_sources")
     assert tr.replay_mismatches == 0
     assert tr.counts["projection.n_dropped"] == 2
+    # counted on the result of the patched projection.bm_projected: a caller
+    # that binds the function itself at import escapes the wrapper, and this reads 0
+    assert by_name.get("projection.bm_projected") and tr.counts["poly.G_terms"] == 29
     # read through the patched EchelonAccumulator.reduce and insert: a row
     # store that bypasses them, or miscounts, moves this value
     assert tr.counts["linalg.field_ops"] == 540
