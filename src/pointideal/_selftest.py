@@ -225,7 +225,7 @@ def run_selftest(seed=0, report=print):
         es.ess == GOLDEN_ESS and sub.points == GOLDEN_PROJECTED,
         f"ess={es.ess} pts={sub.points}",
     )
-    proj = bm_projected(GOLDEN_POINTS, spec, mode="on")
+    proj = bm_projected(GOLDEN_POINTS, spec)
     check(
         "projected pipeline equals direct run",
         proj.B == res.B and proj.G == res.G,

@@ -110,7 +110,7 @@ class GroebnerResult(Record):
     _fields = ("G", "B", "spec", "field")  # not stats: the run report
     __slots__ = _fields + ("stats",)
 
-    def __init__(self, G: list, B: list, stats: RunStats, spec=None, field=None):
+    def __init__(self, G: list, B: list, stats: RunStats, spec, field):
         self.G, self.B, self.stats, self.spec, self.field = G, B, stats, spec, field
 
 

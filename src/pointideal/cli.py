@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    basis        compute G and B for a point-set file
+    basis        compute G and B for a point-set file, in the essential variables
     merge        merge two sorted tuple-list files, showing the memo sequence
     bench-spoly  comparison-count benchmark on a structured merge family
     selftest     cross-check optimized paths against naive oracles
@@ -70,7 +70,7 @@ def build_spoly_lists(s: int):
 def cmd_basis(args) -> int:
     points = fileio.load_points(args.points_file)
     spec = orders.parse_order(args.order, points.n)
-    result = projection.bm_projected(points, spec, mode=args.project)
+    result = projection.bm_projected(points, spec)
     text = fileio.serialize_result(result)
     if args.out:
         with Path(args.out).open("w") as out:
@@ -146,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("basis", help="compute G and B for a point-set file")
     b.add_argument("points_file")
     b.add_argument("--order", default="lex", help="order spec, e.g. deglex:2,1,3")
-    b.add_argument("--project", choices=("auto", "on", "off"), default="auto")
+    # hidden, ignored: frozen perfbench/workloads.py passes it; ROADMAP item 5 drops both
+    b.add_argument("--project", choices=("auto",), help=argparse.SUPPRESS)
     b.add_argument("--out", help="result file (default: stdout)")
     b.add_argument("--stats", help="also write run statistics to this file")
     b.set_defaults(func=cmd_basis)

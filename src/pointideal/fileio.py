@@ -15,9 +15,10 @@ class ParseError(ValueError):
 
 
 def read_text(path) -> str:
-    """The file's text as UTF-8; undecodable bytes are a ParseError naming it."""
+    """The file's UTF-8 text, less any byte-order mark; bad bytes are a ParseError naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # not "utf-8-sig": its error offsets would not count the mark
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
 

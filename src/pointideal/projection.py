@@ -115,28 +115,25 @@ def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
                 parts.append((c, Polynomial(by_lead[x_j].terms[1:])))
         G.append(combine(parts, spec, fld))
     G.sort(key=lambda g: orders.order_vector(spec, g.leading_monomial))
-    stats = RunStats(**{**sub.stats.to_dict(), "n_essential": len(es.ess)})
+    stats = RunStats(**sub.stats.to_dict())
     return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=fld)
 
 
-def bm_projected(points: PointSet, spec, mode="auto") -> GroebnerResult:
+def bm_projected(points: PointSet, spec) -> GroebnerResult:
     """Essential-variable pipeline around the base algorithm.
 
-    mode "auto" projects only when it shrinks the ring, "on" always runs the
-    pipeline, "off" delegates to the direct algorithm.  The result's
-    ``wall_time`` covers the whole call: scan, projection, sub-run and lift.
+    The scan always runs; the points are projected when it drops a variable.
+    ``n_essential`` is the scan's count (n when none drops) and ``wall_time``
+    covers the whole call: scan, projection, sub-run and lift.
     """
-    if mode not in ("auto", "on", "off"):
-        raise ValueError(f"unknown projection mode {mode!r}")
-    if mode == "off":
-        return bm(points, spec)
     t0 = time.perf_counter()
     es = essential_variables(points, spec)
-    if mode == "auto" and len(es.ess) == points.n:
+    if len(es.ess) == points.n:
         result = bm(points, spec)
     else:
         sub_points = project(points, es)
         sub_spec = orders.restrict(spec, es.ess)
         result = lift(bm(sub_points, sub_spec), es, spec)
+    result.stats.n_essential = len(es.ess)
     result.stats.wall_time = time.perf_counter() - t0
     return result

@@ -134,6 +134,6 @@ def projection_corpus():
         points = random_point_set(rng, fld, n, m)
         spec = random_order(rng, n)
         direct = bm(points, spec)
-        piped = bm_projected(points, spec, mode="on")
+        piped = bm_projected(points, spec)
         runs.append((points, spec, direct, piped))
     return runs

@@ -70,9 +70,7 @@ def test_criterion_1_golden_basis(capsys, tmp_path):
                 }
             )
         )
-        code = main(
-            ["basis", str(pts_file), "--order", "lex", "--project", "on"]
-        )
+        code = main(["basis", str(pts_file), "--order", "lex"])
         out = capsys.readouterr().out
         assert code == 0
         doc = json.loads(out)

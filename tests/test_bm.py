@@ -142,12 +142,21 @@ def test_result_is_compared_by_value():
         hash(res)
 
 
+def test_result_requires_spec_and_field():
+    # without them it failed only later, in serialize_result or normal_form
+    res = bm(GOLDEN_POINTS, orders.lex(5))
+    with pytest.raises(TypeError):
+        GroebnerResult(res.G, res.B, res.stats)
+    with pytest.raises(TypeError):
+        GroebnerResult(res.G, res.B, res.stats, res.spec)
+
+
 def test_two_runs_on_one_input_are_equal():
     # their wall times differ; once part of the result, they made it unequal
     pts = random_point_set(random.Random(5), PrimeField(32003), 5, 80)
     spec = orders.degrevlex(5)
     assert bm(pts, spec) == bm(pts, spec)
-    assert bm_projected(pts, spec, "on") == bm_projected(pts, spec, "on")
+    assert bm_projected(pts, spec) == bm_projected(pts, spec)
 
 
 def test_arity_mismatch_rejected():
@@ -320,7 +329,7 @@ def test_stats_bounds():
         assert len(res.G) <= n + min(n, m - 1) * m
         assert res.stats.functional_calls <= len(res.G) + m
         # in the projected ring the batch width is at most min(n, m-1)
-        piped = bm_projected(pts, spec, mode="on")
+        piped = bm_projected(pts, spec)
         assert piped.stats.L_max <= min(n, m - 1) * m + n
 
 

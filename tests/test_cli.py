@@ -62,14 +62,26 @@ def expected_result_dict():
 
 
 def test_basis_known_instance(capsys, points_file):
-    for project in ("auto", "on", "off"):
-        code, out, _ = run_cli(
-            capsys, "basis", str(points_file), "--order", "lex", "--project", project
-        )
-        assert code == 0
-        doc = json.loads(out)
-        exp = expected_result_dict()
-        assert doc["B"] == exp["B"] and doc["G"] == exp["G"]
+    code, out, _ = run_cli(capsys, "basis", str(points_file), "--order", "lex")
+    assert code == 0
+    doc = json.loads(out)
+    exp = expected_result_dict()
+    assert doc["B"] == exp["B"] and doc["G"] == exp["G"]
+
+
+def test_basis_project_is_hidden_and_accepts_only_auto(capsys, points_file):
+    # perfbench/workloads.py passes --project auto; the run is the same
+    plain = run_cli(capsys, "basis", str(points_file), "--order", "lex")
+    assert plain[0] == 0
+    assert run_cli(capsys, "basis", str(points_file), "--order", "lex", "--project", "auto") == plain
+    for project in ("on", "off"):
+        with pytest.raises(SystemExit) as exc:
+            main(["basis", str(points_file), "--project", project])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--help"])
+    assert exc.value.code == 0 and "--project" not in capsys.readouterr().out
 
 
 def test_basis_output_and_stats_files(capsys, points_file, tmp_path):
@@ -137,10 +149,12 @@ NOT_UTF8 = b"\xff\xfe{\x00}\x00"
 
 def test_basis_undecodable_points_file_is_parse_error(capsys, tmp_path):
     p = tmp_path / "utf16.json"
-    p.write_bytes(NOT_UTF8)
-    code, out, err = run_cli(capsys, "basis", str(p))
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: {p}: not UTF-8 text: byte 0:")
+    # the offset of a bad byte after a UTF-8 byte-order mark counts the mark
+    for data, at in ((NOT_UTF8, 0), ("\ufeff".encode() + NOT_UTF8, 3)):
+        p.write_bytes(data)
+        code, out, err = run_cli(capsys, "basis", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {p}: not UTF-8 text: byte {at}:")
 
 
 def test_basis_undecodable_order_matrix_is_parse_error(capsys, points_file, tmp_path):
@@ -165,12 +179,9 @@ def test_basis_bad_order(capsys, points_file, tmp_path):
     two.write_text('{"field":{"type":"prime","p":101},"n":2,"points":[[0,1],[1,0]]}')
     for text in ("1\n", "1 0 0\n0 1 0\n0 0 1\n", ""):
         grid.write_text(text)
-        for project in ("auto", "on", "off"):
-            code, out, err = run_cli(
-                capsys, "basis", str(two), "--order", f"matrix:{grid}", "--project", project
-            )
-            assert code == 1 and out == ""
-            assert err.startswith("error: order matrix must be 2x2")
+        code, out, err = run_cli(capsys, "basis", str(two), "--order", f"matrix:{grid}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: order matrix must be 2x2")
 
 
 def test_basis_bad_order_perm_is_parse_error(capsys, tmp_path):
@@ -298,6 +309,28 @@ def test_basis_prime_field_rejects_decimal_number(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # merge
 
+# the UTF-8 byte-order mark that Notepad and PowerShell 5 write
+BOM = "\ufeff".encode()
+
+
+def test_basis_points_file_with_byte_order_mark(capsys, points_file, tmp_path):
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(BOM + points_file.read_bytes())
+    assert fileio.load_points(bom) == fileio.load_points(points_file)
+    plain = run_cli(capsys, "basis", str(points_file))
+    assert plain[0] == 0 and run_cli(capsys, "basis", str(bom)) == plain
+
+
+def test_basis_order_matrix_with_byte_order_mark(capsys, points_file, tmp_path):
+    grid, bom = tmp_path / "A.txt", tmp_path / "bom.txt"
+    grid.write_text("1 1 1 1 1\n0 0 0 0 -1\n0 0 0 -1 0\n0 0 -1 0 0\n0 -1 0 0 0\n")
+    bom.write_bytes(BOM + grid.read_bytes())
+    assert orders.parse_order(f"matrix:{bom}", 5) == orders.parse_order(f"matrix:{grid}", 5)
+    plain = run_cli(capsys, "basis", str(points_file), "--order", f"matrix:{grid}")
+    assert plain[0] == 0
+    assert run_cli(capsys, "basis", str(points_file), "--order", f"matrix:{bom}") == plain
+
+
 def write_list(path, items):
     path.write_text("".join(",".join(map(str, t)) + "\n" for t in items))
 
@@ -375,6 +408,16 @@ def test_merge_undecodable_list_is_parse_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "merge", str(fa), str(fb))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {fb}: not UTF-8 text: byte 4:")
+
+
+def test_merge_list_with_byte_order_mark(capsys, tmp_path):
+    fa, fb, bom = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "bom.txt"
+    write_list(fa, [(1, 2), (3, 4)])
+    write_list(fb, [(2, 2)])
+    bom.write_bytes(BOM + fa.read_bytes())
+    assert fileio.load_merge_list(bom) == fileio.load_merge_list(fa)
+    plain = run_cli(capsys, "merge", str(fa), str(fb))
+    assert plain[0] == 0 and run_cli(capsys, "merge", str(bom), str(fb)) == plain
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +644,7 @@ def test_serialize_result_matches_per_term_document(fld, order, shape):
         assert res.stats.n_essential == 2
     elif shape == "single-projected":
         pts = random_point_set(rng, fld, 5, 1)
-        res = bm_projected(pts, spec, mode="on")
+        res = bm_projected(pts, spec)
         assert res.stats.n_essential == 0
     else:
         pts = random_point_set(rng, fld, 5, 1 if shape == "single" else 15)
@@ -623,7 +666,7 @@ CLI_MODULES = [
     "pointideal.poly", "pointideal.projection",
 ]
 # source lines those modules hold: every CLI process compiles them
-CLI_LINES = 2131
+CLI_LINES = 2130
 
 
 def test_cli_import_loads_exactly_these_modules():

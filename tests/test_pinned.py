@@ -1,8 +1,8 @@
 """Exact outputs and counters, pinned so that refactors cannot move them.
 
-Each case is run direct (``bm``) and through the projection pipeline with
-``mode="on"``.  The pinned values are every ``RunStats`` field except
-``wall_time`` plus a digest of B and G.
+Each case is run direct (``bm``) and through the projection pipeline
+(``bm_projected``), in the columns "direct" and "on".  The pinned values
+are every ``RunStats`` field except ``wall_time`` plus a digest of B and G.
 """
 
 import hashlib
@@ -82,7 +82,7 @@ def observe_all():
     for name, points, spec in _cases():
         out[name] = {
             "direct": _observed(bm(points, spec)),
-            "on": _observed(bm_projected(points, spec, mode="on")),
+            "on": _observed(bm_projected(points, spec)),
         }
     return out
 

@@ -1,5 +1,6 @@
 """Essential variables, projection, and lifting."""
 
+import inspect
 import random
 import time
 from fractions import Fraction
@@ -49,7 +50,7 @@ def test_known_projection_and_sub_run():
     full = lift(sub, es, spec)
     direct = bm(GOLDEN_POINTS, spec)
     assert full.B == direct.B and full.G == direct.G
-    assert full.stats.n_essential == 2
+    assert bm_projected(GOLDEN_POINTS, spec).stats.n_essential == 2
 
 
 def test_single_point_has_no_essential_variables():
@@ -61,8 +62,8 @@ def test_single_point_has_no_essential_variables():
         2: (Fraction(0), {}),
         3: (Fraction(5), {}),
     }
-    res = bm_projected(pts, orders.deglex(3), mode="on")
-    assert res.B == [(0, 0, 0)]
+    res = bm_projected(pts, orders.deglex(3))
+    assert res.B == [(0, 0, 0)] and res.stats.n_essential == 0
     check_result_invariants(res, pts)
 
 
@@ -71,10 +72,30 @@ def test_generic_points_keep_all_variables():
     fld = random_field(rng)
     pts = random_point_set(rng, fld, 3, 9)
     es = essential_variables(pts, orders.lex(3))
-    if len(es.ess) == 3:  # generic case: nothing to project
-        assert es.relations == {}
-        direct = bm(pts, orders.lex(3))
-        assert bm_projected(pts, orders.lex(3), mode="auto").G == direct.G
+    assert len(es.ess) == 3 and es.relations == {}  # generic: nothing to project
+    direct = bm(pts, orders.lex(3))
+    piped = bm_projected(pts, orders.lex(3))
+    assert piped.B == direct.B and piped.G == direct.G
+    # the scan's count, not the None of a bare bm()
+    assert piped.stats.n_essential == 3 and direct.stats.n_essential is None
+    assert {**piped.stats.to_dict(), "n_essential": None, "wall_time": 0} == {
+        **direct.stats.to_dict(), "wall_time": 0
+    }
+
+
+def test_lift_with_every_variable_essential_is_the_identity():
+    # bm_projected runs bm itself when nothing drops; the lift must still
+    # reindex an all-essential sub-run back to the direct result
+    rng = random.Random(41)
+    for fld in (QQ, PrimeField(32003)):
+        pts = random_point_set(rng, fld, 3, 12)
+        spec = orders.deglex(3, (2, 3, 1))
+        es = essential_variables(pts, spec)
+        assert len(es.ess) == 3 and es.relations == {}
+        sub = bm(project(pts, es), orders.restrict(spec, es.ess))
+        full = lift(sub, es, spec)
+        direct = bm(pts, spec)
+        assert full.B == direct.B and full.G == direct.G
 
 
 def test_relation_properties_random():
@@ -112,10 +133,10 @@ def test_pipeline_equals_direct_random():
         pts = random_point_set(rng, fld, n, m)
         spec = random_order(rng, n)
         direct = bm(pts, spec)
-        for mode in ("auto", "on", "off"):
-            piped = bm_projected(pts, spec, mode=mode)
-            assert piped.B == direct.B and piped.G == direct.G
+        piped = bm_projected(pts, spec)
+        assert piped.B == direct.B and piped.G == direct.G
         es = essential_variables(pts, spec)
+        assert piped.stats.n_essential == len(es.ess)
         ess_set = set(es.ess)
         for b in direct.B:
             for i, e in enumerate(b, start=1):
@@ -182,7 +203,8 @@ def test_lift_copies_the_stats():
     before = sub.stats.to_dict()
     lifted = lift(sub, es, spec)
     assert sub.stats.to_dict() == before and lifted.stats is not sub.stats
-    assert lifted.stats.to_dict() == {**before, "n_essential": len(es.ess)}
+    # bm_projected, not the lift, fills in n_essential and wall_time
+    assert lifted.stats.to_dict() == before
 
 
 @pytest.mark.parametrize("order", ["lex", "degrevlex"])
@@ -211,20 +233,46 @@ def test_projected_wall_time_covers_lift(monkeypatch):
         return real_lift(*args)
 
     monkeypatch.setattr(projection, "lift", slow_lift)
-    res = bm_projected(GOLDEN_POINTS, orders.lex(5), mode="on")
+    res = bm_projected(GOLDEN_POINTS, orders.lex(5))
     assert res.stats.wall_time >= 0.05
 
 
 def test_projection_mode_validation():
-    with pytest.raises(ValueError):
-        bm_projected(GOLDEN_POINTS, orders.lex(5), mode="sometimes")
+    # projection is not an option: the scan always runs
+    assert list(inspect.signature(bm_projected).parameters) == ["points", "spec"]
+    for mode in ("auto", "on", "off"):
+        with pytest.raises(TypeError):
+            bm_projected(GOLDEN_POINTS, orders.lex(5), mode=mode)
 
 
 def test_order_arity_checked_before_scan():
     f = Fraction
     pts = PointSet(field=QQ, n=2, points=((f(0), f(1)), (f(1), f(0))))
-    for mode in ("auto", "on", "off"):
-        with pytest.raises(orders.OrderError):
-            bm_projected(pts, orders.lex(3), mode=mode)
+    with pytest.raises(orders.OrderError):
+        bm_projected(pts, orders.lex(3))
     with pytest.raises(orders.OrderError):
         essential_variables(pts, orders.lex(3))
+
+
+@pytest.mark.parametrize(
+    "fld, n_free, n_dep, m",
+    [(PrimeField(32003), 3, 5, 100), (QQ, 3, 2, 30)],
+    ids=["GFp-3+5-m100", "QQ-3+2-m30"],
+)
+def test_projection_at_benchmark_size(fld, n_free, n_dep, m):
+    # the first is gfp-dependent's largest shape
+    pts = dependent_point_set(random.Random(m), fld, n_free, n_dep, m)
+    res = bm_projected(pts, orders.degrevlex(pts.n))
+    assert res.stats.n_essential == n_free
+    check_result_invariants(res, pts)
+
+
+def test_projection_equals_direct_at_m300():
+    # 4 free + 8 affine coordinates; the invariant check alone would take
+    # several seconds here, so the direct run is the reference
+    pts = dependent_point_set(random.Random(300), PrimeField(32003), 4, 8, 300)
+    spec = orders.degrevlex(12)
+    res = bm_projected(pts, spec)
+    direct = bm(pts, spec)
+    assert res.stats.n_essential == 4
+    assert res.B == direct.B and res.G == direct.G

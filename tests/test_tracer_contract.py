@@ -2,7 +2,8 @@
 
 ``perfbench/tracer.py`` wraps library functions by module attribute name, so
 renaming or unbinding one of them breaks the traced benchmark run; this test
-runs the tracer over one projected CLI call.
+runs the tracer over one projected CLI call, with ``--project auto`` as
+``perfbench/workloads.py`` passes it.
 """
 
 import json
@@ -35,7 +36,7 @@ def test_tracer_patches_restores_and_records(tmp_path, monkeypatch, capsys):
         code = tr.call(
             "cli.main",
             cli.main,
-            (["basis", str(src), "--order", "degrevlex", "--project", "on"],),
+            (["basis", str(src), "--order", "degrevlex", "--project", "auto"],),
         )
     finally:
         tr.uninstall()
