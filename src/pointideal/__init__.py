@@ -19,7 +19,7 @@ from .bm import (
     bm,
     normal_form,
 )
-from .deltamerge import BACKEND, ArityMismatch, DeltaList, LocateResult, delta
+from .deltamerge import BACKEND, ArityMismatch, DeltaList, delta
 from .fields import (
     DivisionByZero,
     FieldError,
@@ -75,7 +75,6 @@ __all__ = [
     "EssentialSet",
     "FieldError",
     "GroebnerResult",
-    "LocateResult",
     "NonAdmissibleColumn",
     "NotPrime",
     "OrderError",

@@ -4,8 +4,9 @@ Tests and the selftest command import these names from here; the CLI
 needs only the merge oracle, ``oracles.naive_merge``, and never loads this
 module.
 
-Everything here is deliberately simple; property tests and the selftest
-command compare it with the optimized paths.  The divisibility oracle and
+Everything here is deliberately simple; the tests compare it with the
+optimized paths, and selftest uses only ``naive_deltas`` and
+``random_point_set``.  The divisibility oracle and
 ``stepwise_locate`` (the memo walk one comparison call per step) share no
 code with the library.  ``abbott_basis`` shares no elimination code with
 ``bm`` and builds each G element from its own coordinates over B, sorted
@@ -153,9 +154,7 @@ def stepwise_locate(items, deltas, b, n, start=0, hint=1, before_equal=True):
 
 def naive_divisibility_filter(t, L_monomials, ini_G) -> bool:
     """True iff t is a multiple of something in L or of a leading monomial."""
-    return any(orders.monomial_divides(l, t) for l in L_monomials) or any(
-        orders.monomial_divides(g, t) for g in ini_G
-    )
+    return any(all(a <= b for a, b in zip(d, t)) for d in [*L_monomials, *ini_G])
 
 
 def abbott_basis(points: PointSet, spec) -> GroebnerResult:
@@ -202,38 +201,6 @@ def abbott_basis(points: PointSet, spec) -> GroebnerResult:
             entry = (orders.order_vector(spec, cand), cand, b_index, i)
             bisect.insort(L, entry, key=lambda e: e[0])
     return GroebnerResult(G=G, B=B, stats=RunStats(), spec=spec, field=fld)
-
-
-def membership_by_evaluation(polys, points: PointSet) -> bool:
-    """True iff every polynomial of polys vanishes on every point.
-
-    A polynomial vanishing on the points lies in their vanishing ideal.  Per
-    point, the value of each monomial in polys is computed once, by one
-    multiplication from the monomial with one degree less in its first
-    occurring variable, and shared by all of polys.
-    """
-    fld = points.field
-    polys = list(polys)
-    monomials = {mo for f in polys for _c, mo in f.terms}
-    one = (0,) * points.n
-    for point in points.points:
-        value = {one: fld.one}
-        for exps in monomials:
-            # descend to a known monomial, then multiply back up
-            path = []
-            while exps not in value:
-                i = next(k for k, e in enumerate(exps) if e)
-                path.append((exps, i))
-                exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-            v = value[exps]
-            for exps, i in reversed(path):
-                v = value[exps] = fld.mul(v, point[i])
-        for f in polys:
-            # sum unreduced products (ints or Fractions), then one canonical add
-            total = sum(c * value[mo] for c, mo in f.terms)
-            if fld.add(total, fld.zero) != fld.zero:
-                return False
-    return True
 
 
 def random_point_set(rng: random.Random, field, n, m) -> PointSet:

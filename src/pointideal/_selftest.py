@@ -1,8 +1,10 @@
 """Known-answer data and the self-check suite behind ``selftest``.
 
 The golden merge instance and the golden basis instance are exported so the
-test suite can reuse them; ``run_selftest`` cross-checks the optimized paths
-against the naive oracles and the known answers.
+test suite can reuse them.  ``run_selftest`` checks the merge against the
+golden instance and the naive merge, the basis and the projection against
+the golden answers, and certifies seeded runs over GF(p) and QQ, direct
+and projected, with ``certify.verify_result``.
 """
 
 from __future__ import annotations
@@ -11,20 +13,14 @@ import random
 from fractions import Fraction
 
 from . import orders
-from ._oracles import (
-    ListRows,
-    abbott_basis,
-    membership_by_evaluation,
-    naive_deltas,
-    random_field,
-    random_point_set,
-)
+from ._oracles import naive_deltas, random_point_set
 from .bm import PointSet, bm
+from .certify import VerificationError, verify_result
 from .deltamerge import DeltaList
 from .fields import QQ, PrimeField
-from .linalg import PackedRows
 from .oracles import naive_merge
 from .poly import Polynomial
+from .projection import bm_projected, essential_variables, project
 
 # A merge instance with a known interleaving, including a duplicate pair
 # that exercises the tie rule (items of the second list go first).
@@ -126,43 +122,8 @@ def _random_sorted_list(rng, n, max_len):
     return items
 
 
-def boolean_vectors(rng, m, n, count):
-    """count evaluation vectors of monomials at m distinct 0/1 points.
-
-    Each is the product of up to four coordinate columns of the n-variable
-    points, as the vectors of ``bm`` are products of coordinate columns.
-    """
-    points = rng.sample(range(1 << n), m)
-    columns = [[x >> j & 1 for x in points] for j in range(n)]
-    vectors = []
-    for _ in range(count):
-        v = [1] * m
-        for j in rng.sample(range(n), rng.randint(0, 4)):
-            v = [a * b for a, b in zip(v, columns[j])]
-        vectors.append(v)
-    return vectors
-
-
-def packed_rows_agree(fld, vectors):
-    """Whether ``PackedRows`` eliminates vectors as the test oracle ``ListRows`` does.
-
-    Every reduce must give the same residual, coordinates and field ops,
-    every insert the same field ops, and the rows and pivots must agree.
-    """
-    m = len(vectors[0])
-    packed, listed = PackedRows(m, fld), ListRows(m, fld)
-    for v in vectors:
-        residual, coords, ops = packed.reduce(packed.vector(v))
-        want = listed.reduce(v)
-        if (residual, packed.coordinates(coords), ops) != want:
-            return False
-        if any(residual) and packed.insert(residual, coords) != listed.insert(*want[:2]):
-            return False
-    return packed.pivots == listed.pivots and packed.rows() == listed.rows()
-
-
 def run_selftest(seed=0, report=print):
-    """Cross-check optimized paths against oracles; returns the failure count.
+    """Run the checks, seeded by ``seed``; returns the failure count.
 
     Each check prints one ``ok``/``FAIL`` line through ``report``.
     """
@@ -216,8 +177,6 @@ def run_selftest(seed=0, report=print):
         res.B == GOLDEN_B and res.G == golden_G(spec),
         "basis mismatch",
     )
-    from .projection import bm_projected, essential_variables, project
-
     es = essential_variables(GOLDEN_POINTS, spec)
     sub = project(GOLDEN_POINTS, es)
     check(
@@ -232,39 +191,22 @@ def run_selftest(seed=0, report=print):
         "lifted result differs",
     )
 
-    # the packed GF(p) store against list rows on 0/1 points: GF(32003)
-    # packs 64-bit lanes on little-endian machines and whole bytes on
-    # big-endian ones; GF(2**61 - 1) packs whole bytes on every machine
-    vectors = boolean_vectors(random.Random(seed), 40, 8, 80)
-    bad = [p for p in (32003, 2**61 - 1) if not packed_rows_agree(PrimeField(p), vectors)]
-    check("packed rows vs list rows (0/1 points)", not bad, f"differ over GF{bad}")
-
-    # agreement with the Abbott-style oracle on random point sets
-    bad = 0
-    for _ in range(10):
-        fld = random_field(rng)
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 8)
-        pts = random_point_set(rng, fld, n, m)
-        sp = rng.choice(
-            [orders.lex(n), orders.deglex(n), orders.degrevlex(n)]
-        )
-        r1 = bm(pts, sp)
-        r2 = abbott_basis(pts, sp)
-        if r1.B != r2.B or r1.G != r2.G:
-            bad += 1
-    check("agreement with abbott_basis (10 seeded)", bad == 0, f"{bad} mismatches")
-
-    # every basis element vanishes on its points
-    bad = 0
-    for _ in range(5):
-        fld = random_field(rng)
-        n = rng.randint(1, 3)
-        pts = random_point_set(rng, fld, n, rng.randint(1, 6))
-        sp = orders.deglex(n)
-        r = bm(pts, sp)
-        if not membership_by_evaluation(r.G, pts):
-            bad += 1
-    check("basis elements vanish (5 seeded)", bad == 0, f"{bad} bad runs")
+    # seeded runs, direct and projected, each certified without elimination;
+    # five of the projected run's eight coordinates are affine in the others
+    gf = PrimeField(32003)
+    free = random_point_set(rng, gf, 3, 100).points
+    affine = [(a, b, c, a + b, b - c, 2 * a + 1, c + 5, a + b + c) for a, b, c in free]
+    runs = [
+        ("GF(32003) (8, 200, degrevlex)", bm, random_point_set(rng, gf, 8, 200)),
+        ("projected GF(32003) (8, 100, degrevlex)", bm_projected, PointSet(gf, 8, affine)),
+        ("QQ (4, 40, degrevlex)", bm, random_point_set(rng, QQ, 4, 40)),
+    ]
+    for name, run, pts in runs:
+        try:
+            verify_result(run(pts, orders.degrevlex(pts.n)), pts)
+            detail = ""
+        except VerificationError as exc:
+            detail = str(exc)
+        check(f"certified {name}", not detail, detail)
 
     return failures

@@ -250,9 +250,14 @@ def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Poly
     if result.spec.n != n or any(len(m) != n for _c, m in f.terms):
         raise PointSetError(f"normal_form: arity differs from point arity {n}")
     fld, pts = points.field, points.points
+    if result.field != fld:
+        raise PointSetError(f"normal_form: result over {result.field}, points over {fld}")
     acc = EchelonAccumulator(points.m, fld)
     for b in result.B:
-        acc.insert(*acc.reduce(acc.vector([evaluate_monomial(fld, b, p) for p in pts])))
+        residual, coords = acc.reduce(acc.vector([evaluate_monomial(fld, b, p) for p in pts]))
+        if not any(residual):
+            raise PointSetError(f"normal_form: basis monomial {b} is dependent at the points")
+        acc.insert(residual, coords)
     residual, coords = acc.reduce(acc.vector([f.evaluate(fld, p) for p in pts]))
     if any(residual):
         raise PointSetError("basis does not span the evaluation space")

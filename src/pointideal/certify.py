@@ -1,0 +1,131 @@
+"""A certificate that a result is the reduced Gröbner basis of its points.
+
+The dimension argument of Cox, Little and O'Shea (*Ideals, Varieties, and
+Algorithms*, ch. 5 §3): if B is an order ideal of m monomials, G leads with
+its corners, and each g is monic, has its tail on B and vanishes at the m
+points, then the corners lie in the initial ideal, whose m standard
+monomials are therefore B, and G is the reduced basis.
+
+No elimination is run.  Each monomial of B and each corner is evaluated
+once, by one ``step`` of the elimination store from a parent in B.  Over
+GF(p) the values of a g are one sum of ints packed as ``PackedRows`` packs
+them; a monic lead and at most m tail residues keep each slot below its
+bound m*(p-1)**2 + p.  Over QQ they are summed as integers over the lcm of
+the coefficient and value denominators.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+from math import lcm
+from operator import gt, lt, mul
+
+from .linalg import IntRows, PackedRows
+from .orders import order_vector
+
+
+class VerificationError(ValueError):
+    """A result fails the certificate; the message names the first condition."""
+
+
+def _below(e, i):
+    """e divided by the variable of 0-based index i."""
+    return e[:i] + (e[i] - 1,) + e[i + 1 :]
+
+
+def _elements(field, coeffs):
+    """Whether every c of coeffs is a nonzero element of field, in canonical form."""
+    try:
+        return field.zero not in coeffs and list(map(field.canonical, coeffs)) == coeffs
+    except TypeError:
+        return False
+
+
+def verify_result(result, points) -> None:
+    """Return None when result holds the reduced basis of I(points), else raise.
+
+    A ``VerificationError`` names the first condition that fails, in order:
+    1. the order's arity and the field are the points', and so is the arity
+       of every monomial of B;
+    2. |B| = m, and B is strictly ascending, contains 1 and is an order ideal;
+    3. the leading monomials of G are exactly the corners of B, ascending;
+    4. each g is monic, its other coefficients are nonzero field elements,
+       and its tail lies on B, strictly descending below its lead;
+    5. each g vanishes at every point.
+    """
+    spec, fld, B, G = result.spec, result.field, result.B, result.G
+    n, m = points.n, points.m
+    if spec.n != n or fld != points.field:
+        raise VerificationError(
+            f"result is over {fld} in {spec.n} variables, the points over {points.field} in {n}"
+        )
+    if any(len(b) != n for b in B):
+        raise VerificationError(f"a monomial of B does not have {n} exponents")
+
+    if len(B) != m:
+        raise VerificationError(f"|B| = {len(B)}, not m = {m}")
+    ovs = [order_vector(spec, b) for b in B]
+    if not all(map(lt, ovs, ovs[1:])):
+        raise VerificationError("B is not strictly ascending")
+    if any(B[0]):
+        raise VerificationError("B does not contain 1")
+    index = {b: k for k, b in enumerate(B)}
+    parent = {}  # B[k], k > 0 -> (B[k] over x_i, 0-based i)
+    for b in B[1:]:
+        down = [i for i in range(n) if b[i] > 0]
+        if not down or any(_below(b, i) not in index for i in down):
+            raise VerificationError(f"B is not an order ideal at {b}")
+        parent[b] = (_below(b, down[0]), down[0])
+
+    # each monomial x_i*b, b in B, with a parent (b, 0-based i) in B
+    border = {b[:i] + (b[i] + 1,) + b[i + 1 :]: (b, i) for b in B for i in range(n)}
+    corners = {
+        c: up
+        for c, up in border.items()
+        if c not in index and all(not c[j] or _below(c, j) in index for j in range(n))
+    }
+    leads = [g.terms[0][1] if g.terms else None for g in G]  # None: a zero g
+    if len(leads) != len(corners) or set(leads) != corners.keys():
+        raise VerificationError(
+            f"the leading monomials of G are not the {len(corners)} corners of B"
+        )
+    lead_ovs = [order_vector(spec, e) for e in leads]
+    if not all(map(lt, lead_ovs, lead_ovs[1:])):
+        raise VerificationError("G is not ascending by leading monomial")
+
+    terms = []  # per g: its coefficients and the index in B of each tail monomial
+    for k, g in enumerate(G):
+        coeffs = [c for c, _e in g.terms]
+        at = [index.get(e, m) for _c, e in g.terms[1:]]
+        if coeffs[0] != fld.one:
+            raise VerificationError(f"G[{k}] is not monic: its lead coefficient is {coeffs[0]!r}")
+        if m in at:
+            raise VerificationError(f"the tail of G[{k}] leaves B at {g.terms[1 + at.index(m)][1]}")
+        if not all(map(gt, at, at[1:])) or at and ovs[at[0]] >= lead_ovs[k]:
+            raise VerificationError(f"the terms of G[{k}] do not strictly descend")
+        if not _elements(fld, coeffs):
+            raise VerificationError(f"a coefficient of G[{k}] is not a nonzero element of {fld}")
+        terms.append((coeffs, at))
+
+    store = (PackedRows if fld.kind == "prime" else IntRows)(m, fld)
+    columns = [store.vector(points.coordinate_column(i)) for i in range(1, n + 1)]
+    value = {B[0]: store.vector([fld.one] * m)}
+    # B ascends, so a parent in B is evaluated before its multiples
+    for e, (d, i) in chain(parent.items(), corners.items()):
+        value[e] = store.step(value[d], columns[i])
+    if fld.kind == "prime":
+        packed = [store.pack(value[b]) for b in B]
+    for k, (lead, (coeffs, at)) in enumerate(zip(leads, terms)):
+        if fld.kind == "prime":
+            tail = sum(map(mul, coeffs[1:], map(packed.__getitem__, at)))
+            total = store.unpack(store.pack(value[lead]) + tail, m)
+        else:
+            vals = [value[lead], *[value[B[j]] for j in at]]
+            L = lcm(*[c.denominator * D for c, (_N, D) in zip(coeffs, vals)])
+            total = [0] * m
+            for c, (N, D) in zip(coeffs, vals):
+                s = c.numerator * (L // (c.denominator * D))
+                total = [t + s * x for t, x in zip(total, N)]
+        j = next((j for j, t in enumerate(total) if t), None)
+        if j is not None:
+            raise VerificationError(f"G[{k}] does not vanish at point {j}")

@@ -5,7 +5,7 @@ Subcommands::
     basis        compute G and B for a point-set file, in the essential variables
     merge        merge two sorted tuple-list files, showing the memo sequence
     bench-spoly  comparison-count benchmark on a structured merge family
-    selftest     cross-check optimized paths against naive oracles
+    selftest     check known answers and the naive merge; certify seeded runs
 
 Exit codes: 0 success, 1 validation error, 2 parse error, 3 selftest failure.
 """
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--s", type=int, required=True, help=f"size parameter, 3 to {SPOLY_MAX_S}")
     s.set_defaults(func=cmd_bench_spoly)
 
-    t = sub.add_parser("selftest", help="run the built-in cross-checks")
+    t = sub.add_parser("selftest", help="run the built-in checks")
     t.add_argument("--seed", type=int, default=0)
     t.set_defaults(func=cmd_selftest)
     return p

@@ -214,23 +214,11 @@ def delta(v, w) -> int:
     return d
 
 
-class LocateResult(Record):
-    """Where ``DeltaList.locate`` put b, with the deltas to its neighbours."""
-
-    __slots__ = _fields = ("index", "delta_left", "delta_right")
-
-    def __init__(self, index: int, delta_left: int | None, delta_right: int | None):
-        self.index = index  # number of list items preceding b
-        self.delta_left = delta_left  # delta(a_index, b), when index >= 1
-        self.delta_right = delta_right  # delta(b, a_{index+1}), when index < len
-
-
 class DeltaList(Record):
     """Lexicographically ascending tuples plus their delta sequence.
 
     Duplicates are allowed and preserved.  ``element_cmps`` and
-    ``delta_cmps`` describe the most recent top-level locate/merge call on
-    this value.
+    ``delta_cmps`` describe the merge that made this value.
     """
 
     _fields = ("arity", "items", "deltas")
@@ -262,26 +250,6 @@ class DeltaList(Record):
 
     def __len__(self):
         return len(self.items)
-
-    def locate(self, b, hint=1) -> LocateResult:
-        """Split position of b per the staged walk over the delta memos.
-
-        ``hint`` claims that b's first hint-1 entries equal those of the
-        first item; a claim outside 1..arity+1 or a false one is refused.
-        """
-        b = tuple(b)
-        if len(b) != self.arity:
-            raise ArityMismatch(f"probe arity {len(b)} != {self.arity}")
-        if not 1 <= hint <= self.arity + 1:
-            raise ValueError(f"hint {hint} outside 1..{self.arity + 1}")
-        if self.items and b[: hint - 1] != self.items[0][: hint - 1]:
-            raise ValueError(f"probe differs from the first item before hint {hint}")
-        pos, dl, dr, elem, dc = locate(
-            self.items, self.deltas, b, self.arity, 0, hint, True
-        )
-        self.element_cmps = elem
-        self.delta_cmps = dc
-        return LocateResult(pos, dl, dr)
 
     def merge(self, other: "DeltaList") -> "DeltaList":
         """Merge with another list; on ties the other list's items go first."""

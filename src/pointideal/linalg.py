@@ -212,13 +212,14 @@ class PackedRows:
     def rank(self):
         return len(self._rows)
 
-    def _pack(self, v):
+    def pack(self, v):
+        """One int holding v[k] in slot k; each entry must fit a slot."""
         if self.lanes:
             return int.from_bytes(array("Q", v), "little")
         width = self._width
         return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in v]), "little")
 
-    def _unpack(self, packed, count):
+    def unpack(self, packed, count):
         """The first count slots of packed, each reduced mod p."""
         width, p = self._width, self.p
         data = packed.to_bytes(count * width, "little")
@@ -231,7 +232,7 @@ class PackedRows:
 
     def rows(self):
         p, m = self.p, self.m
-        return [[-x % p for x in self._unpack(row[2], m)[::-1]] for row in self._rows]
+        return [[-x % p for x in self.unpack(row[2], m)[::-1]] for row in self._rows]
 
     def vector(self, elements):
         return [x % self.p for x in elements]
@@ -252,7 +253,7 @@ class PackedRows:
     def reduce(self, vec):
         """(residual, coords, field ops) with v = residual + sum coords[i]*original_i."""
         p, mask = self.p, self._mask
-        R = self._pack(vec[::-1])
+        R = self.pack(vec[::-1])
         H = 0
         ops = 0
         for shift, low, negrow, hist, row_ops in self._rows:
@@ -261,7 +262,7 @@ class PackedRows:
                 R += c * negrow
                 H += c * hist
                 ops += row_ops
-        return self._unpack(R, self.m)[::-1], self._unpack(H, len(self._rows)), ops
+        return self.unpack(R, self.m)[::-1], self.unpack(H, len(self._rows)), ops
 
     def insert(self, residual, coords):
         """Add a row for (residual, coords) = reduce(v), both residues; returns its field ops."""
@@ -273,8 +274,8 @@ class PackedRows:
         inv = pow(lead, -1, p)
         q = p - inv
         # residual = v - sum coords[i]*original_i, scaled by inv and negated
-        negrow = self._pack([q * x % p for x in reversed(residual)])
-        hist = self._pack([q * c % p for c in coords] + [inv])
+        negrow = self.pack([q * x % p for x in reversed(residual)])
+        hist = self.pack([q * c % p for c in coords] + [inv])
         nnz = len(coords) - coords.count(0)
         row_ops = 2 * (self.m - residual.count(0)) + nnz + 1
         s = self.m - 1 - piv  # the pivot's slot, piv slots below the top

@@ -43,17 +43,6 @@ class DegreeOverflow(OverflowError):
 # ---------------------------------------------------------------------------
 # monomial helpers
 
-def monomial_divides(d, m) -> bool:
-    return all(a <= b for a, b in zip(d, m))
-
-
-def monomial_mul(a, b):
-    out = tuple(x + y for x, y in zip(a, b))
-    if sum(out) > DEGREE_CAP:
-        raise DegreeOverflow("total degree exceeds 2**31-1")
-    return out
-
-
 def monomial_mul_var(m, i: int):
     """Multiply by the variable x_i (1-based)."""
     if sum(m) + 1 > DEGREE_CAP:

@@ -31,16 +31,9 @@ class Polynomial(FrozenRecord):
     def monomial(cls, exps, field):
         return cls([(field.one, tuple(exps))])
 
-    def is_zero(self):
-        return not self.terms
-
     @property
     def leading_monomial(self):
         return self.terms[0][1]
-
-    @property
-    def leading_coeff(self):
-        return self.terms[0][0]
 
     def evaluate(self, field, point):
         acc = field.zero

@@ -1,4 +1,4 @@
-"""Shared helpers: result invariant checks and seeded corpora."""
+"""Shared helpers: seeded instances, orders and corpora."""
 
 import random
 
@@ -7,54 +7,12 @@ import pytest
 from pointideal import orders
 from pointideal._oracles import (
     abbott_basis,
-    membership_by_evaluation,
     random_field,
     random_matrix_order,
     random_point_set,
 )
 from pointideal.bm import PointSet, bm
 from pointideal.projection import bm_projected
-
-
-def check_result_invariants(result, points):
-    """The full correctness suite for a basis computation."""
-    spec, fld = result.spec, result.field
-    n, m = points.n, points.m
-    B = result.B
-    assert len(B) == m
-    assert (0,) * n in B
-    # ascending and duplicate-free
-    ovs = [orders.order_vector(spec, b) for b in B]
-    assert ovs == sorted(ovs) and len(set(B)) == len(B)
-    # order ideal: every divisor of a basis monomial is a basis monomial
-    Bset = set(B)
-    for b in B:
-        for i in range(n):
-            if b[i] > 0:
-                assert b[: i] + (b[i] - 1,) + b[i + 1 :] in Bset
-    ini = [g.leading_monomial for g in result.G]
-    # G sorted ascending by leading monomial, monic, pairwise indivisible
-    gvs = [orders.order_vector(spec, lt) for lt in ini]
-    assert gvs == sorted(gvs)
-    for g in result.G:
-        assert g.leading_coeff == fld.one
-        assert all(mo in Bset for _c, mo in g.terms[1:])
-    assert membership_by_evaluation(result.G, points)
-    for a in range(len(ini)):
-        for b in range(len(ini)):
-            if a != b:
-                assert not orders.monomial_divides(ini[a], ini[b])
-    # leading terms are exactly the minimal generators outside B: the
-    # corners, whose every divisor by one variable lies in B
-    for lt in ini:
-        assert lt not in Bset
-    border = {b[:i] + (b[i] + 1,) + b[i + 1 :] for b in B for i in range(n)} - Bset
-    corners = {
-        c
-        for c in border
-        if all(c[:i] + (c[i] - 1,) + c[i + 1 :] in Bset for i in range(n) if c[i])
-    }
-    assert set(ini) == corners and len(ini) == len(corners)
 
 
 def random_instance(rng, n_max=10, m_max=30, big_field_cutoff=12):

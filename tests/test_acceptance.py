@@ -10,7 +10,6 @@ import time
 
 import pytest
 
-from conftest import check_result_invariants
 from pointideal import orders
 from pointideal._oracles import naive_deltas
 from pointideal._selftest import (
@@ -26,6 +25,7 @@ from pointideal._selftest import (
     golden_sub_G,
 )
 from pointideal.bm import bm
+from pointideal.certify import verify_result
 from pointideal.cli import main
 from pointideal.deltamerge import DeltaList, compare_from
 from pointideal.oracles import naive_merge
@@ -159,7 +159,7 @@ def test_criterion_5_variant_agreement(capsys, variant_corpus):
         assert len(variant_corpus) >= 200
         for k, (points, spec, r_mmm, r_abb) in enumerate(variant_corpus):
             assert r_mmm.B == r_abb.B and r_mmm.G == r_abb.G, f"instance {k}"
-            check_result_invariants(r_mmm, points)
+            verify_result(r_mmm, points)
     with capsys.disabled():
         ok(f"criterion 5: oracle agreement + invariants on {len(variant_corpus)} runs")
 

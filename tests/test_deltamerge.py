@@ -13,7 +13,6 @@ from pointideal._selftest import (
 from pointideal.deltamerge import (
     ArityMismatch,
     DeltaList,
-    LocateResult,
     delta,
     locate,
     merge_with_sources,
@@ -48,32 +47,28 @@ def test_delta_examples():
 # ---------------------------------------------------------------------------
 # locate
 
+def _locate(items, b, n=None):
+    """(index, delta_left, delta_right) of b in the delta list of items."""
+    a = DeltaList.from_items(items, arity=n)
+    return locate(a.items, a.deltas, b, a.arity)[:3]
+
+
 def test_locate_known_split():
-    a = DeltaList.from_items(GOLDEN_MERGE_A)
-    res = a.locate((2, 1, 0, 1, 1))
-    assert res == LocateResult(index=4, delta_left=4, delta_right=4)
-    assert res != LocateResult(4, 4, None)
+    assert _locate(GOLDEN_MERGE_A, (2, 1, 0, 1, 1)) == (4, 4, 4)
 
 
 def test_locate_equal_element():
-    a = DeltaList.from_items([(1, 2, 3)])
-    res = a.locate((1, 2, 3))
-    assert res.index == 0 and res.delta_right == 4 and res.delta_left is None
+    assert _locate([(1, 2, 3)], (1, 2, 3)) == (0, None, 4)
 
 
 def test_locate_past_the_end():
-    a = DeltaList.from_items(GOLDEN_MERGE_A)
     b = (9, 0, 0, 0, 0)
-    res = a.locate(b)
-    assert res.index == len(a)
-    assert res.delta_left == delta(GOLDEN_MERGE_A[-1], b)
-    assert res.delta_right is None
+    assert _locate(GOLDEN_MERGE_A, b) == (len(GOLDEN_MERGE_A), delta(GOLDEN_MERGE_A[-1], b), None)
 
 
 def test_locate_before_everything():
-    a = DeltaList.from_items(GOLDEN_MERGE_A)
-    res = a.locate((0, 0, 0, 0, 0))
-    assert res.index == 0 and res.delta_right == 1
+    i, _dl, dr = _locate(GOLDEN_MERGE_A, (0, 0, 0, 0, 0))
+    assert i == 0 and dr == 1
 
 
 @settings(max_examples=300)
@@ -83,29 +78,13 @@ def test_locate_matches_definition(data, b):
     if not items:
         return
     probe = b.draw(tuples(n))
-    dl = DeltaList.from_items(items, arity=n)
-    res = dl.locate(probe)
-    i = res.index
+    i, dl, dr = _locate(items, probe, n)
     assert all(x < probe for x in items[:i])
     assert all(probe <= x for x in items[i:])
     if i >= 1:
-        assert res.delta_left == delta(items[i - 1], probe)
+        assert dl == delta(items[i - 1], probe)
     if i < len(items):
-        assert res.delta_right == delta(probe, items[i])
-
-
-def test_locate_refuses_impossible_hints():
-    a = DeltaList.from_items([(0, 0, 5), (0, 1, 0), (1, 0, 0)])
-    assert a.locate((0, 1, 0)).index == 1
-    assert a.locate((0, 1, 0), hint=2).index == 1  # (0,) is a true common prefix
-    for hint in (0, -1, 5):  # outside 1..arity+1
-        with pytest.raises(ValueError):
-            a.locate((0, 1, 0), hint=hint)
-    with pytest.raises(ValueError):  # (0, 1) is not a prefix of (0, 0, 5)
-        a.locate((0, 1, 0), hint=3)
-    with pytest.raises(ValueError):
-        a.locate((0, 1, 0), hint=4)
-    assert DeltaList.from_items([], arity=3).locate((0, 1, 0), hint=4).index == 0
+        assert dr == delta(probe, items[i])
 
 
 @st.composite

@@ -9,7 +9,6 @@ import pytest
 
 from pointideal import linalg
 from pointideal._oracles import ListRows
-from pointideal._selftest import boolean_vectors
 from pointideal.fields import PrimeField, QQ
 from pointideal.linalg import EchelonAccumulator, InsertZero, IntRows, PackedRows
 
@@ -272,6 +271,23 @@ def test_packed_rows_end_at_their_pivots(monkeypatch, lanes):
     assert min(packed.pivots) == 0 and max(packed.pivots) >= m - 2
     for piv, (_shift, _low, negrow, _hist, _ops) in zip(packed.pivots, packed._rows):
         assert 0 < negrow.bit_length() <= (m - piv) * packed._w
+
+
+def boolean_vectors(rng, m, n, count):
+    """count evaluation vectors of monomials at m distinct 0/1 points.
+
+    Each is the product of up to four coordinate columns of the n-variable
+    points, as the vectors of ``bm`` are products of coordinate columns.
+    """
+    points = rng.sample(range(1 << n), m)
+    columns = [[x >> j & 1 for x in points] for j in range(n)]
+    vectors = []
+    for _ in range(count):
+        v = [1] * m
+        for j in rng.sample(range(n), rng.randint(0, 4)):
+            v = [a * b for a, b in zip(v, columns[j])]
+        vectors.append(v)
+    return vectors
 
 
 @pytest.mark.parametrize("lanes", [True, False], ids=["lanes", "bytes"])

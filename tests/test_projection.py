@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import check_result_invariants, dependent_point_set, random_order
+from conftest import dependent_point_set, random_order
 from pointideal import orders, projection
 from pointideal._oracles import random_field, random_point_set
 from pointideal._selftest import (
@@ -17,6 +17,7 @@ from pointideal._selftest import (
     golden_sub_G,
 )
 from pointideal.bm import PointSet, bm
+from pointideal.certify import verify_result
 from pointideal.fields import PrimeField, QQ
 from pointideal.poly import Polynomial, combine
 from pointideal.projection import (
@@ -64,7 +65,7 @@ def test_single_point_has_no_essential_variables():
     }
     res = bm_projected(pts, orders.deglex(3))
     assert res.B == [(0, 0, 0)] and res.stats.n_essential == 0
-    check_result_invariants(res, pts)
+    verify_result(res, pts)
 
 
 def test_generic_points_keep_all_variables():
@@ -142,7 +143,7 @@ def test_pipeline_equals_direct_random():
             for i, e in enumerate(b, start=1):
                 if e:
                     assert i in ess_set
-        check_result_invariants(direct, pts)
+        verify_result(direct, pts)
 
 
 def reference_lift(sub, es, spec):
@@ -192,7 +193,7 @@ def test_lift_matches_per_term_embedding():
         at = {b: b for b in lifted.B}
         for g in lifted.G:
             assert all(mo is at[mo] for _c, mo in g.terms[1:])
-        check_result_invariants(lifted, pts)
+        verify_result(lifted, pts)
 
 
 def test_lift_copies_the_stats():
@@ -264,15 +265,15 @@ def test_projection_at_benchmark_size(fld, n_free, n_dep, m):
     pts = dependent_point_set(random.Random(m), fld, n_free, n_dep, m)
     res = bm_projected(pts, orders.degrevlex(pts.n))
     assert res.stats.n_essential == n_free
-    check_result_invariants(res, pts)
+    verify_result(res, pts)
 
 
 def test_projection_equals_direct_at_m300():
-    # 4 free + 8 affine coordinates; the invariant check alone would take
-    # several seconds here, so the direct run is the reference
+    # 4 free + 8 affine coordinates
     pts = dependent_point_set(random.Random(300), PrimeField(32003), 4, 8, 300)
     spec = orders.degrevlex(12)
     res = bm_projected(pts, spec)
     direct = bm(pts, spec)
     assert res.stats.n_essential == 4
     assert res.B == direct.B and res.G == direct.G
+    verify_result(res, pts)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from pointideal.bm import GroebnerResult, PointSet, RunStats
-from pointideal.deltamerge import DeltaList, LocateResult
+from pointideal.deltamerge import DeltaList
 from pointideal.fields import PrimeField, QQ, RationalField
 from pointideal.orders import OrderSpec
 from pointideal.poly import Polynomial
@@ -58,14 +58,6 @@ CASES = {
         False,
         None,
         ("stats",),
-    ),
-    "LocateResult": (
-        lambda: LocateResult(4, 4, None),
-        (4, 4, None),
-        LocateResult(4, 4, 4),
-        False,
-        "LocateResult(index=4, delta_left=4, delta_right=None)",
-        (),
     ),
     "EssentialSet": (
         lambda: EssentialSet((2, 1), {3: (F(1), {1: F(2)})}),
