@@ -11,8 +11,8 @@ optimized paths, and selftest uses only ``naive_deltas`` and
 code with the library.  ``abbott_basis`` shares no elimination code with
 ``bm`` and builds each G element from its own coordinates over B, sorted
 by ``Polynomial.from_dict``: it eliminates on
-``ListRows`` below, lists of field elements reduced by
-``field.sub_scaled``, for every field, while ``bm`` eliminates on the
+``ListRows`` below, lists of field elements reduced by its own
+``sub_scaled``, for every field, while ``bm`` eliminates on the
 integer stores of ``linalg`` (packed rows over GF(p), rows over one common
 denominator over QQ).  Comparing the two therefore checks both the
 candidate bookkeeping (the memoized duplicate-preserving list against
@@ -37,24 +37,25 @@ class ListRows:
     """Semi-echelon rows as lists of field elements, over any field.
 
     Each row, and each history over the insertion indices, is a list of
-    field elements; reducing by a row is one ``field.sub_scaled`` call.  It
-    keeps the same rows, returns the same residuals and coordinates and
-    counts the same ``field_ops`` as the stores of ``linalg``.
+    field elements; reducing by a row is one ``sub_scaled`` pass, its own
+    arithmetic on field elements.  It keeps the same rows, returns the same
+    residuals and coordinates and counts the same ``field_ops`` as the
+    stores of ``linalg``.
     """
 
     def __init__(self, m, field):
         self.m = m
         self.field = field
-        self.pivots = []  # pivot column of each row
-        # per row: (row, history over insertion indices 0..its own, reduce ops)
+        self.p = getattr(field, "p", None)  # None over QQ
+        # per row: (pivot, row, history over insertion indices 0..its own, reduce ops)
         self._rows = []
 
-    @property
-    def rank(self):
-        return len(self._rows)
-
-    def rows(self):
-        return [list(row) for row, _h, _o in self._rows]
+    def sub_scaled(self, ys, c, xs):
+        """[y - c*x for y, x in zip(ys, xs)] in the field: mod p, or exact over QQ."""
+        p = self.p
+        if p is None:
+            return [y - c * x if x else y for y, x in zip(ys, xs)]
+        return [(y - c * x) % p for y, x in zip(ys, xs)]
 
     def reduce(self, v):
         """(residual, coeffs, field ops) with v = residual + sum coeffs[i]*original_i."""
@@ -62,12 +63,12 @@ class ListRows:
         residual = list(v)
         coeffs = [F.zero] * len(self._rows)
         ops = 0
-        for piv, (row, hist, row_ops) in zip(self.pivots, self._rows):
+        for piv, row, hist, row_ops in self._rows:
             c = residual[piv]
             if c == F.zero:
                 continue
-            residual[piv:] = F.sub_scaled(residual[piv:], c, row[piv:])
-            coeffs[: len(hist)] = F.sub_scaled(coeffs[: len(hist)], F.neg(c), hist)
+            residual[piv:] = self.sub_scaled(residual[piv:], c, row[piv:])
+            coeffs[: len(hist)] = self.sub_scaled(coeffs[: len(hist)], F.neg(c), hist)
             ops += row_ops
         return residual, {i: x for i, x in enumerate(coeffs) if x != F.zero}, ops
 
@@ -84,8 +85,7 @@ class ListRows:
         for i, c in coeffs.items():
             hist[i] = F.neg(F.mul(inv, c))
         row_ops = 2 * sum(1 for x in row if x != F.zero) + len(coeffs) + 1
-        self._rows.append((row, hist, row_ops))
-        self.pivots.append(piv)
+        self._rows.append((piv, row, hist, row_ops))
         return 1 + self.m + len(coeffs)
 
 

@@ -7,11 +7,12 @@ points, then the corners lie in the initial ideal, whose m standard
 monomials are therefore B, and G is the reduced basis.
 
 No elimination is run.  Each monomial of B and each corner is evaluated
-once, by one ``step`` of the elimination store from a parent in B.  Over
-GF(p) the values of a g are one sum of ints packed as ``PackedRows`` packs
-them; a monic lead and at most m tail residues keep each slot below its
-bound m*(p-1)**2 + p.  Over QQ they are summed as integers over the lcm of
-the coefficient and value denominators.
+once, by one ``step`` from a parent in B, in the store that
+``linalg.new_store`` picks for the field.  In ``PackedRows`` (GF(p)) the
+values of a g are one sum of ints packed as the store packs them; a monic
+lead and at most m tail residues keep each slot below its bound
+m*(p-1)**2 + p.  In ``IntRows`` (QQ) they are summed as integers over the
+lcm of the coefficient and value denominators.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import chain
 from math import lcm
 from operator import gt, lt, mul
 
-from .linalg import IntRows, PackedRows
+from .linalg import PackedRows, new_store
 from .orders import order_vector
 
 
@@ -107,16 +108,17 @@ def verify_result(result, points) -> None:
             raise VerificationError(f"a coefficient of G[{k}] is not a nonzero element of {fld}")
         terms.append((coeffs, at))
 
-    store = (PackedRows if fld.kind == "prime" else IntRows)(m, fld)
+    store = new_store(m, fld)
+    packs = isinstance(store, PackedRows)
     columns = [store.vector(points.coordinate_column(i)) for i in range(1, n + 1)]
     value = {B[0]: store.vector([fld.one] * m)}
     # B ascends, so a parent in B is evaluated before its multiples
     for e, (d, i) in chain(parent.items(), corners.items()):
         value[e] = store.step(value[d], columns[i])
-    if fld.kind == "prime":
+    if packs:
         packed = [store.pack(value[b]) for b in B]
     for k, (lead, (coeffs, at)) in enumerate(zip(leads, terms)):
-        if fld.kind == "prime":
+        if packs:
             tail = sum(map(mul, coeffs[1:], map(packed.__getitem__, at)))
             total = store.unpack(store.pack(value[lead]) + tail, m)
         else:

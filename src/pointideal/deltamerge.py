@@ -248,9 +248,6 @@ class DeltaList(Record):
             raise ArityMismatch("mixed arities in one list")
         return cls(arity, items, deltas)
 
-    def __len__(self):
-        return len(self.items)
-
     def merge(self, other: "DeltaList") -> "DeltaList":
         """Merge with another list; on ties the other list's items go first."""
         if self.arity != other.arity:

@@ -91,9 +91,6 @@ class RationalField(FrozenRecord):
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -104,13 +101,6 @@ class RationalField(FrozenRecord):
         if a == 0:
             raise DivisionByZero("inverse of zero")
         return 1 / Fraction(a)
-
-    def sub_scaled(self, ys, c, xs):
-        """[sub(y, mul(c, x)) for y, x in zip(ys, xs)], skipping zero x."""
-        return [y - c * x if x else y for y, x in zip(ys, xs)]
-
-    def from_int(self, k: int):
-        return Fraction(k)
 
     def canonical(self, a):
         """``a`` itself when it is an int or a Fraction, else a TypeError."""
@@ -174,9 +164,6 @@ class PrimeField(FrozenRecord):
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
 
@@ -187,14 +174,6 @@ class PrimeField(FrozenRecord):
         if a % self.p == 0:
             raise DivisionByZero("inverse of zero")
         return pow(a, -1, self.p)
-
-    def sub_scaled(self, ys, c, xs):
-        """[sub(y, mul(c, x)) for y, x in zip(ys, xs)]."""
-        p = self.p
-        return [(y - c * x) % p for y, x in zip(ys, xs)]
-
-    def from_int(self, k: int):
-        return k % self.p
 
     def canonical(self, a):
         """The residue of the int ``a``; ``a`` itself when it is one already."""

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 from .bm import GroebnerResult, PointSet, RunStats
-from .fields import field_from_descriptor
+from .fields import _quote, field_from_descriptor
 from .poly import Polynomial
 
 
@@ -153,10 +153,12 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
 
     Every exponent vector in B and G must be a list of ``spec.n``
     non-negative integers (booleans excluded).  As in ``parse_points``, a
-    coefficient written as a JSON number keeps every digit.  The members
-    order, n and an older document's stats are not read; stats are zero.
+    coefficient written as a JSON number keeps every digit.  An order member
+    must be ``str(spec)``; n and an older document's stats are not read.
     """
     doc, fld = _load_document(text, source, ("field", "B", "G"))
+    if (named := doc.get("order", str(spec))) != str(spec):
+        raise ParseError(f"{source}: the document's order is {_quote(str(named))}, not {str(spec)!r}")
     n = spec.n
     try:
         B = [_exponents(b, n, f"B[{k}]") for k, b in enumerate(doc["B"])]

@@ -8,9 +8,9 @@ coefficients over the *originally inserted* vectors, the ``v`` handed to
 coordinates over those originals -- which, for evaluation vectors of
 monomials, is directly a polynomial combination of those monomials.
 
-``EchelonAccumulator`` is the one interface.  It keeps its rows in a store
-chosen by the field's kind alone, and the store owns the format of the
-vectors it eliminates: ``vector(elements)`` turns field elements into a
+``EchelonAccumulator`` is the one interface.  It keeps its rows in the
+store that ``new_store`` picks by field kind; the store owns the format of
+the vectors it eliminates: ``vector(elements)`` turns field elements into a
 store vector once, ``step(vec, column)`` is the pointwise product of two
 store vectors, and ``reduce`` takes a store vector.  ``reduce`` returns
 (residual, coords): the residual is a list of integers, zero exactly when
@@ -101,17 +101,9 @@ class IntRows:
 
     def __init__(self, m, field):
         self.m = m
-        self.pivots = []
         # per row: (pivot, N, H, d, reduce ops) with row = N/d and
         # history = H/d, d = N[pivot] > 0 and gcd(*N, *H) = 1
         self._rows = []
-
-    @property
-    def rank(self):
-        return len(self._rows)
-
-    def rows(self):
-        return [[Fraction(x, d) for x in N] for _p, N, _H, d, _o in self._rows]
 
     @staticmethod
     def vector(elements):
@@ -188,7 +180,6 @@ class IntRows:
         nnz = len(C) - C.count(0)
         row_ops = 2 * (self.m - N.count(0)) + nnz + 1
         self._rows.append((piv, N, H, N[piv], row_ops))
-        self.pivots.append(piv)
         return 1 + self.m + nnz
 
 
@@ -204,13 +195,8 @@ class PackedRows:
         self._width = 8 if self.lanes else bound.bit_length() + 7 >> 3  # bytes
         self._w = 8 * self._width  # bits per slot
         self._mask = (1 << self._w) - 1
-        self.pivots = []
         # per row: (pivot shift, low mask or 0, negated row, history, reduce ops)
         self._rows = []
-
-    @property
-    def rank(self):
-        return len(self._rows)
 
     def pack(self, v):
         """One int holding v[k] in slot k; each entry must fit a slot."""
@@ -229,10 +215,6 @@ class PackedRows:
             int.from_bytes(data[k : k + width], "little") % p
             for k in range(0, count * width, width)
         ]
-
-    def rows(self):
-        p, m = self.p, self.m
-        return [[-x % p for x in self.unpack(row[2], m)[::-1]] for row in self._rows]
 
     def vector(self, elements):
         return [x % self.p for x in elements]
@@ -281,23 +263,23 @@ class PackedRows:
         s = self.m - 1 - piv  # the pivot's slot, piv slots below the top
         low = (1 << (s + 1) * self._w) - 1 if s < piv else 0  # fewer slots below than above
         self._rows.append((s * self._w, low, negrow, hist, row_ops))
-        self.pivots.append(piv)
         return 1 + self.m + nnz
+
+
+def new_store(m, field):
+    """An empty row store for vectors of length m: PackedRows over GF(p), IntRows over QQ."""
+    return (PackedRows if field.kind == "prime" else IntRows)(m, field)
 
 
 class EchelonAccumulator:
     """Semi-echelon elimination with coordinates over the inserted vectors."""
 
     def __init__(self, m, field):
-        self.store = store = (PackedRows if field.kind == "prime" else IntRows)(m, field)
+        self.store = store = new_store(m, field)
         self.field_ops = 0
         # the store's vector format: made once, stepped, read off
         self.vector, self.step = store.vector, store.step
         self.coordinates, self.tail = store.coordinates, store.tail
-
-    @property
-    def rank(self):
-        return self.store.rank
 
     def reduce(self, vec):
         """Return (residual, coords) with vec = residual + coords over the originals.

@@ -40,7 +40,7 @@ def dependent_point_set(rng, fld, n_free, n_dep, m):
     """
     free = random_point_set(rng, fld, n_free, m)
     rel = [
-        [fld.from_int(rng.randint(-3, 3)) for _ in range(n_free + 1)]
+        [fld.canonical(rng.randint(-3, 3)) for _ in range(n_free + 1)]
         for _ in range(n_dep)
     ]
     perm = list(range(n_free + n_dep))

@@ -393,7 +393,7 @@ def test_normal_form_idempotent_and_linear():
         res = bm(pts, spec)
         def rand_poly():
             d = {
-                random_monomial(rng, pts.n, 4): fld.from_int(
+                random_monomial(rng, pts.n, 4): fld.canonical(
                     rng.randint(-5, 5)
                 )
                 for _ in range(4)

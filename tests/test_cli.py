@@ -576,6 +576,19 @@ def test_result_round_trip():
             fileio.parse_result(text, spec)
 
 
+def test_parse_result_rejects_a_document_of_another_order():
+    spec = orders.degrevlex(5)
+    text = fileio.serialize_result(bm(GOLDEN_POINTS, spec))
+    with pytest.raises(fileio.ParseError, match="order is 'degrevlex:1,2,3,4,5', not 'lex:1,2,3,4,5'"):
+        fileio.parse_result(text, orders.lex(5))
+    with pytest.raises(fileio.ParseError, match="order is .5., not"):
+        fileio.parse_result(json.dumps({**json.loads(text), "order": 5}), spec)
+    # a document without an order member is read in the order given
+    doc = json.loads(text)
+    del doc["order"]
+    assert fileio.parse_result(json.dumps(doc), spec) == fileio.parse_result(text, spec)
+
+
 def test_parse_result_ignores_a_legacy_stats_member():
     # older documents carry the run report; none of it is read, not even a
     # key or a value that ``RunStats`` would not hold
@@ -666,7 +679,7 @@ CLI_MODULES = [
     "pointideal.poly", "pointideal.projection",
 ]
 # source lines those modules hold: every CLI process compiles them
-CLI_LINES = 2085
+CLI_LINES = 2045
 
 
 def test_cli_import_loads_exactly_these_modules():

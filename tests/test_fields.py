@@ -77,14 +77,6 @@ def test_prime_examples():
         GF5.inv(10)
 
 
-@pytest.mark.parametrize("fld", [QQ, GF5, GF])
-def test_sub_scaled_is_entrywise_sub_mul(fld):
-    ys = [fld.from_int(k) for k in (3, -7, 0, 11, 4)]
-    xs = [fld.from_int(k) for k in (0, 5, -2, 9, 1)]
-    for c in (fld.zero, fld.one, fld.from_int(-6), fld.inv(fld.from_int(3))):
-        assert fld.sub_scaled(ys, c, xs) == [fld.sub(y, fld.mul(c, x)) for y, x in zip(ys, xs)]
-
-
 @pytest.mark.parametrize("fld,elems", [(QQ, rationals), (GF5, residues5), (GF, residues_big)])
 def test_axioms(fld, elems):
     @given(a=elems, b=elems, c=elems)
@@ -104,7 +96,7 @@ def test_axioms(fld, elems):
 def test_canonical_forms():
     # Fraction canonicalizes on construction; residues are canonical ints
     assert QQ.parse("2/4") == QQ.parse("1/2")
-    assert GF5.from_int(-1) == 4
+    assert GF5.canonical(-1) == 4
     assert GF5.add(3, 4) == 2
 
 

@@ -1,0 +1,107 @@
+"""Metamorphic relations: transformed points, predictable results.
+
+Permuting the points changes neither B nor G, so the result document is
+byte for byte the same.  Scaling coordinate i by a nonzero lambda_i maps
+the zero set of g(x) to that of lambda^a * g(x / lambda), where x^a leads
+g: B is unchanged, and in the element led by x^a the coefficient of x^b
+is multiplied by lambda^(a - b), which is monic again.
+"""
+
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from conftest import dependent_point_set
+from pointideal import fileio, orders
+from pointideal._oracles import random_point_set
+from pointideal.bm import PointSet, bm
+from pointideal.fields import QQ, PrimeField
+from pointideal.poly import Polynomial
+from pointideal.projection import bm_projected
+
+GF = PrimeField(32003)
+
+# name: (field, n, m, order, projected); the projected case has 5 of its 8
+# coordinates affine in the other 3
+CASES = {
+    "gf-n8-m200-degrevlex": (GF, 8, 200, orders.degrevlex, False),
+    "gf-n12-m100-lex": (GF, 12, 100, orders.lex, False),
+    "qq-n3-m36-lex": (QQ, 3, 36, orders.lex, False),
+    "qq-n4-m40-degrevlex": (QQ, 4, 40, orders.degrevlex, False),
+    "gf-dependent-n8-m100-degrevlex": (GF, 8, 100, orders.degrevlex, True),
+}
+
+
+def solve(points, spec, projected):
+    return (bm_projected if projected else bm)(points, spec)
+
+
+@lru_cache(maxsize=None)
+def case(name):
+    """(points, spec, projected, result on the points as drawn)."""
+    fld, n, m, order, projected = CASES[name]
+    rng = random.Random(name)
+    if projected:
+        points = dependent_point_set(rng, fld, 3, n - 3, m)
+    else:
+        points = random_point_set(rng, fld, n, m)
+    spec = order(n)
+    res = solve(points, spec, projected)
+    # the scan drops the 5 affine coordinates
+    assert res.stats.n_essential == (3 if projected else None)
+    return points, spec, projected, res
+
+
+def power(fld, lam, e):
+    """lam**e in fld, for any integer e."""
+    base = lam if e >= 0 else fld.inv(lam)
+    out = fld.one
+    for _ in range(abs(e)):
+        out = fld.mul(out, base)
+    return out
+
+
+def scale(fld, lams, a, b):
+    """The product of lams[i]**(a[i] - b[i]) over the variables i."""
+    out = fld.one
+    for lam, ai, bi in zip(lams, a, b):
+        out = fld.mul(out, power(fld, lam, ai - bi))
+    return out
+
+
+def nonzero(rng, fld):
+    if fld == QQ:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+    return rng.randrange(1, fld.p)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_permuting_the_points_keeps_the_document(name):
+    points, spec, projected, res = case(name)
+    shuffled = list(points.points)
+    random.Random(1).shuffle(shuffled)
+    moved = PointSet(field=points.field, n=points.n, points=tuple(shuffled))
+    assert moved.points != points.points
+    assert fileio.serialize_result(solve(moved, spec, projected)) == fileio.serialize_result(res)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_scaling_a_coordinate_scales_the_coefficients(name):
+    points, spec, projected, res = case(name)
+    fld = points.field
+    rng = random.Random(2)
+    lams = [nonzero(rng, fld) for _ in range(points.n)]
+    scaled = PointSet(
+        field=fld,
+        n=points.n,
+        points=tuple(tuple(map(fld.mul, lams, x)) for x in points.points),
+    )
+    got = solve(scaled, spec, projected)
+    assert got.B == res.B
+    want = []
+    for g in res.G:
+        lead = g.terms[0][1]
+        want.append(Polynomial([(fld.mul(c, scale(fld, lams, lead, b)), b) for c, b in g.terms]))
+    assert got.G == want

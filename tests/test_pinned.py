@@ -24,9 +24,9 @@ def _dependent_points(rng, fld, free, m):
     n = free + 3
     pts = set()
     while len(pts) < m:
-        x = [fld.from_int(rng.randrange(50)) for _ in range(free)]
+        x = [fld.canonical(rng.randrange(50)) for _ in range(free)]
         y = [
-            fld.add(fld.from_int(c), fld.mul(fld.from_int(a), x[j % free]))
+            fld.add(fld.canonical(c), fld.mul(fld.canonical(a), x[j % free]))
             for j, (a, c) in enumerate([(2, 1), (3, 0), (5, 7)])
         ]
         pts.add(tuple(x + y))
@@ -36,7 +36,7 @@ def _dependent_points(rng, fld, free, m):
 def _boolean_points(rng, fld, n, m):
     """m distinct points with 0/1 coordinates, as on the gfp-boolean benchmark."""
     codes = rng.sample(range(2**n), m)
-    pts = (tuple(fld.from_int(k >> i & 1) for i in range(n)) for k in codes)
+    pts = (tuple(fld.canonical(k >> i & 1) for i in range(n)) for k in codes)
     return PointSet(field=fld, n=n, points=tuple(pts))
 
 
