@@ -1,6 +1,6 @@
 """Record the benchmark of this checkout in BENCH_<LABEL>.json.
 
-    python3 bench_record.py LABEL [--seconds S]
+    python3 bench_record.py LABEL [--seconds S] [--expect FILE]
 
 For every workload that BENCHMARK.json declares, this runs
 ``perfbench/run.py --workload W --seed 1`` twice, each in its own process
@@ -17,6 +17,11 @@ passes.  Otherwise nothing is written and the exit code is 1.
 The file holds the label, the commit the checkout is on and whether its
 sources differ from it, the hash of ``src/pointideal``, the Python version,
 the core count and, per workload, the metrics as {name: {value, unit}}.
+
+With ``--expect FILE``, every counter of every workload in the new file is
+then compared with FILE, an earlier record: each difference is printed, and
+any difference makes the exit code 1.  Counters are per pass, so a short
+run must reproduce a full-length record.
 """
 
 from __future__ import annotations
@@ -53,11 +58,25 @@ def run(workload: str, trace: int, seconds):
     return None
 
 
+def counter_drift(expected: dict, recorded: dict) -> list:
+    """One line per (workload, counter) whose value differs between two records."""
+
+    def counters(doc):
+        return {(w, k): v["value"] for w, run in doc["workloads"].items()
+                for k, v in run["counters"].items()}
+
+    ref, new = counters(expected), counters(recorded)
+    return [f"{w} {k}: {ref.get((w, k), 'missing')} expected, {new.get((w, k), 'missing')} now"
+            for w, k in sorted(set(ref) | set(new)) if ref.get((w, k)) != new.get((w, k))]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("label")
     ap.add_argument("--seconds", type=float, help="length of each run (default: the benchmark's)")
+    ap.add_argument("--expect", type=Path, help="exit 1 unless every counter equals this record's")
     args = ap.parse_args(argv)
+    expected = json.loads(args.expect.read_text()) if args.expect else None
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads, env = {}, None
@@ -90,7 +109,12 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out.name}")
-    return 0
+    if expected is None:
+        return 0
+    drift = counter_drift(expected, doc)
+    counted = sum(len(run["counters"]) for run in workloads.values())
+    print("\n".join(drift) or f"{counted} counters equal {args.expect}")
+    return 1 if drift else 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from .bm import (
 )
 from .deltamerge import BACKEND, ArityMismatch, DeltaList, delta
 from .fields import (
-    DivisionByZero,
     FieldError,
     NotPrime,
     PrimeField,
@@ -34,13 +33,13 @@ from .fileio import (
     load_merge_list,
     load_points,
     parse_merge_list,
+    parse_order,
     parse_points,
     parse_result,
     serialize_points,
     serialize_result,
 )
 from .orders import (
-    DegreeOverflow,
     NonAdmissibleColumn,
     OrderError,
     OrderSpec,
@@ -49,7 +48,6 @@ from .orders import (
     degrevlex,
     lex,
     matrix_order,
-    parse_order,
     standard_matrix,
     varord,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "ArityMismatch",
     "BACKEND",
     "DeltaList",
-    "DegreeOverflow",
-    "DivisionByZero",
     "DuplicatePoints",
     "EmptyPointSet",
     "EssentialSet",

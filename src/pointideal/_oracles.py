@@ -37,10 +37,10 @@ class ListRows:
     """Semi-echelon rows as lists of field elements, over any field.
 
     Each row, and each history over the insertion indices, is a list of
-    field elements; reducing by a row is one ``sub_scaled`` pass, its own
-    arithmetic on field elements.  It keeps the same rows, returns the same
-    residuals and coordinates and counts the same ``field_ops`` as the
-    stores of ``linalg``.
+    field elements; reducing by a row is one ``sub_scaled`` pass, and a new
+    row is scaled by ``inverse``: its own arithmetic on field elements.  It
+    keeps the same rows, returns the same residuals and coordinates and
+    counts the same ``field_ops`` as the stores of ``linalg``.
     """
 
     def __init__(self, m, field):
@@ -57,6 +57,10 @@ class ListRows:
             return [y - c * x if x else y for y, x in zip(ys, xs)]
         return [(y - c * x) % p for y, x in zip(ys, xs)]
 
+    def inverse(self, x):
+        """1/x in the field: a residue mod p, or an exact Fraction over QQ."""
+        return 1 / Fraction(x) if self.p is None else pow(x, -1, self.p)
+
     def reduce(self, v):
         """(residual, coeffs, field ops) with v = residual + sum coeffs[i]*original_i."""
         F = self.field
@@ -68,7 +72,7 @@ class ListRows:
             if c == F.zero:
                 continue
             residual[piv:] = self.sub_scaled(residual[piv:], c, row[piv:])
-            coeffs[: len(hist)] = self.sub_scaled(coeffs[: len(hist)], F.neg(c), hist)
+            coeffs[: len(hist)] = self.sub_scaled(coeffs[: len(hist)], -c, hist)
             ops += row_ops
         return residual, {i: x for i, x in enumerate(coeffs) if x != F.zero}, ops
 
@@ -78,12 +82,12 @@ class ListRows:
         piv = next((k for k, x in enumerate(residual) if x != F.zero), None)
         if piv is None:
             raise InsertZero("cannot insert the zero vector")
-        inv = F.inv(residual[piv])
-        row = [F.mul(inv, x) for x in residual]
+        inv = self.inverse(residual[piv])
+        row = [F.canonical(inv * x) for x in residual]
         # residual = v - sum coeffs[i]*original_i, scaled by inv
         hist = [F.zero] * len(self._rows) + [inv]
         for i, c in coeffs.items():
-            hist[i] = F.neg(F.mul(inv, c))
+            hist[i] = F.canonical(-inv * c)
         row_ops = 2 * sum(1 for x in row if x != F.zero) + len(coeffs) + 1
         self._rows.append((piv, row, hist, row_ops))
         return 1 + self.m + len(coeffs)
@@ -182,10 +186,10 @@ def abbott_basis(points: PointSet, spec) -> GroebnerResult:
             v = [fld.one] * m
         else:
             col = points.coordinate_column(var)
-            v = [fld.mul(a, b) for a, b in zip(B_evals[parent], col)]
+            v = [fld.canonical(a * b) for a, b in zip(B_evals[parent], col)]
         residual, coeffs, _ops = acc.reduce(v)
         if all(x == fld.zero for x in residual):
-            terms = {B[i]: fld.neg(c) for i, c in coeffs.items()} | {t_exps: fld.one}
+            terms = {B[i]: fld.canonical(-c) for i, c in coeffs.items()} | {t_exps: fld.one}
             g = Polynomial.from_dict(terms, spec, fld)
             G.append(g)
             ini_G.append(g.leading_monomial)

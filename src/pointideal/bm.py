@@ -252,6 +252,11 @@ def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Poly
     fld, pts = points.field, points.points
     if result.field != fld:
         raise PointSetError(f"normal_form: result over {result.field}, points over {fld}")
+    for c, m in f.terms:
+        try:
+            fld.canonical(c)
+        except TypeError as exc:
+            raise PointSetError(f"normal_form: term {c!r}*x^{list(m)} is not over {fld}") from exc
     acc = EchelonAccumulator(points.m, fld)
     for b in result.B:
         residual, coords = acc.reduce(acc.vector([evaluate_monomial(fld, b, p) for p in pts]))

@@ -7,7 +7,8 @@ Subcommands::
     bench-spoly  comparison-count benchmark on a structured merge family
     selftest     check known answers and the naive merge; certify seeded runs
 
-Exit codes: 0 success, 1 validation error, 2 parse error, 3 selftest failure.
+Exit codes: 0 success, 1 validation error, 2 parse error or a file that
+cannot be read or written, 3 selftest failure.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def build_spoly_lists(s: int):
 
 def cmd_basis(args) -> int:
     points = fileio.load_points(args.points_file)
-    spec = orders.parse_order(args.order, points.n)
+    spec = fileio.parse_order(args.order, points.n)
     result = projection.bm_projected(points, spec)
     text = fileio.serialize_result(result)
     if args.out:

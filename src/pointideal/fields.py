@@ -2,8 +2,10 @@
 
 Elements are plain Python values (``fractions.Fraction`` for the rationals,
 canonical residues ``int`` in ``[0, p)`` for prime fields), so equality is
-bit-for-bit after canonicalization and everything hashes.  The field objects
-only bundle the operations.
+bit-for-bit after canonicalization and everything hashes.  Code computes
+with Python's operators and passes the result to ``field.canonical``; a
+field holds only ``kind``, ``zero``, ``one``, ``canonical``, the text forms
+(``parse``, ``read``, ``format``) and the descriptor.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ def _quote(text: str) -> str:
 
 
 class FieldError(Exception):
-    pass
-
-
-class DivisionByZero(FieldError):
     pass
 
 
@@ -87,20 +85,6 @@ class RationalField(FrozenRecord):
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        return 1 / Fraction(a)
 
     def canonical(self, a):
         """``a`` itself when it is an int or a Fraction, else a TypeError."""
@@ -160,20 +144,6 @@ class PrimeField(FrozenRecord):
         self.p = p
         self.zero = 0
         self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise DivisionByZero("inverse of zero")
-        return pow(a, -1, self.p)
 
     def canonical(self, a):
         """The residue of the int ``a``; ``a`` itself when it is one already."""

@@ -1,4 +1,4 @@
-"""File formats: point-set JSON, result JSON, and plain merge-list files."""
+"""The user's text: point-set JSON, result JSON, order specs and merge-list files."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from pathlib import Path
 
 from .bm import GroebnerResult, PointSet, RunStats
 from .fields import _quote, field_from_descriptor
+from .orders import STANDARD_KINDS, OrderError, OrderSpec
 from .poly import Polynomial
 
 
@@ -21,6 +22,42 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
+
+
+def parse_order(text: str, n: int) -> OrderSpec:
+    """Parse the textual order grammar: lex[:i1,i2,...] etc, matrix:<path>.
+
+    The order must have n variables; a matrix file must hold an n x n matrix.
+    A perm entry or matrix entry that is not an integer is a ParseError
+    naming its position or line.
+    """
+    kind, _, rest = text.partition(":")
+    kind = kind.strip()
+    if kind in STANDARD_KINDS:
+        perm = None
+        if rest.strip():
+            entries = []
+            for pos, x in enumerate(rest.split(","), start=1):
+                try:
+                    entries.append(int(x))
+                except ValueError as exc:
+                    raise ParseError(
+                        f"--order {text}: perm position {pos}: {x.strip()!r} is not an integer"
+                    ) from exc
+            perm = tuple(entries)
+        return OrderSpec(n, kind, perm)
+    if kind == "matrix":
+        path = Path(rest.strip())
+        rows = []
+        for ln, line in enumerate(read_text(path).splitlines(), start=1):
+            line = line.strip()
+            if line:
+                try:
+                    rows.append(tuple(int(x) for x in line.split()))
+                except ValueError as exc:
+                    raise ParseError(f"{path}: line {ln}: {exc}") from exc
+        return OrderSpec(n, "matrix", matrix=rows)
+    raise OrderError(f"cannot parse order spec {text!r}")
 
 
 def _load_json(text: str, source: str):

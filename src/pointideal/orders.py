@@ -13,13 +13,10 @@ from __future__ import annotations
 
 from math import gcd
 from operator import add
-from pathlib import Path
 
 from ._record import FrozenRecord
 from .fields import QQ
 from .linalg import EchelonAccumulator
-
-DEGREE_CAP = 2**31 - 1
 
 STANDARD_KINDS = ("lex", "deglex", "degrevlex")
 
@@ -36,17 +33,11 @@ class NonAdmissibleColumn(OrderError):
     pass
 
 
-class DegreeOverflow(OverflowError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # monomial helpers
 
 def monomial_mul_var(m, i: int):
     """Multiply by the variable x_i (1-based)."""
-    if sum(m) + 1 > DEGREE_CAP:
-        raise DegreeOverflow("total degree exceeds 2**31-1")
     return m[: i - 1] + (m[i - 1] + 1,) + m[i:]
 
 
@@ -148,45 +139,6 @@ def _independent_residuals(rows, width):
             g = gcd(*residual)
             kept.append(tuple(x // g for x in residual))
     return kept
-
-
-def parse_order(text: str, n: int) -> OrderSpec:
-    """Parse the textual order grammar: lex[:i1,i2,...] etc, matrix:<path>.
-
-    The order must have n variables; a matrix file must hold an n x n matrix.
-    A perm entry or matrix entry that is not an integer is a ParseError
-    naming its position or line.
-    """
-    # deferred: fileio imports this module through bm
-    from .fileio import ParseError, read_text
-
-    kind, _, rest = text.partition(":")
-    kind = kind.strip()
-    if kind in STANDARD_KINDS:
-        perm = None
-        if rest.strip():
-            entries = []
-            for pos, x in enumerate(rest.split(","), start=1):
-                try:
-                    entries.append(int(x))
-                except ValueError as exc:
-                    raise ParseError(
-                        f"--order {text}: perm position {pos}: {x.strip()!r} is not an integer"
-                    ) from exc
-            perm = tuple(entries)
-        return OrderSpec(n, kind, perm)
-    if kind == "matrix":
-        path = Path(rest.strip())
-        rows = []
-        for ln, line in enumerate(read_text(path).splitlines(), start=1):
-            line = line.strip()
-            if line:
-                try:
-                    rows.append(tuple(int(x) for x in line.split()))
-                except ValueError as exc:
-                    raise ParseError(f"{path}: line {ln}: {exc}") from exc
-        return OrderSpec(n, "matrix", matrix=rows)
-    raise OrderError(f"cannot parse order spec {text!r}")
 
 
 # ---------------------------------------------------------------------------

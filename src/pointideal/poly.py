@@ -38,7 +38,7 @@ class Polynomial(FrozenRecord):
     def evaluate(self, field, point):
         acc = field.zero
         for c, m in self.terms:
-            acc = field.add(acc, field.mul(c, evaluate_monomial(field, m, point)))
+            acc = field.canonical(acc + c * evaluate_monomial(field, m, point))
         return acc
 
     def __repr__(self):
@@ -51,7 +51,7 @@ def evaluate_monomial(field, exps, point):
     v = field.one
     for e, x in zip(exps, point):
         for _ in range(e):
-            v = field.mul(v, x)
+            v = field.canonical(v * x)
     return v
 
 
@@ -60,7 +60,5 @@ def combine(parts, spec, field):
     acc = {}
     for scalar, poly in parts:
         for c, m in poly.terms:
-            add = field.mul(scalar, c)
-            cur = acc.get(m)
-            acc[m] = add if cur is None else field.add(cur, add)
+            acc[m] = field.canonical(acc.get(m, 0) + scalar * c)
     return Polynomial.from_dict(acc, spec, field)

@@ -105,12 +105,12 @@ def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
         const, tail = es.relations[k]
         parts = [
             (fld.one, Polynomial.monomial(orders.monomial_mul_var(one, k), fld)),
-            (fld.neg(const), Polynomial.monomial(one, fld)),
+            (fld.canonical(-const), Polynomial.monomial(one, fld)),
         ]
         for j, c in tail.items():
             x_j = orders.monomial_mul_var(one, j)
             if x_j in in_B:
-                parts.append((fld.neg(c), Polynomial.monomial(in_B[x_j], fld)))
+                parts.append((fld.canonical(-c), Polynomial.monomial(in_B[x_j], fld)))
             else:
                 parts.append((c, Polynomial(by_lead[x_j].terms[1:])))
         G.append(combine(parts, spec, fld))

@@ -51,7 +51,7 @@ def dependent_point_set(rng, fld, n_free, n_dep, m):
         for c in rel:
             v = c[0]
             for a, xj in zip(c[1:], x):
-                v = fld.add(v, fld.mul(a, xj))
+                v = fld.canonical(v + a * xj)
             p.append(v)
         points.append(tuple(p[k] for k in perm))
     return PointSet(field=fld, n=n_free + n_dep, points=tuple(points))

@@ -11,7 +11,7 @@ from conftest import random_instance, random_order
 import importlib
 
 bm_mod = importlib.import_module("pointideal.bm")
-from pointideal import orders
+from pointideal import fileio, orders
 from pointideal._oracles import (
     abbott_basis,
     random_matrix_order,
@@ -258,7 +258,7 @@ def test_progress_logging(caplog):
 def _bm_against_oracle(fld, n, m, order, seed):
     """bm (integer rows) and abbott_basis (list rows) on seeded points."""
     pts = random_point_set(random.Random(seed), fld, n, m)
-    spec = orders.parse_order(order, n)
+    spec = fileio.parse_order(order, n)
     res = bm(pts, spec)
     ref = abbott_basis(pts, spec)
     assert res.B == ref.B and res.G == ref.G
@@ -266,9 +266,13 @@ def _bm_against_oracle(fld, n, m, order, seed):
     return res
 
 
-def test_real_size_gf32003_against_oracle():
-    res = _bm_against_oracle(PrimeField(32003), 8, 200, "degrevlex", 1)
-    assert len(res.B) == 200 and len(res.G) == 330
+def test_real_size_gf32003_lex_is_certified():
+    # long candidate lists: the merge shows in the time only at this size;
+    # the verifier, not abbott_basis, checks the result
+    pts = random_point_set(random.Random(1), PrimeField(32003), 12, 600)
+    res = bm(pts, orders.lex(12))
+    verify_result(res, pts)
+    assert len(res.B) == 600 and len(res.G) == 13 and res.stats.L_max == 6594
 
 
 @pytest.mark.parametrize("order", ["lex", "degrevlex"])
@@ -353,6 +357,16 @@ def test_normal_form_rejects_arity_mismatch():
     with pytest.raises(PointSetError, match="arity"):
         normal_form(Polynomial([(1, (1, 0))]), other, pts)
     assert normal_form(Polynomial([(1, (1, 0))]), res, pts).terms
+
+
+def test_normal_form_rejects_a_coefficient_outside_the_field():
+    # these once raised AttributeError and TypeError from inside the run
+    for fld, bad in ((QQ, 0.5), (PrimeField(7), Fraction(1, 2))):
+        pts = random_point_set(random.Random(3), fld, 1, 4)
+        res = bm(pts, orders.lex(1))
+        f = Polynomial([(fld.one, (3,)), (bad, (2,))])
+        with pytest.raises(PointSetError, match=re.escape(f"term {bad!r}*x^[2] is not over {fld}")):
+            normal_form(f, res, pts)
 
 
 def test_normal_form_rejects_a_basis_dependent_at_the_points():

@@ -325,7 +325,7 @@ def test_basis_order_matrix_with_byte_order_mark(capsys, points_file, tmp_path):
     grid, bom = tmp_path / "A.txt", tmp_path / "bom.txt"
     grid.write_text("1 1 1 1 1\n0 0 0 0 -1\n0 0 0 -1 0\n0 0 -1 0 0\n0 -1 0 0 0\n")
     bom.write_bytes(BOM + grid.read_bytes())
-    assert orders.parse_order(f"matrix:{bom}", 5) == orders.parse_order(f"matrix:{grid}", 5)
+    assert fileio.parse_order(f"matrix:{bom}", 5) == fileio.parse_order(f"matrix:{grid}", 5)
     plain = run_cli(capsys, "basis", str(points_file), "--order", f"matrix:{grid}")
     assert plain[0] == 0
     assert run_cli(capsys, "basis", str(points_file), "--order", f"matrix:{bom}") == plain
@@ -649,7 +649,7 @@ def reference_serialize(result):
 @pytest.mark.parametrize("fld", [PrimeField(32003), QQ], ids=["GFp", "QQ"])
 def test_serialize_result_matches_per_term_document(fld, order, shape):
     rng = random.Random(11)
-    spec = orders.parse_order(order, 5)
+    spec = fileio.parse_order(order, 5)
     if shape == "projected":
         # 2 free coordinates and 3 affine in them
         pts = dependent_point_set(rng, fld, 2, 3, 15)
@@ -679,7 +679,7 @@ CLI_MODULES = [
     "pointideal.poly", "pointideal.projection",
 ]
 # source lines those modules hold: every CLI process compiles them
-CLI_LINES = 2045
+CLI_LINES = 2004
 
 
 def test_cli_import_loads_exactly_these_modules():

@@ -38,7 +38,7 @@ def recombine(fld, originals, coeffs, residual):
     out = list(residual)
     for idx, c in coeffs.items():
         for k in range(len(out)):
-            out[k] = fld.add(out[k], fld.mul(c, originals[idx][k]))
+            out[k] = fld.canonical(out[k] + c * originals[idx][k])
     return out
 
 
@@ -73,7 +73,7 @@ def test_reduce_recombination_invariant(fld):
             residual, coords = acc.reduce(acc.vector(v))
             coeffs = acc.coordinates(coords)
             assert recombine(fld, originals, coeffs, elements(acc.store, residual, coords)) == [
-                fld.add(x, fld.zero) for x in v
+                fld.canonical(x) for x in v
             ]
             # every residual vanishes on the pivots of the rows before it
             assert not any(residual[piv] for piv in pivots)
@@ -160,7 +160,7 @@ def test_step_is_entrywise_product(fld):
             xs = [Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 2**70)) for _ in xs]
         if k % 10 == 0:
             ys = [fld.zero] * 6
-        products = [fld.mul(x, y) for x, y in zip(xs, ys)]
+        products = [fld.canonical(x * y) for x, y in zip(xs, ys)]
         got = store.step(store.vector(xs), store.vector(ys))
         assert got == store.vector(products)
         if fld.kind == "rational":
@@ -392,6 +392,19 @@ def test_list_rows_sub_scaled_is_entrywise_sub_mul(fld):
     # the oracle's own row update: y - c*x in the field, entry by entry
     ys = [fld.parse(str(k)) for k in (3, -7, 0, 11, 4)]
     xs = [fld.parse(str(k)) for k in (0, 5, -2, 9, 1)]
-    for c in (fld.zero, fld.one, fld.parse("-6"), fld.inv(fld.parse("3"))):
-        want = [fld.add(y, fld.neg(fld.mul(c, x))) for y, x in zip(ys, xs)]
+    inv3 = Fraction(1, 3) if fld == QQ else pow(3, -1, fld.p)
+    for c in (fld.zero, fld.one, fld.parse("-6"), inv3):
+        want = [fld.canonical(y - c * x) for y, x in zip(ys, xs)]
         assert ListRows(5, fld).sub_scaled(ys, c, xs) == want
+
+
+def test_list_rows_inverse_is_exact():
+    # over QQ, ints and Fractions alike give a Fraction, never a float
+    rows = ListRows(1, QQ)
+    for a, want in ((3, Fraction(1, 3)), (-4, Fraction(-1, 4)), (1, Fraction(1)),
+                    (Fraction(2, 3), Fraction(3, 2)), (Fraction(-5, 7), Fraction(-7, 5))):
+        got = rows.inverse(a)
+        assert type(got) is Fraction and got == want
+    # over GF(p), the residue whose product with a is 1
+    gf5 = ListRows(1, PrimeField(5))
+    assert [gf5.inverse(a) for a in (1, 2, 3, 4, 9)] == [1, 3, 2, 4, 4]

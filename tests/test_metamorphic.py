@@ -1,10 +1,13 @@
 """Metamorphic relations: transformed points, predictable results.
 
 Permuting the points changes neither B nor G, so the result document is
-byte for byte the same.  Scaling coordinate i by a nonzero lambda_i maps
-the zero set of g(x) to that of lambda^a * g(x / lambda), where x^a leads
-g: B is unchanged, and in the element led by x^a the coefficient of x^b
-is multiplied by lambda^(a - b), which is monic again.
+byte for byte the same.  Relabelling the coordinates by a permutation
+sigma, and the order's variable permutation with them, permutes every
+exponent tuple of B and G by sigma and keeps every coefficient.  Scaling
+coordinate i by a nonzero lambda_i maps the zero set of g(x) to that of
+lambda^a * g(x / lambda), where x^a leads g: B is unchanged, and in the
+element led by x^a the coefficient of x^b is multiplied by
+lambda^(a - b), which is monic again.
 """
 
 import random
@@ -56,18 +59,14 @@ def case(name):
 
 def power(fld, lam, e):
     """lam**e in fld, for any integer e."""
-    base = lam if e >= 0 else fld.inv(lam)
-    out = fld.one
-    for _ in range(abs(e)):
-        out = fld.mul(out, base)
-    return out
+    return lam**e if fld == QQ else pow(lam, e, fld.p)
 
 
 def scale(fld, lams, a, b):
     """The product of lams[i]**(a[i] - b[i]) over the variables i."""
     out = fld.one
     for lam, ai, bi in zip(lams, a, b):
-        out = fld.mul(out, power(fld, lam, ai - bi))
+        out = fld.canonical(out * power(fld, lam, ai - bi))
     return out
 
 
@@ -88,6 +87,29 @@ def test_permuting_the_points_keeps_the_document(name):
 
 
 @pytest.mark.parametrize("name", CASES)
+def test_relabelling_the_coordinates_permutes_the_exponents(name):
+    points, spec, projected, res = case(name)
+    n = points.n
+    sigma = list(range(n))  # coordinate i moves to position sigma[i]
+    random.Random(3).shuffle(sigma)
+    assert sigma != sorted(sigma)
+
+    def relabel(v):
+        out = [None] * n
+        for i, x in enumerate(v):
+            out[sigma[i]] = x
+        return tuple(out)
+
+    moved = PointSet(field=points.field, n=n, points=tuple(map(relabel, points.points)))
+    # x_i > x_j under spec exactly when y_sigma(i) > y_sigma(j) under the new order
+    order = CASES[name][3]
+    got = solve(moved, order(n, tuple(sigma[i - 1] + 1 for i in spec.perm)), projected)
+    assert got.stats.n_essential == res.stats.n_essential
+    assert got.B == [relabel(b) for b in res.B]
+    assert got.G == [Polynomial([(c, relabel(m)) for c, m in g.terms]) for g in res.G]
+
+
+@pytest.mark.parametrize("name", CASES)
 def test_scaling_a_coordinate_scales_the_coefficients(name):
     points, spec, projected, res = case(name)
     fld = points.field
@@ -96,12 +118,16 @@ def test_scaling_a_coordinate_scales_the_coefficients(name):
     scaled = PointSet(
         field=fld,
         n=points.n,
-        points=tuple(tuple(map(fld.mul, lams, x)) for x in points.points),
+        points=tuple(
+            tuple(fld.canonical(lam * xi) for lam, xi in zip(lams, x)) for x in points.points
+        ),
     )
     got = solve(scaled, spec, projected)
     assert got.B == res.B
     want = []
     for g in res.G:
         lead = g.terms[0][1]
-        want.append(Polynomial([(fld.mul(c, scale(fld, lams, lead, b)), b) for c, b in g.terms]))
+        want.append(
+            Polynomial([(fld.canonical(c * scale(fld, lams, lead, b)), b) for c, b in g.terms])
+        )
     assert got.G == want

@@ -6,11 +6,10 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointideal import orders
 from pointideal._oracles import random_matrix_order
 from pointideal.deltamerge import compare_from
+from pointideal.fileio import parse_order
 from pointideal.orders import (
-    DegreeOverflow,
     NonAdmissibleColumn,
     OrderError,
     OrderSpec,
@@ -22,7 +21,6 @@ from pointideal.orders import (
     monomial_mul_var,
     order_vector,
     order_vector_step,
-    parse_order,
     restrict,
     standard_matrix,
     varord,
@@ -246,14 +244,6 @@ def test_restrict_to_all_variables():
 def test_monomial_helpers():
     assert monomial_mul_var((1, 2), 2) == (1, 3)
     assert monomial_mul_var((1, 2), 1) == (2, 2)
-
-
-def test_degree_cap():
-    big = (orders.DEGREE_CAP,)
-    with pytest.raises(DegreeOverflow):
-        monomial_mul_var(big, 1)
-    with pytest.raises(DegreeOverflow):
-        monomial_mul_var((orders.DEGREE_CAP - 1, 1), 2)
 
 
 def test_standard_matrices_shape():

@@ -26,7 +26,7 @@ def _dependent_points(rng, fld, free, m):
     while len(pts) < m:
         x = [fld.canonical(rng.randrange(50)) for _ in range(free)]
         y = [
-            fld.add(fld.canonical(c), fld.mul(fld.canonical(a), x[j % free]))
+            fld.canonical(c + a * x[j % free])
             for j, (a, c) in enumerate([(2, 1), (3, 0), (5, 7)])
         ]
         pts.add(tuple(x + y))

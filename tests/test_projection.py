@@ -114,7 +114,7 @@ def test_relation_properties_random():
             for p in pts.points:
                 rhs = const
                 for j, c in tail.items():
-                    rhs = fld.add(rhs, fld.mul(c, p[j - 1]))
+                    rhs = fld.canonical(rhs + c * p[j - 1])
                 assert p[k - 1] == rhs
             # every variable in a tail is strictly smaller than x_k
             vo = list(orders.varord(spec))
@@ -160,12 +160,12 @@ def reference_lift(sub, es, spec):
         const, tail = es.relations[k]
         parts = [
             (fld.one, Polynomial.monomial(orders.monomial_mul_var(one, k), fld)),
-            (fld.neg(const), Polynomial.monomial(one, fld)),
+            (fld.canonical(-const), Polynomial.monomial(one, fld)),
         ]
         for j, c in tail.items():
             x_j = orders.monomial_mul_var(one, j)
             if x_j in B:
-                parts.append((fld.neg(c), Polynomial.monomial(x_j, fld)))
+                parts.append((fld.canonical(-c), Polynomial.monomial(x_j, fld)))
             else:
                 parts.append((c, Polynomial(by_lead[x_j].terms[1:])))
         G.append(combine(parts, spec, fld))
