@@ -17,7 +17,8 @@ integer stores of ``linalg`` (packed rows over GF(p), rows over one common
 denominator over QQ).  Comparing the two therefore checks both the
 candidate bookkeeping (the memoized duplicate-preserving list against
 explicit divisibility filtering) and the library's elimination arithmetic
-and G construction, over either field.
+and G construction, over either field.  ``evaluate`` computes each power
+with ``pow``, sharing nothing with ``PointSet.evaluate``'s parent chains.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import bisect
 import random
 from fractions import Fraction
+from math import prod
 
 from . import orders
 from .bm import GroebnerResult, PointSet, RunStats
@@ -91,6 +93,13 @@ class ListRows:
         row_ops = 2 * sum(1 for x in row if x != F.zero) + len(coeffs) + 1
         self._rows.append((piv, row, hist, row_ops))
         return 1 + self.m + len(coeffs)
+
+
+def evaluate(f, field, point):
+    """The polynomial f at point, each power by ``pow``, no monomial by another."""
+    p = getattr(field, "p", None)  # None over QQ: pow(x, e, None) is x**e
+    terms = [c * prod(pow(x, e, p) for x, e in zip(point, m)) for c, m in f.terms]
+    return field.canonical(sum(terms))
 
 
 def naive_deltas(items):

@@ -4,7 +4,8 @@ The golden merge instance and the golden basis instance are exported so the
 test suite can reuse them.  ``run_selftest`` checks the merge against the
 golden instance and the naive merge, the basis and the projection against
 the golden answers, and certifies seeded runs over GF(p) and QQ, direct
-and projected, with ``certify.verify_result``.
+and projected, with ``certify.verify_result``; on the GF(p) run it checks
+one ``normal_form`` of a random combination of B and the leads of G.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from fractions import Fraction
 
 from . import orders
 from ._oracles import naive_deltas, random_point_set
-from .bm import PointSet, bm
+from .bm import PointSet, PointSetError, bm, normal_form
 from .certify import VerificationError, verify_result
 from .deltamerge import DeltaList
 from .fields import QQ, PrimeField
 from .oracles import naive_merge
-from .poly import Polynomial
+from .poly import Polynomial, combine
 from .projection import bm_projected, essential_variables, project
 
 # A merge instance with a known interleaving, including a duplicate pair
@@ -201,12 +202,30 @@ def run_selftest(seed=0, report=print):
         ("projected GF(32003) (8, 100, degrevlex)", bm_projected, PointSet(gf, 8, affine)),
         ("QQ (4, 40, degrevlex)", bm, random_point_set(rng, QQ, 4, 40)),
     ]
+    results = []
     for name, run, pts in runs:
+        results.append(run(pts, orders.degrevlex(pts.n)))
         try:
-            verify_result(run(pts, orders.degrevlex(pts.n)), pts)
+            verify_result(results[-1], pts)
             detail = ""
         except VerificationError as exc:
             detail = str(exc)
         check(f"certified {name}", not detail, detail)
+
+    # sum r_g*lead(g) + sum s_b*b has the normal form sum r_g*(lead(g) - g) + sum s_b*b
+    res, pts = results[0], runs[0][2]
+    r = [(rng.randrange(gf.p), g) for g in res.G]
+    s = [(rng.randrange(gf.p), Polynomial.monomial(b, gf)) for b in res.B]
+    f = combine([(c, Polynomial(g.terms[:1])) for c, g in r] + s, res.spec, gf)
+    expect = combine([(gf.canonical(-c), Polynomial(g.terms[1:])) for c, g in r] + s, res.spec, gf)
+    try:
+        nf = normal_form(f, res, pts)
+    except PointSetError as exc:
+        nf = exc
+    check(
+        f"normal form of {len(f.terms)} terms on {runs[0][0]}",
+        nf == expect,
+        f"{nf}"[:200],
+    )
 
     return failures

@@ -16,6 +16,7 @@ run that is not skipped.
 from __future__ import annotations
 
 import time
+from functools import reduce
 from sys import modules
 
 from . import orders
@@ -23,7 +24,7 @@ from ._record import FrozenRecord, Record
 from .deltamerge import compare_from, merge_with_sources
 from .linalg import EchelonAccumulator
 # combine stays bound here so that perfbench's tracer can patch bm.combine
-from .poly import Polynomial, combine, evaluate_monomial  # noqa: F401
+from .poly import Polynomial, combine  # noqa: F401
 
 
 class PointSetError(ValueError):
@@ -67,6 +68,23 @@ class PointSet(FrozenRecord):
     def coordinate_column(self, i: int):
         """Evaluation vector of the variable x_i (1-based)."""
         return [p[i - 1] for p in self.points]
+
+    def evaluate(self, store, monomials):
+        """The store vectors of the monomials at the points, in their order.
+
+        x^a is one ``step`` from x^a / x_i, x_i its first variable, and so on down to 1
+        or a monomial asked for, evaluated first by degree: a power holds one vector.
+        """
+        columns = [store.vector(self.coordinate_column(i)) for i in range(1, self.n + 1)]
+        value = {(0,) * self.n: store.vector([self.field.one] * self.m)}
+        for a in sorted(set(monomials), key=sum):
+            e, up = a, []
+            while e not in value:
+                i = next(i for i, x in enumerate(e) if x)
+                up.append(columns[i])
+                e = e[:i] + (e[i] - 1,) + e[i + 1 :]
+            value[a] = reduce(store.step, reversed(up), value[e])
+        return [value[a] for a in monomials]
 
 
 class RunStats(Record):
@@ -244,28 +262,31 @@ def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Poly
     """The unique representative of [f] supported on the quotient basis.
 
     Works through evaluations: expresses f(P) in the coordinates of the
-    basis evaluation vectors.
+    basis evaluation vectors, each monomial evaluated by ``points.evaluate``.
     """
-    n = points.n
+    n, fld = points.n, points.field
     if result.spec.n != n or any(len(m) != n for _c, m in f.terms):
         raise PointSetError(f"normal_form: arity differs from point arity {n}")
-    fld, pts = points.field, points.points
     if result.field != fld:
         raise PointSetError(f"normal_form: result over {result.field}, points over {fld}")
+    coeffs = []
     for c, m in f.terms:
         try:
-            fld.canonical(c)
-        except TypeError as exc:
-            raise PointSetError(f"normal_form: term {c!r}*x^{list(m)} is not over {fld}") from exc
+            if any(type(x) is not int or x < 0 for x in m):
+                raise TypeError("an exponent is not a non-negative integer")
+            coeffs.append(fld.canonical(c))
+        except TypeError as e:
+            raise PointSetError(f"normal_form: term {c!r}*x^{list(m)} is not over {fld}: {e}")
     acc = EchelonAccumulator(points.m, fld)
-    for b in result.B:
-        residual, coords = acc.reduce(acc.vector([evaluate_monomial(fld, b, p) for p in pts]))
+    B = result.B
+    values = points.evaluate(acc.store, [*B, *[m for _c, m in f.terms]])
+    for b, v in zip(B, values):
+        residual, coords = acc.reduce(v)
         if not any(residual):
             raise PointSetError(f"normal_form: basis monomial {b} is dependent at the points")
         acc.insert(residual, coords)
-    residual, coords = acc.reduce(acc.vector([f.evaluate(fld, p) for p in pts]))
+    residual, coords = acc.reduce(acc.store.combiner(values[len(B) :])(coeffs, range(len(coeffs))))
     if any(residual):
         raise PointSetError("basis does not span the evaluation space")
     coeffs = acc.coordinates(coords)
-    B = result.B
     return Polynomial([(coeffs[i], B[i]) for i in sorted(coeffs, reverse=True)])

@@ -6,23 +6,18 @@ its corners, and each g is monic, has its tail on B and vanishes at the m
 points, then the corners lie in the initial ideal, whose m standard
 monomials are therefore B, and G is the reduced basis.
 
-No elimination is run.  Each monomial of B and each corner is evaluated
-once, by one ``step`` from a parent in B, in the store that
-``linalg.new_store`` picks for the field.  In ``PackedRows`` (GF(p)) the
-values of a g are one sum of ints packed as the store packs them; a monic
-lead and at most m tail residues keep each slot below its bound
-m*(p-1)**2 + p.  In ``IntRows`` (QQ) they are summed as integers over the
-lcm of the coefficient and value denominators.
+No elimination is run.  The monomials of B and the corners are evaluated
+by ``points.evaluate``, each by one ``step`` from a parent in B, in the
+store that ``linalg.new_store`` picks for the field, and the values of
+each g are one sum by the store's ``combiner``.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from math import lcm
-from operator import gt, lt, mul
+from operator import gt, lt
 
-from .linalg import PackedRows, new_store
-from .orders import order_vector
+from .linalg import new_store
+from .orders import monomial_mul_var, order_vector
 
 
 class VerificationError(ValueError):
@@ -71,22 +66,15 @@ def verify_result(result, points) -> None:
     if any(B[0]):
         raise VerificationError("B does not contain 1")
     index = {b: k for k, b in enumerate(B)}
-    parent = {}  # B[k], k > 0 -> (B[k] over x_i, 0-based i)
     for b in B[1:]:
-        down = [i for i in range(n) if b[i] > 0]
-        if not down or any(_below(b, i) not in index for i in down):
+        if any(b[i] and _below(b, i) not in index for i in range(n)):
             raise VerificationError(f"B is not an order ideal at {b}")
-        parent[b] = (_below(b, down[0]), down[0])
 
-    # each monomial x_i*b, b in B, with a parent (b, 0-based i) in B
-    border = {b[:i] + (b[i] + 1,) + b[i + 1 :]: (b, i) for b in B for i in range(n)}
-    corners = {
-        c: up
-        for c, up in border.items()
-        if c not in index and all(not c[j] or _below(c, j) in index for j in range(n))
-    }
+    # the monomials x_i*b, b in B, outside B whose every divisor x_j lies on B
+    border = {monomial_mul_var(b, i) for b in B for i in range(1, n + 1)} - index.keys()
+    corners = {c for c in border if all(not c[j] or _below(c, j) in index for j in range(n))}
     leads = [g.terms[0][1] if g.terms else None for g in G]  # None: a zero g
-    if len(leads) != len(corners) or set(leads) != corners.keys():
+    if len(leads) != len(corners) or set(leads) != corners:
         raise VerificationError(
             f"the leading monomials of G are not the {len(corners)} corners of B"
         )
@@ -109,25 +97,7 @@ def verify_result(result, points) -> None:
         terms.append((coeffs, at))
 
     store = new_store(m, fld)
-    packs = isinstance(store, PackedRows)
-    columns = [store.vector(points.coordinate_column(i)) for i in range(1, n + 1)]
-    value = {B[0]: store.vector([fld.one] * m)}
-    # B ascends, so a parent in B is evaluated before its multiples
-    for e, (d, i) in chain(parent.items(), corners.items()):
-        value[e] = store.step(value[d], columns[i])
-    if packs:
-        packed = [store.pack(value[b]) for b in B]
-    for k, (lead, (coeffs, at)) in enumerate(zip(leads, terms)):
-        if packs:
-            tail = sum(map(mul, coeffs[1:], map(packed.__getitem__, at)))
-            total = store.unpack(store.pack(value[lead]) + tail, m)
-        else:
-            vals = [value[lead], *[value[B[j]] for j in at]]
-            L = lcm(*[c.denominator * D for c, (_N, D) in zip(coeffs, vals)])
-            total = [0] * m
-            for c, (N, D) in zip(coeffs, vals):
-                s = c.numerator * (L // (c.denominator * D))
-                total = [t + s * x for t, x in zip(total, N)]
-        j = next((j for j, t in enumerate(total) if t), None)
-        if j is not None:
-            raise VerificationError(f"G[{k}] does not vanish at point {j}")
+    total = store.combiner(points.evaluate(store, [*B, *leads]))
+    for k, (coeffs, at) in enumerate(terms):
+        if nonzero := store.coordinates(total(coeffs, [m + k, *at])):
+            raise VerificationError(f"G[{k}] does not vanish at point {min(nonzero)}")

@@ -5,7 +5,7 @@ canonical residues ``int`` in ``[0, p)`` for prime fields), so equality is
 bit-for-bit after canonicalization and everything hashes.  Code computes
 with Python's operators and passes the result to ``field.canonical``; a
 field holds only ``kind``, ``zero``, ``one``, ``canonical``, the text forms
-(``parse``, ``read``, ``format``) and the descriptor.
+(``parse`` reads all that ``format`` writes) and the descriptor.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from ._record import FrozenRecord
 
 
 # CPython's default limit on the digits of an int converted from or to text.
-# A result's coefficients outgrow its points, so format and read convert
+# A result's coefficients outgrow its points, so format and parse convert
 # longer numerals through decimal, which has no such limit
 MAX_DIGITS = 4300
 
@@ -96,9 +96,11 @@ class RationalField(FrozenRecord):
         """Parse "a/b", an integer or a decimal such as "0.1" or "1e-07".
 
         A literal whose exponent would make more than ``MAX_DIGITS`` digits
-        is rejected before 10**exponent is computed.
+        is rejected before 10**exponent is computed; "a/b" may be any length.
         """
         text = text.strip()
+        if len(text) > MAX_DIGITS and _RATIO.fullmatch(text):
+            return Fraction(*[int(Decimal(k)) for k in text.split("/")])
         mantissa, _e, exponent = text.lower().partition("e")
         try:
             if exponent and abs(int(exponent)) + len(mantissa) > MAX_DIGITS:
@@ -106,12 +108,6 @@ class RationalField(FrozenRecord):
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {_quote(text)}") from exc
-
-    def read(self, text: str):
-        """``parse``, and an integer or "a/b" of any length, as ``format`` writes."""
-        if len(text) > MAX_DIGITS and _RATIO.fullmatch(text):
-            return Fraction(*[int(Decimal(k)) for k in text.split("/")])
-        return self.parse(text)
 
     def format(self, a) -> str:
         """``str(a)``: "a/b", or the integer when b is 1, of any length."""
@@ -156,8 +152,6 @@ class PrimeField(FrozenRecord):
             return int(text.strip(), 10) % self.p
         except ValueError as exc:
             raise ValueError(f"bad integer literal {_quote(text)}") from exc
-
-    read = parse  # format writes residues below p, never long numerals
 
     def format(self, a) -> str:
         return str(a)

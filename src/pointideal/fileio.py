@@ -202,7 +202,7 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
         G = [
             Polynomial(
                 [
-                    (fld.read(str(c)), _exponents(m, n, f"G[{k}] term {t}"))
+                    (fld.parse(str(c)), _exponents(m, n, f"G[{k}] term {t}"))
                     for t, (c, m) in enumerate(terms)
                 ]
             )

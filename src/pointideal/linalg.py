@@ -8,16 +8,18 @@ coefficients over the *originally inserted* vectors, the ``v`` handed to
 coordinates over those originals -- which, for evaluation vectors of
 monomials, is directly a polynomial combination of those monomials.
 
-``EchelonAccumulator`` is the one interface.  It keeps its rows in the
-store that ``new_store`` picks by field kind; the store owns the format of
-the vectors it eliminates: ``vector(elements)`` turns field elements into a
-store vector once, ``step(vec, column)`` is the pointwise product of two
-store vectors, and ``reduce`` takes a store vector.  ``reduce`` returns
-(residual, coords): the residual is a list of integers, zero exactly when
-``not any(residual)``, and coords is what ``insert`` needs besides it.
-Field elements come back only from ``coordinates(coords)`` and from
-``tail(coords, B)``, the terms (-c_i, B[i]) of the nonzero coordinates c_i,
-i descending: the tail of the G element t - sum c_i*B[i].
+``EchelonAccumulator`` is the one interface.  It keeps its rows in the store
+that ``new_store`` picks by field kind; the store owns the format of the
+vectors it eliminates: ``vector(elements)`` turns field elements into a store
+vector once, ``step(vec, column)`` is the pointwise product of two store
+vectors, ``combiner(vecs)(coeffs, at)`` is the store vector of sum
+coeffs[j]*vecs[at[j]] for any number of field elements coeffs, and
+``reduce(vec)`` returns (residual, coords): the residual is a list of
+integers, zero exactly when ``not any(residual)``, and coords, in the vector
+format, is what ``insert`` needs besides it.  Field elements come back only
+from ``coordinates``, {k: nonzero entry k} of coords or of any store vector,
+and ``tail(coords, B)``, the terms (-c_i, B[i]) of the nonzero coordinates
+c_i, i descending: the tail of the G element t - sum c_i*B[i].
 
 * ``IntRows`` (the rationals) holds a vector as (integers, D) with D > 0
   and gcd(D, *integers) = 1, its entries integers[k]/D; the step multiplies
@@ -39,7 +41,7 @@ i descending: the tail of the G element t - sum c_i*B[i].
   vectors of small-height points share most of their denominators, so the
   rows stay a few hundred bits long; vectors with unrelated large
   denominators make every entry as long as their lcm, and there the list
-  rows of the oracle can be faster.
+  rows of the oracle can be faster.  ``combiner`` sums over one lcm.
 * ``PackedRows`` (GF(p)) holds a vector as a list of residues in [0, p),
   which ``vector``, ``step`` and ``reduce`` return and packing writes as
   they are; and each row, and each history, as one Python ``int`` with a
@@ -65,6 +67,8 @@ i descending: the tail of the G element t - sum c_i*B[i].
   byte string.  This is exact for every prime the library accepts
   (p < 2**63); there w is 17 bytes at m = 1000.  The residual is the
   unpacked list of residues and coords the unpacked history coefficients.
+  ``combiner`` packs each vector once, and unpacks and packs its sum, each
+  slot then below p, after every (2**w - p) // (p-1)**2 >= m terms.
 
 ``field_ops`` counts the same model operations in both stores and in the
 test oracle's list rows (``_oracles.ListRows``), as before the stores
@@ -87,6 +91,7 @@ import sys
 from array import array
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 # native 64-bit lanes put slot k at bits [64k, 64k+64) only on little-endian machines
 _LITTLE_ENDIAN = sys.byteorder == "little"
@@ -122,6 +127,19 @@ class IntRows:
             P = [x // g for x in P]
             D //= g
         return P, D
+
+    def combiner(self, vecs):
+        def combine(coeffs, at):
+            terms = [(c, *vecs[j]) for c, j in zip(coeffs, at)]
+            L = lcm(*[c.denominator * D for c, _N, D in terms])
+            total = [0] * self.m
+            for c, N, D in terms:
+                s = c.numerator * (L // (c.denominator * D))
+                total = [t + s * x for t, x in zip(total, N)]
+            g = gcd(L, *total)
+            return [t // g for t in total], L // g
+
+        return combine
 
     @staticmethod
     def coordinates(coords):
@@ -223,6 +241,19 @@ class PackedRows:
         """The vector of the entrywise products of two vectors."""
         p = self.p
         return [x * y % p for x, y in zip(vec, column)]
+
+    def combiner(self, vecs):
+        packed, m = [self.pack(v) for v in vecs], self.m
+        room = ((1 << self._w) - self.p) // (self.p - 1) ** 2
+
+        def combine(coeffs, at):
+            vs, total = [packed[j] for j in at], 0
+            for k in range(0, len(at), room):
+                base = self.pack(self.unpack(total, m)) if total else 0  # every slot below p
+                total = sum(map(mul, coeffs[k : k + room], vs[k : k + room]), base)
+            return self.unpack(total, m)
+
+        return combine
 
     @staticmethod
     def coordinates(coords):

@@ -21,9 +21,7 @@ class Polynomial(FrozenRecord):
 
     @classmethod
     def from_dict(cls, coeffs: dict, spec, field):
-        terms = [
-            (c, m) for m, c in coeffs.items() if c != field.zero
-        ]
+        terms = [(c, m) for m, c in coeffs.items() if c != field.zero]
         terms.sort(key=lambda t: orders.order_vector(spec, t[1]), reverse=True)
         return cls(terms)
 
@@ -35,24 +33,10 @@ class Polynomial(FrozenRecord):
     def leading_monomial(self):
         return self.terms[0][1]
 
-    def evaluate(self, field, point):
-        acc = field.zero
-        for c, m in self.terms:
-            acc = field.canonical(acc + c * evaluate_monomial(field, m, point))
-        return acc
-
     def __repr__(self):
         if not self.terms:
             return "0"
         return " + ".join(f"{c}*x^{list(m)}" for c, m in self.terms)
-
-
-def evaluate_monomial(field, exps, point):
-    v = field.one
-    for e, x in zip(exps, point):
-        for _ in range(e):
-            v = field.canonical(v * x)
-    return v
 
 
 def combine(parts, spec, field):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pointideal import orders
+from pointideal import linalg, orders
 from pointideal._oracles import (
     abbott_basis,
     random_field,
@@ -55,6 +55,20 @@ def dependent_point_set(rng, fld, n_free, n_dep, m):
             p.append(v)
         points.append(tuple(p[k] for k in perm))
     return PointSet(field=fld, n=n_free + n_dep, points=tuple(points))
+
+
+def counted_steps(monkeypatch, module):
+    """A list that grows by one at each ``step`` of a store that module.new_store makes."""
+    steps, make = [], linalg.new_store
+
+    def new_store(m, field):
+        store = make(m, field)
+        step = store.step
+        store.step = lambda vec, column: steps.append(1) or step(vec, column)
+        return store
+
+    monkeypatch.setattr(module, "new_store", new_store)
+    return steps
 
 
 def random_order(rng, n, matrix_every=4):

@@ -7,13 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_instance, random_order
+from conftest import counted_steps, random_instance, random_order
 import importlib
 
 bm_mod = importlib.import_module("pointideal.bm")
-from pointideal import fileio, orders
+certify_mod = importlib.import_module("pointideal.certify")
+from pointideal import fileio, linalg, orders
 from pointideal._oracles import (
     abbott_basis,
+    evaluate,
     random_matrix_order,
     random_monomial,
     random_point_set,
@@ -34,7 +36,7 @@ from pointideal.bm import (
 from pointideal.certify import verify_result
 from pointideal.deltamerge import compare_from
 from pointideal.fields import PrimeField, QQ
-from pointideal.poly import Polynomial, combine, evaluate_monomial
+from pointideal.poly import Polynomial, combine
 from pointideal.projection import bm_projected
 
 
@@ -266,13 +268,35 @@ def _bm_against_oracle(fld, n, m, order, seed):
     return res
 
 
-def test_real_size_gf32003_lex_is_certified():
-    # long candidate lists: the merge shows in the time only at this size;
-    # the verifier, not abbott_basis, checks the result
+@pytest.fixture(scope="module")
+def real_size_lex():
     pts = random_point_set(random.Random(1), PrimeField(32003), 12, 600)
-    res = bm(pts, orders.lex(12))
+    return bm(pts, orders.lex(12)), pts
+
+
+def test_real_size_gf32003_lex_is_certified(real_size_lex, monkeypatch):
+    # long candidate lists: the merge shows in the time only at this size;
+    # the verifier, not abbott_basis, checks the result, with one step per
+    # monomial of B but 1 and per corner
+    res, pts = real_size_lex
+    steps = counted_steps(monkeypatch, certify_mod)
     verify_result(res, pts)
     assert len(res.B) == 600 and len(res.G) == 13 and res.stats.L_max == 6594
+    assert len(steps) == 599 + 13
+
+
+def test_real_size_normal_form_of_a_high_power(real_size_lex, monkeypatch):
+    # B holds x_12^592, so x_12^593 is one step past it; evaluated from
+    # scratch this normal form took ten times as long as the run
+    res, pts = real_size_lex
+    assert (0,) * 11 + (592,) in res.B
+    f = Polynomial.monomial((0,) * 11 + (593,), pts.field)
+    steps = counted_steps(monkeypatch, linalg)
+    nf = normal_form(f, res, pts)
+    assert len(steps) == 599 + 1
+    assert {e for _c, e in nf.terms} <= set(res.B) and len(nf.terms) > 500
+    for p in pts.points:
+        assert evaluate(nf, pts.field, p) == evaluate(f, pts.field, p)
 
 
 @pytest.mark.parametrize("order", ["lex", "degrevlex"])
@@ -309,16 +333,20 @@ def test_stats_bounds():
 
 
 def test_evaluate_matches_naive():
+    # PointSet.evaluate steps along parent chains, the oracle uses pow
     rng = random.Random(8)
-    fld = PrimeField(32003)
-    for _ in range(50):
+    for k in range(40):
+        fld = (PrimeField(32003), QQ)[k % 2]
         n = rng.randint(1, 4)
-        exps = random_monomial(rng, n, max_deg=8)
-        p = tuple(rng.randrange(fld.p) for _ in range(n))
-        expect = 1
-        for e, x in zip(exps, p):
-            expect = expect * pow(x, e, fld.p) % fld.p
-        assert evaluate_monomial(fld, exps, p) == expect
+        pts = random_point_set(rng, fld, n, rng.randint(1, 6))
+        monos = [random_monomial(rng, n, max_deg=8) for _ in range(6)]
+        store = linalg.new_store(pts.m, fld)
+        got = pts.evaluate(store, monos)
+        for e, v in zip(monos, got):
+            f = Polynomial.monomial(e, fld)
+            assert v == store.vector([evaluate(f, fld, p) for p in pts.points])
+    p, x = (3, Fraction(1, 2)), Polynomial([(QQ.one, (2, 3))])
+    assert evaluate(x, QQ, p) == 9 * Fraction(1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +395,30 @@ def test_normal_form_rejects_a_coefficient_outside_the_field():
         f = Polynomial([(fld.one, (3,)), (bad, (2,))])
         with pytest.raises(PointSetError, match=re.escape(f"term {bad!r}*x^[2] is not over {fld}")):
             normal_form(f, res, pts)
+
+
+def test_normal_form_rejects_an_exponent_that_is_not_a_non_negative_int():
+    # x^-1 once read as 1, True as 1 and a float leaked a TypeError
+    pts = random_point_set(random.Random(3), PrimeField(7), 2, 5)
+    res = bm(pts, orders.lex(2))
+    for bad in ((-1, 0), (True, 0), (1.0, 0), (0, 2.5)):
+        f = Polynomial([(1, (1, 1)), (3, bad)])
+        message = f"term 3*x^{list(bad)} is not over GF(7): an exponent is not a non-negative integer"
+        with pytest.raises(PointSetError, match=re.escape(message)):
+            normal_form(f, res, pts)
+
+
+@pytest.mark.parametrize("fld", [PrimeField(32003), QQ])
+def test_normal_form_of_more_than_m_terms_is_the_sum_of_theirs(fld):
+    rng = random.Random(19)
+    pts = random_point_set(rng, fld, 3, 12)
+    spec = orders.degrevlex(3)
+    res = bm(pts, spec)
+    coeffs = {random_monomial(rng, 3, 9): fld.canonical(rng.randint(-9, 9) or 1) for _ in range(40)}
+    f = Polynomial.from_dict(coeffs, spec, fld)
+    assert len(f.terms) > pts.m
+    parts = [(c, normal_form(Polynomial([(fld.one, e)]), res, pts)) for c, e in f.terms]
+    assert normal_form(f, res, pts) == combine(parts, spec, fld)
 
 
 def test_normal_form_rejects_a_basis_dependent_at_the_points():
@@ -420,4 +472,4 @@ def test_normal_form_idempotent_and_linear():
         fg = combine([(fld.one, f), (fld.one, g)], spec, fld)
         assert nf(fg) == combine([(fld.one, nf(f)), (fld.one, nf(g))], spec, fld)
         for p in pts.points:
-            assert nf(f).evaluate(fld, p) == f.evaluate(fld, p)
+            assert evaluate(nf(f), fld, p) == evaluate(f, fld, p)

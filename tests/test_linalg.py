@@ -171,6 +171,41 @@ def test_step_is_entrywise_product(fld):
             assert got == products
 
 
+@pytest.mark.parametrize(
+    "fld", [PrimeField(32003), PrimeField(2**61 - 1), QQ], ids=["lanes", "bytes", "QQ"]
+)
+def test_combiner_is_exact_past_m_terms(fld):
+    # 20m + 1 terms, the first 10m of them (p-1)*(p-1) in every slot, the
+    # most a slot can gain: summed without reducing, they would overflow
+    # the 16-byte slots of m = 7, which hold 64 of them; a 64-bit lane
+    # holds more terms than a test can sum
+    rng = random.Random(13)
+    m, count = 7, 141
+    store = linalg.new_store(m, fld)
+    if fld.kind == "prime":
+        assert store.lanes == (fld.p == 32003)
+        top = fld.p - 1
+        vecs = [[top] * m] + [random_vector(rng, fld, m) for _ in range(5)]
+        coeffs = [top] * 70 + [rng.randrange(fld.p) for _ in range(count - 70)]
+        at = [0] * 70 + [rng.randrange(6) for _ in range(count - 70)]
+    else:
+        # unrelated large denominators, and int coefficients beside Fractions
+        vecs = [[Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 2**70)) for _ in range(m)] for _ in range(6)]
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 2**40)) for _ in range(count - m)]
+        coeffs += [rng.randint(-9, 9) for _ in range(m)]
+        at = [rng.randrange(6) for _ in range(count)]
+    combine = store.combiner([store.vector(v) for v in vecs])
+    expect = [fld.canonical(sum(c * vecs[j][k] for c, j in zip(coeffs, at))) for k in range(m)]
+    got = combine(coeffs, at)
+    assert got == store.vector(expect)
+    assert store.coordinates(got) == {k: x for k, x in enumerate(expect) if x}
+    # the empty sum, and a sum that cancels, are the zero vector
+    zero = store.vector([fld.zero] * m)
+    assert combine([], []) == zero and store.coordinates(zero) == {}
+    minus_one = fld.canonical(-1)
+    assert combine([fld.one, minus_one] * (m + 1), [2, 2] * (m + 1)) == zero
+
+
 # 2**61 - 1 and the largest prime below 2**63 give packed slots wider than
 # 64 bits; 2**31 - 1 leaves the 64-bit lanes between m = 4 and m = 5
 PACKED_PRIMES = (2, 3, 101, 32003, 2**31 - 1, 2**61 - 1, 9223372036854775783)
