@@ -194,7 +194,7 @@ def abbott_basis(points: PointSet, spec) -> GroebnerResult:
         if parent is None:
             v = [fld.one] * m
         else:
-            col = points.coordinate_column(var)
+            col = [p[var - 1] for p in points.points]
             v = [fld.canonical(a * b) for a, b in zip(B_evals[parent], col)]
         residual, coeffs, _ops = acc.reduce(v)
         if all(x == fld.zero for x in residual):

@@ -65,25 +65,25 @@ class PointSet(FrozenRecord):
     def m(self):
         return len(self.points)
 
-    def coordinate_column(self, i: int):
-        """Evaluation vector of the variable x_i (1-based)."""
-        return [p[i - 1] for p in self.points]
+    def generators(self, acc):
+        """The vectors of 1, x_1, ..., x_n at the points, in the format of ``acc``."""
+        return [acc.vector([self.field.one] * self.m), *map(acc.vector, zip(*self.points))]
 
-    def evaluate(self, store, monomials):
-        """The store vectors of the monomials at the points, in their order.
+    def evaluate(self, acc, monomials):
+        """The vectors of the monomials at the points, in the format of ``acc``.
 
         x^a is one ``step`` from x^a / x_i, x_i its first variable, and so on down to 1
         or a monomial asked for, evaluated first by degree: a power holds one vector.
         """
-        columns = [store.vector(self.coordinate_column(i)) for i in range(1, self.n + 1)]
-        value = {(0,) * self.n: store.vector([self.field.one] * self.m)}
+        one, *columns = self.generators(acc)
+        value = {(0,) * self.n: one}
         for a in sorted(set(monomials), key=sum):
             e, up = a, []
             while e not in value:
                 i = next(i for i, x in enumerate(e) if x)
                 up.append(columns[i])
                 e = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            value[a] = reduce(store.step, reversed(up), value[e])
+            value[a] = reduce(acc.step, reversed(up), value[e])
         return [value[a] for a in monomials]
 
 
@@ -185,7 +185,7 @@ def bm(points: PointSet, spec) -> GroebnerResult:
     t0 = time.perf_counter()
     acc = EchelonAccumulator(m, fld)
     step = acc.step
-    columns = [acc.vector(points.coordinate_column(i)) for i in range(1, n + 1)]
+    one_vec, *columns = points.generators(acc)
     vars_increasing = tuple(reversed(orders.varord(spec)))
     new_deltas, new_cost = probe_deltas(spec, vars_increasing)
     # progress at DEBUG: |B| each time it crosses a tenth of m, and at the end
@@ -215,7 +215,7 @@ def bm(points: PointSet, spec) -> GroebnerResult:
         del L_deltas[: min(run, len(L_deltas))]
         if parent is None:
             t_exps = one
-            v = acc.vector([fld.one] * m)
+            v = one_vec
         else:
             pe = B[parent]
             if occ_skip(pe, var, run):
@@ -261,8 +261,8 @@ def bm(points: PointSet, spec) -> GroebnerResult:
 def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Polynomial:
     """The unique representative of [f] supported on the quotient basis.
 
-    Works through evaluations: expresses f(P) in the coordinates of the
-    basis evaluation vectors, each monomial evaluated by ``points.evaluate``.
+    Expresses f(P) in the coordinates of the vectors of B, each monomial
+    evaluated by ``points.evaluate``; each call eliminates B once, anew.
     """
     n, fld = points.n, points.field
     if result.spec.n != n or any(len(m) != n for _c, m in f.terms):
@@ -279,13 +279,13 @@ def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Poly
             raise PointSetError(f"normal_form: term {c!r}*x^{list(m)} is not over {fld}: {e}")
     acc = EchelonAccumulator(points.m, fld)
     B = result.B
-    values = points.evaluate(acc.store, [*B, *[m for _c, m in f.terms]])
+    values = points.evaluate(acc, [*B, *[m for _c, m in f.terms]])
     for b, v in zip(B, values):
         residual, coords = acc.reduce(v)
         if not any(residual):
             raise PointSetError(f"normal_form: basis monomial {b} is dependent at the points")
         acc.insert(residual, coords)
-    residual, coords = acc.reduce(acc.store.combiner(values[len(B) :])(coeffs, range(len(coeffs))))
+    residual, coords = acc.reduce(acc.combiner(values[len(B) :])(coeffs, range(len(coeffs))))
     if any(residual):
         raise PointSetError("basis does not span the evaluation space")
     coeffs = acc.coordinates(coords)

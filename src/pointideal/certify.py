@@ -6,17 +6,17 @@ its corners, and each g is monic, has its tail on B and vanishes at the m
 points, then the corners lie in the initial ideal, whose m standard
 monomials are therefore B, and G is the reduced basis.
 
-No elimination is run.  The monomials of B and the corners are evaluated
-by ``points.evaluate``, each by one ``step`` from a parent in B, in the
-store that ``linalg.new_store`` picks for the field, and the values of
-each g are one sum by the store's ``combiner``.
+No elimination is run.  The check holds an ``EchelonAccumulator``, the one
+door into the row stores, only for its vector format: the monomials of B
+and the corners are evaluated by ``points.evaluate``, each by one ``step``
+from a parent in B, and the values of each g are one sum by ``combiner``.
 """
 
 from __future__ import annotations
 
 from operator import gt, lt
 
-from .linalg import new_store
+from .linalg import EchelonAccumulator
 from .orders import monomial_mul_var, order_vector
 
 
@@ -96,8 +96,8 @@ def verify_result(result, points) -> None:
             raise VerificationError(f"a coefficient of G[{k}] is not a nonzero element of {fld}")
         terms.append((coeffs, at))
 
-    store = new_store(m, fld)
-    total = store.combiner(points.evaluate(store, [*B, *leads]))
+    acc = EchelonAccumulator(m, fld)
+    total = acc.combiner(points.evaluate(acc, [*B, *leads]))
     for k, (coeffs, at) in enumerate(terms):
-        if nonzero := store.coordinates(total(coeffs, [m + k, *at])):
+        if nonzero := acc.coordinates(total(coeffs, [m + k, *at])):
             raise VerificationError(f"G[{k}] does not vanish at point {min(nonzero)}")

@@ -22,7 +22,8 @@ from ._record import FrozenRecord
 # longer numerals through decimal, which has no such limit
 MAX_DIGITS = 4300
 
-# what RationalField.format writes: an integer, or a/b with b not zero
+# an integer, and what RationalField.format writes: an integer or a/b, b not 0
+_INTEGER = re.compile(r"[-+]?\d+")
 _RATIO = re.compile(r"[-+]?\d+(/0*[1-9]\d*)?")
 
 
@@ -148,8 +149,11 @@ class PrimeField(FrozenRecord):
         return a if 0 <= a < self.p else a % self.p
 
     def parse(self, text: str):
+        text = text.strip()  # an integer of any length, reduced mod p
         try:
-            return int(text.strip(), 10) % self.p
+            if len(text) > MAX_DIGITS and _INTEGER.fullmatch(text):
+                return int(Decimal(text)) % self.p
+            return int(text, 10) % self.p
         except ValueError as exc:
             raise ValueError(f"bad integer literal {_quote(text)}") from exc
 

@@ -8,18 +8,19 @@ coefficients over the *originally inserted* vectors, the ``v`` handed to
 coordinates over those originals -- which, for evaluation vectors of
 monomials, is directly a polynomial combination of those monomials.
 
-``EchelonAccumulator`` is the one interface.  It keeps its rows in the store
-that ``new_store`` picks by field kind; the store owns the format of the
-vectors it eliminates: ``vector(elements)`` turns field elements into a store
-vector once, ``step(vec, column)`` is the pointwise product of two store
-vectors, ``combiner(vecs)(coeffs, at)`` is the store vector of sum
-coeffs[j]*vecs[at[j]] for any number of field elements coeffs, and
-``reduce(vec)`` returns (residual, coords): the residual is a list of
-integers, zero exactly when ``not any(residual)``, and coords, in the vector
-format, is what ``insert`` needs besides it.  Field elements come back only
-from ``coordinates``, {k: nonzero entry k} of coords or of any store vector,
-and ``tail(coords, B)``, the terms (-c_i, B[i]) of the nonzero coordinates
-c_i, i descending: the tail of the G element t - sum c_i*B[i].
+``EchelonAccumulator(m, field)`` is the one door: the library makes and
+reaches a store only through it, and the field alone picks the store.  It
+forwards the store's vector format: ``vector(elements)`` turns field
+elements into a store vector once, ``step(vec, column)`` is the pointwise
+product of two store vectors, ``combiner(vecs)(coeffs, at)`` is the store
+vector of sum coeffs[j]*vecs[at[j]] for any number of field elements
+coeffs, and ``reduce(vec)`` returns (residual, coords): the residual is a
+list of integers, zero exactly when ``not any(residual)``, and coords, in
+the vector format, is what ``insert`` needs besides it.  Field elements
+come back only from ``coordinates``, {k: nonzero entry k} of coords or of
+any store vector, and ``tail(coords, B)``, the terms (-c_i, B[i]) of the
+nonzero coordinates c_i, i descending: the tail of the G element
+t - sum c_i*B[i].
 
 * ``IntRows`` (the rationals) holds a vector as (integers, D) with D > 0
   and gcd(D, *integers) = 1, its entries integers[k]/D; the step multiplies
@@ -297,19 +298,14 @@ class PackedRows:
         return 1 + self.m + nnz
 
 
-def new_store(m, field):
-    """An empty row store for vectors of length m: PackedRows over GF(p), IntRows over QQ."""
-    return (PackedRows if field.kind == "prime" else IntRows)(m, field)
-
-
 class EchelonAccumulator:
     """Semi-echelon elimination with coordinates over the inserted vectors."""
 
     def __init__(self, m, field):
-        self.store = store = new_store(m, field)
+        self.store = store = (PackedRows if field.kind == "prime" else IntRows)(m, field)
         self.field_ops = 0
-        # the store's vector format: made once, stepped, read off
-        self.vector, self.step = store.vector, store.step
+        # the store's vector format: made once, stepped, summed, read off
+        self.vector, self.step, self.combiner = store.vector, store.step, store.combiner
         self.coordinates, self.tail = store.coordinates, store.tail
 
     def reduce(self, vec):

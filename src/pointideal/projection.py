@@ -38,13 +38,14 @@ def essential_variables(points: PointSet, spec) -> EssentialSet:
         )
     fld = points.field
     acc = EchelonAccumulator(points.m, fld)
+    one, *columns = points.generators(acc)
     # raw id of each inserted vector: 0 for all-ones, else the variable index
     raw_ids = [0]
-    acc.insert(*acc.reduce(acc.vector([fld.one] * points.m)))
+    acc.insert(*acc.reduce(one))
     ess = []
     relations = {}
     for i in reversed(orders.varord(spec)):
-        residual, coords = acc.reduce(acc.vector(points.coordinate_column(i)))
+        residual, coords = acc.reduce(columns[i - 1])
         if any(residual):
             acc.insert(residual, coords)
             raw_ids.append(i)
@@ -59,11 +60,7 @@ def essential_variables(points: PointSet, spec) -> EssentialSet:
 
 def project(points: PointSet, es: EssentialSet) -> PointSet:
     """Keep the essential coordinates, largest variable first."""
-    projected = tuple(
-        tuple(p[i - 1] for i in es.ess) for p in points.points
-    )
-    if len(set(projected)) != len(projected):
-        raise AssertionError("projected points collide; essential set is broken")
+    projected = tuple(tuple(p[i - 1] for i in es.ess) for p in points.points)
     return PointSet(field=points.field, n=len(es.ess), points=projected)
 
 

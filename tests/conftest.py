@@ -57,17 +57,16 @@ def dependent_point_set(rng, fld, n_free, n_dep, m):
     return PointSet(field=fld, n=n_free + n_dep, points=tuple(points))
 
 
-def counted_steps(monkeypatch, module):
-    """A list that grows by one at each ``step`` of a store that module.new_store makes."""
-    steps, make = [], linalg.new_store
+def counted_steps(monkeypatch):
+    """A list that grows by one at each ``step`` of an accumulator made from now on."""
+    steps, init = [], linalg.EchelonAccumulator.__init__
 
-    def new_store(m, field):
-        store = make(m, field)
-        step = store.step
-        store.step = lambda vec, column: steps.append(1) or step(vec, column)
-        return store
+    def counting_init(acc, m, field):
+        init(acc, m, field)
+        step = acc.step
+        acc.step = lambda vec, column: steps.append(1) or step(vec, column)
 
-    monkeypatch.setattr(module, "new_store", new_store)
+    monkeypatch.setattr(linalg.EchelonAccumulator, "__init__", counting_init)
     return steps
 
 

@@ -11,8 +11,7 @@ from conftest import counted_steps, random_instance, random_order
 import importlib
 
 bm_mod = importlib.import_module("pointideal.bm")
-certify_mod = importlib.import_module("pointideal.certify")
-from pointideal import fileio, linalg, orders
+from pointideal import fileio, orders
 from pointideal._oracles import (
     abbott_basis,
     evaluate,
@@ -36,6 +35,7 @@ from pointideal.bm import (
 from pointideal.certify import verify_result
 from pointideal.deltamerge import compare_from
 from pointideal.fields import PrimeField, QQ
+from pointideal.linalg import EchelonAccumulator
 from pointideal.poly import Polynomial, combine
 from pointideal.projection import bm_projected
 
@@ -279,7 +279,7 @@ def test_real_size_gf32003_lex_is_certified(real_size_lex, monkeypatch):
     # the verifier, not abbott_basis, checks the result, with one step per
     # monomial of B but 1 and per corner
     res, pts = real_size_lex
-    steps = counted_steps(monkeypatch, certify_mod)
+    steps = counted_steps(monkeypatch)
     verify_result(res, pts)
     assert len(res.B) == 600 and len(res.G) == 13 and res.stats.L_max == 6594
     assert len(steps) == 599 + 13
@@ -291,7 +291,7 @@ def test_real_size_normal_form_of_a_high_power(real_size_lex, monkeypatch):
     res, pts = real_size_lex
     assert (0,) * 11 + (592,) in res.B
     f = Polynomial.monomial((0,) * 11 + (593,), pts.field)
-    steps = counted_steps(monkeypatch, linalg)
+    steps = counted_steps(monkeypatch)
     nf = normal_form(f, res, pts)
     assert len(steps) == 599 + 1
     assert {e for _c, e in nf.terms} <= set(res.B) and len(nf.terms) > 500
@@ -340,11 +340,11 @@ def test_evaluate_matches_naive():
         n = rng.randint(1, 4)
         pts = random_point_set(rng, fld, n, rng.randint(1, 6))
         monos = [random_monomial(rng, n, max_deg=8) for _ in range(6)]
-        store = linalg.new_store(pts.m, fld)
-        got = pts.evaluate(store, monos)
+        acc = EchelonAccumulator(pts.m, fld)
+        got = pts.evaluate(acc, monos)
         for e, v in zip(monos, got):
             f = Polynomial.monomial(e, fld)
-            assert v == store.vector([evaluate(f, fld, p) for p in pts.points])
+            assert v == acc.vector([evaluate(f, fld, p) for p in pts.points])
     p, x = (3, Fraction(1, 2)), Polynomial([(QQ.one, (2, 3))])
     assert evaluate(x, QQ, p) == 9 * Fraction(1, 8)
 

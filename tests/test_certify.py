@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import counted_steps
-from pointideal import certify, fileio, linalg, orders
+from pointideal import fileio, linalg, orders
 from pointideal._oracles import random_point_set
 from pointideal.bm import GroebnerResult, PointSet, bm
 from pointideal.certify import VerificationError, verify_result
@@ -172,7 +172,7 @@ def test_verify_rejects_a_document_parsed_under_another_order():
 def test_verify_steps_once_per_monomial_but_1(result, monkeypatch):
     # each monomial of B but 1 and each corner is one step from a parent in B
     res, pts = result
-    steps = counted_steps(monkeypatch, certify)
+    steps = counted_steps(monkeypatch)
     verify_result(res, pts)
     assert len(steps) == (pts.m - 1) + len(res.G)
 

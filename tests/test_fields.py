@@ -1,5 +1,6 @@
 """Fields: canonical forms, parsing, construction errors."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,19 @@ def test_rational_parse_takes_format_at_any_length():
         with pytest.raises(ValueError):
             QQ.parse(text)
     assert QQ.parse("-3/4") == Fraction(-3, 4) and GF5.parse("7") == 2
+
+
+def test_prime_parse_takes_integers_of_any_length():
+    # past the interpreter's limit on text-to-int digits, as over QQ
+    GF7, nines = PrimeField(7), "9" * 5000
+    assert GF7.parse(nines) == (10**5000 - 1) % 7 == 1
+    assert GF7.parse(f" -{nines}\n") == -(10**5000 - 1) % 7
+    doc = {"field": {"type": "prime", "p": 7}, "n": 1, "points": [[nines], ["2"]]}
+    assert fileio.parse_points(json.dumps(doc)).points == ((1,), (2,))
+    # a long decimal or a/b is still no element of GF(p)
+    for text in (nines + ".0", "1/" + nines, nines + "e1", "x" * 5000):
+        with pytest.raises(ValueError, match="bad integer literal"):
+            GF7.parse(text)
 
 
 def test_prime_examples():

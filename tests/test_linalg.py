@@ -181,7 +181,7 @@ def test_combiner_is_exact_past_m_terms(fld):
     # holds more terms than a test can sum
     rng = random.Random(13)
     m, count = 7, 141
-    store = linalg.new_store(m, fld)
+    store = EchelonAccumulator(m, fld).store
     if fld.kind == "prime":
         assert store.lanes == (fld.p == 32003)
         top = fld.p - 1
@@ -418,8 +418,6 @@ def test_int_rows_match_list_rows():
 def test_accumulator_store_follows_field_kind():
     assert isinstance(EchelonAccumulator(3, GF).store, PackedRows)
     assert isinstance(EchelonAccumulator(3, QQ).store, IntRows)
-    assert isinstance(linalg.new_store(3, GF), PackedRows)
-    assert isinstance(linalg.new_store(3, QQ), IntRows)
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(5), GF])

@@ -7,7 +7,9 @@ exponent tuple of B and G by sigma and keeps every coefficient.  Scaling
 coordinate i by a nonzero lambda_i maps the zero set of g(x) to that of
 lambda^a * g(x / lambda), where x^a leads g: B is unchanged, and in the
 element led by x^a the coefficient of x^b is multiplied by
-lambda^(a - b), which is monic again.
+lambda^(a - b), which is monic again.  Translating the points by c keeps B
+and maps each g to g(x - c): it has the same leading monomial, and its tail
+lies on the divisors of that monomial, which B holds.
 """
 
 import random
@@ -131,3 +133,40 @@ def test_scaling_a_coordinate_scales_the_coefficients(name):
             Polynomial([(fld.canonical(c * scale(fld, lams, lead, b)), b) for c, b in g.terms])
         )
     assert got.G == want
+
+
+def shifted(fld, g, c, spec):
+    """g(x - c), by a Taylor shift in one variable at a time."""
+    terms = {e: a for a, e in g.terms}
+    for i, ci in enumerate(c):
+        levels = {}  # exponent of x_i -> the monomials with it
+        for e in terms:
+            levels.setdefault(e[i], []).append(e)
+        top = max(levels)
+        for j in range(top):
+            # a pass of Horner's scheme in x_i: a_k -= c_i*a_(k+1), k = top-1 down to j
+            for k in range(top, j, -1):
+                for e in levels.get(k, ()):
+                    low = e[:i] + (k - 1,) + e[i + 1 :]
+                    if low not in terms:
+                        terms[low] = fld.zero
+                        levels.setdefault(k - 1, []).append(low)
+                    terms[low] = fld.canonical(terms[low] - ci * terms[e])
+    return Polynomial.from_dict(terms, spec, fld)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_translating_the_points_shifts_the_basis(name):
+    points, spec, projected, res = case(name)
+    fld = points.field
+    rng = random.Random(4)
+    c = [nonzero(rng, fld) for _ in range(points.n)]
+    moved = PointSet(
+        field=fld,
+        n=points.n,
+        points=tuple(tuple(fld.canonical(xi + ci) for xi, ci in zip(x, c)) for x in points.points),
+    )
+    got = solve(moved, spec, projected)
+    assert got.stats.n_essential == res.stats.n_essential
+    assert got.B == res.B
+    assert got.G == [shifted(fld, g, c, spec) for g in res.G]
