@@ -41,8 +41,9 @@ class ListRows:
     Each row, and each history over the insertion indices, is a list of
     field elements; reducing by a row is one ``sub_scaled`` pass, and a new
     row is scaled by ``inverse``: its own arithmetic on field elements.  It
-    keeps the same rows, returns the same residuals and coordinates and
-    counts the same ``field_ops`` as the stores of ``linalg``.
+    keeps the same rows and counts the same ``field_ops`` as the stores of
+    ``linalg``, and returns, as lists of field elements, the residuals and
+    coordinates they return in their own formats.
     """
 
     def __init__(self, m, field):

@@ -226,7 +226,7 @@ def bm(points: PointSet, spec) -> GroebnerResult:
         stats.functional_calls += 1
 
         residual, coords = acc.reduce(v)
-        if not any(residual):
+        if not residual:
             # t - sum coords[i]*B[i]: t exceeds all of the ascending B
             G.append(Polynomial([(fld.one, t_exps), *acc.tail(coords, B)]))
             continue
@@ -282,11 +282,12 @@ def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Poly
     values = points.evaluate(acc, [*B, *[m for _c, m in f.terms]])
     for b, v in zip(B, values):
         residual, coords = acc.reduce(v)
-        if not any(residual):
+        if not residual:
             raise PointSetError(f"normal_form: basis monomial {b} is dependent at the points")
         acc.insert(residual, coords)
-    residual, coords = acc.reduce(acc.combiner(values[len(B) :])(coeffs, range(len(coeffs))))
-    if any(residual):
+    total = acc.coordinates(acc.combiner(values[len(B) :])(coeffs, range(len(coeffs))))
+    residual, coords = acc.reduce(acc.vector([total.get(k, fld.zero) for k in range(points.m)]))
+    if residual:
         raise PointSetError("basis does not span the evaluation space")
     coeffs = acc.coordinates(coords)
     return Polynomial([(coeffs[i], B[i]) for i in sorted(coeffs, reverse=True)])

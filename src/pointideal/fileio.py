@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 from .bm import GroebnerResult, PointSet, RunStats
-from .fields import _quote, field_from_descriptor
+from .fields import MAX_DIGITS, _quote, field_from_descriptor
 from .orders import STANDARD_KINDS, OrderError, OrderSpec
 from .poly import Polynomial
 
@@ -61,15 +61,20 @@ def parse_order(text: str, n: int) -> OrderSpec:
 
 
 def _load_json(text: str, source: str):
-    """The JSON value; a non-integer number is left as its literal text."""
+    """The JSON value; a non-integer number or an integer past ``MAX_DIGITS`` is left as its text."""
     try:
-        return json.loads(text, parse_float=str)
+        try:
+            return json.loads(text, parse_float=str)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # an integer past the int-conversion limit: only then a Python call per int
+            long_as_text = lambda t: t if len(t) > MAX_DIGITS else int(t)  # noqa: E731
+            return json.loads(text, parse_float=str, parse_int=long_as_text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # e.g. an integer literal too long to convert
-        raise ParseError(f"{source}: unreadable JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{source}: unreadable JSON: nested too deeply") from exc
 
@@ -100,7 +105,9 @@ def parse_points(text: str, source: str = "<points>") -> PointSet:
 
     A coordinate may also be a JSON number.  A non-integer number reaches
     ``field.parse`` as its literal text, never through a float, so a
-    rational keeps every digit and a prime field rejects it.
+    rational keeps every digit and a prime field rejects it.  An integer of
+    more than ``MAX_DIGITS`` characters reaches it as text too, and reads
+    like the quoted one.
     """
     doc, fld = _load_document(text, source, ("field", "n", "points"))
     n = doc["n"]

@@ -12,15 +12,14 @@ monomials, is directly a polynomial combination of those monomials.
 reaches a store only through it, and the field alone picks the store.  It
 forwards the store's vector format: ``vector(elements)`` turns field
 elements into a store vector once, ``step(vec, column)`` is the pointwise
-product of two store vectors, ``combiner(vecs)(coeffs, at)`` is the store
-vector of sum coeffs[j]*vecs[at[j]] for any number of field elements
-coeffs, and ``reduce(vec)`` returns (residual, coords): the residual is a
-list of integers, zero exactly when ``not any(residual)``, and coords, in
-the vector format, is what ``insert`` needs besides it.  Field elements
-come back only from ``coordinates``, {k: nonzero entry k} of coords or of
-any store vector, and ``tail(coords, B)``, the terms (-c_i, B[i]) of the
-nonzero coordinates c_i, i descending: the tail of the G element
-t - sum c_i*B[i].
+product of two store vectors, ``combiner(vecs)(coeffs, at)`` is sum
+coeffs[j]*vecs[at[j]] for any number of field elements coeffs, in the
+format of coords, and ``reduce(vec)`` returns (residual, coords): the
+residual is 0 exactly when vec lies in the span of the rows, and coords,
+with it, is what ``insert`` needs.  Field elements come back only from
+``coordinates``, {k: nonzero entry k} of coords or of a combiner's sum, and
+``tail(coords, B)``, the terms (-c_i, B[i]) of the nonzero coordinates
+c_i, i descending: the tail of the G element t - sum c_i*B[i].
 
 * ``IntRows`` (the rationals) holds a vector as (integers, D) with D > 0
   and gcd(D, *integers) = 1, its entries integers[k]/D; the step multiplies
@@ -34,42 +33,42 @@ t - sum c_i*B[i].
   gcd(a, d) out of a and d; that small gcd removes most of the common factor
   (84 of 103 bits on average on the qq-random benchmark).  The full content
   gcd(D, *R, *C) is divided out only once D has doubled in length since the
-  last time.  The residual is R and coords is (C, D); ``insert`` builds the
-  row from them as integers.  ``fractions.Fraction`` is avoided because
-  each of its multiplies and adds runs a gcd and a normalisation in Python
-  code, entry by entry; here a step or a row update is a list
-  comprehension of int multiplies, whose arithmetic runs in C.  Evaluation
+  last time.  The residual is R, or 0 when R is zero, and coords is (C, D);
+  ``insert`` builds the row from them as integers.  ``fractions.Fraction``
+  is avoided because each of its multiplies and adds runs a gcd and a
+  normalisation in Python code, entry by entry; here a step or a row update
+  is a list comprehension of int multiplies, whose arithmetic runs in C.  Evaluation
   vectors of small-height points share most of their denominators, so the
   rows stay a few hundred bits long; vectors with unrelated large
   denominators make every entry as long as their lcm, and there the list
   rows of the oracle can be faster.  ``combiner`` sums over one lcm.
 * ``PackedRows`` (GF(p)) holds a vector as a list of residues in [0, p),
-  which ``vector``, ``step`` and ``reduce`` return and packing writes as
-  they are; and each row, and each history, as one Python ``int`` with a
-  w-bit slot per entry (Kronecker substitution).  A history keeps index
-  order, inserted vector i in slot i; a vector or row is packed reversed,
-  coordinate k in slot m-1-k, so a row, zero before its pivot, ends at the
-  pivot's slot.  ``insert`` writes the negated row and the history in one
-  pass each.  A row is stored negated, each slot (p - x) % p, so reducing by
-  it is one big-integer multiply-add, ``R += c * negrow``, which CPython
-  does in C, the product over the row's m - pivot slots; the history gets
-  the same update, ``H += c * hist``.  c is the pivot's slot of R mod p, read
-  from the shorter side: ``R >> shift & mask`` copies the slots above it, so
-  a pivot past the middle is read as ``(R & low) >> shift``, with ``low``
-  the row's mask of the slots up to the pivot's (an ``&`` is as long as its
-  shorter operand).  Slots are reduced mod p only when ``reduce`` unpacks its
-  result.  Before that a slot has gained less than (p-1)**2 per row from a
-  start below p, so it stays below m*(p-1)**2 + p, and no slot carries into
-  the next.  When that bound is below 2**64 (p = 32003 at any practical m,
-  p = 2**31 - 1 only while m <= 4) and the machine is little-endian, every
-  slot is a 64-bit lane, and packing and unpacking go through ``array("Q")``
-  and ``memoryview.cast("Q")`` in C.  Otherwise w is the smallest whole
-  number of bytes that holds the bound, packed and unpacked byte string by
-  byte string.  This is exact for every prime the library accepts
-  (p < 2**63); there w is 17 bytes at m = 1000.  The residual is the
-  unpacked list of residues and coords the unpacked history coefficients.
-  ``combiner`` packs each vector once, and unpacks and packs its sum, each
-  slot then below p, after every (2**w - p) // (p-1)**2 >= m terms.
+  as ``vector`` and ``step`` return it, and a row, a history, a residual
+  and coords each as one Python ``int`` with a w-bit slot per entry
+  (Kronecker substitution).  Histories and coords keep index order,
+  inserted vector i in slot i; a vector, residual or row is packed
+  reversed, coordinate k in slot m-1-k, so a row, zero before its pivot,
+  ends at the pivot's slot, and a residual's pivot is its top slot.  A row
+  is stored negated, so reducing by it is one big-integer multiply-add,
+  ``R += c * negrow``, which CPython does in C over the row's m - pivot
+  slots; the history gets the same update, ``H += c * hist``.  c, the
+  pivot's slot of R mod p, is read from the shorter side: past the middle
+  as ``(R & low) >> shift``, ``low`` masking the slots up to the pivot's.
+  A slot gains less than (p-1)**2 per row from a start below p, so it stays
+  below m*(p-1)**2 + p < 2**s and never carries into the next.
+  ``residues(X)`` reduces every slot mod p at once, a Barrett reduction
+  (P. Barrett, CRYPTO '86) on the whole int: with mu = 2**s // p, ``X * mu
+  >> s`` masked to the slots is each slot's quotient estimate, which leaves
+  it below 2p; adding 2**t - p, t = bits(p) + 1, sets bit t of exactly the
+  slots still >= p, which lose p once more.  x*mu < 2**(2s - bits(p) + 1),
+  and w is the fewest whole bytes of that many bits: 8 for p = 32003 up to
+  m = 536, 14 for 2**31 - 1 at m = 200.  ``reduce`` returns ``residues(R)``
+  and ``residues(H)``; ``insert`` scales both by -1/lead through
+  ``residues`` and counts nonzero slots by popcount; ``combiner`` reduces
+  its sum after every (2**s - p) // (p-1)**2 >= m terms.  Replacing an
+  ``x % p`` per slot, this cut gfp-boolean ``wall_s`` by 11 %.  Packing
+  goes through ``array("Q")`` lanes, byte-swapped on a big-endian machine,
+  and strided byte copies between lanes and w-byte slots.  Exact for p < 2**63.
 
 ``field_ops`` counts the same model operations in both stores and in the
 test oracle's list rows (``_oracles.ListRows``), as before the stores
@@ -94,8 +93,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-# native 64-bit lanes put slot k at bits [64k, 64k+64) only on little-endian machines
-_LITTLE_ENDIAN = sys.byteorder == "little"
+# array("Q") holds native-endian lanes; packed ints are read little-endian
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class InsertZero(ValueError):
@@ -180,13 +179,13 @@ class IntRows:
                 C = [c // g for c in C]
                 D //= g
                 limit = 2 * D.bit_length() + 64
-        return R, (C, D), ops
+        return R if any(R) else 0, (C, D), ops
 
     def insert(self, residual, coords):
         """Add a row for (residual, coords) = reduce(v); returns its field ops."""
-        piv = next((k for k, x in enumerate(residual) if x), None)
-        if piv is None:
+        if not residual:
             raise InsertZero("cannot insert the zero vector")
+        piv = next(k for k, x in enumerate(residual) if x)
         # v - sum C[i]/D*original_i = R/D: the row is R and the history
         # D*e_idx - C, both over R[piv]
         C, D = coords
@@ -208,32 +207,45 @@ class PackedRows:
     def __init__(self, m, field):
         self.m = m
         self.p = p = field.p
-        bound = m * (p - 1) ** 2 + p
-        # 64-bit lanes pack and unpack through array and memoryview in C
-        self.lanes = _LITTLE_ENDIAN and bound < 1 << 64
-        self._width = 8 if self.lanes else bound.bit_length() + 7 >> 3  # bytes
-        self._w = 8 * self._width  # bits per slot
-        self._mask = (1 << self._w) - 1
+        # every slot stays below 2**s; a slot holds the Barrett product x * mu
+        self._s = s = (m * (p - 1) ** 2 + p).bit_length()
+        self._mu = (1 << s) // p
+        self._t = t = p.bit_length() + 1
+        self._width = (2 * s - p.bit_length() + 8) // 8  # bytes, w >= 2s - bits(p) + 1
+        self._w = w = 8 * self._width  # bits per slot
+        self._mask = (1 << w) - 1
+        # over m slots: bit 0, the quotient's bits, 2**t - p and 2**t - 1 in each
+        self._ones = ones = ((1 << m * w) - 1) // self._mask
+        self._qmask = ones * ((1 << w - s) - 1)
+        self._over = ones * ((1 << t) - p)
+        self._nonzero = ones * ((1 << t) - 1)
         # per row: (pivot shift, low mask or 0, negated row, history, reduce ops)
         self._rows = []
 
+    def residues(self, X):
+        """X with each slot, below 2**s, reduced mod p: every slot at once."""
+        p = self.p
+        X -= (X * self._mu >> self._s & self._qmask) * p  # each slot now below 2p
+        return X - ((X + self._over) >> self._t & self._ones) * p
+
+    def count_nonzero(self, X):
+        """The number of nonzero slots of X, each slot a residue."""
+        return ((X + self._nonzero) >> self._t & self._ones).bit_count()
+
     def pack(self, v):
         """One int holding v[k] in slot k; each entry must fit a slot."""
-        if self.lanes:
-            return int.from_bytes(array("Q", v), "little")
-        width = self._width
-        return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in v]), "little")
+        lanes = array("Q", v)
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        return int.from_bytes(_respace(lanes, len(v), 8, self._width), "little")
 
     def unpack(self, packed, count):
-        """The first count slots of packed, each reduced mod p."""
-        width, p = self._width, self.p
-        data = packed.to_bytes(count * width, "little")
-        if self.lanes:
-            return [x % p for x in memoryview(data).cast("Q")]
-        return [
-            int.from_bytes(data[k : k + width], "little") % p
-            for k in range(0, count * width, width)
-        ]
+        """The first count slots of packed, each a residue."""
+        data = packed.to_bytes(count * self._width, "little")
+        lanes = array("Q", _respace(data, count, self._width, 8))
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        return lanes.tolist()
 
     def vector(self, elements):
         return [x % self.p for x in elements]
@@ -244,58 +256,68 @@ class PackedRows:
         return [x * y % p for x, y in zip(vec, column)]
 
     def combiner(self, vecs):
-        packed, m = [self.pack(v) for v in vecs], self.m
-        room = ((1 << self._w) - self.p) // (self.p - 1) ** 2
+        packed = [self.pack(v) for v in vecs]
+        room = ((1 << self._s) - self.p) // (self.p - 1) ** 2
 
         def combine(coeffs, at):
             vs, total = [packed[j] for j in at], 0
             for k in range(0, len(at), room):
-                base = self.pack(self.unpack(total, m)) if total else 0  # every slot below p
-                total = sum(map(mul, coeffs[k : k + room], vs[k : k + room]), base)
-            return self.unpack(total, m)
+                # each slot below p, plus room terms below (p-1)**2
+                total = sum(map(mul, coeffs[k : k + room], vs[k : k + room]), self.residues(total))
+            return self.residues(total)
 
         return combine
 
-    @staticmethod
-    def coordinates(coords):
-        return {i: c for i, c in enumerate(coords) if c}
+    def _slots(self, coords):
+        """The residues of coords up to its last nonzero slot."""
+        return self.unpack(coords, -(-coords.bit_length() // self._w))
+
+    def coordinates(self, coords):
+        return {i: c for i, c in enumerate(self._slots(coords)) if c}
 
     def tail(self, coords, B):
-        p = self.p
-        return [(p - c, b) for c, b in zip(reversed(coords), reversed(B[: len(coords)])) if c]
+        p, cs = self.p, self._slots(coords)
+        return [(p - c, b) for c, b in zip(reversed(cs), reversed(B[: len(cs)])) if c]
 
     def reduce(self, vec):
         """(residual, coords, field ops) with v = residual + sum coords[i]*original_i."""
         p, mask = self.p, self._mask
         R = self.pack(vec[::-1])
-        H = 0
-        ops = 0
+        H = ops = 0
         for shift, low, negrow, hist, row_ops in self._rows:
             c = ((R & low) >> shift if low else R >> shift & mask) % p
             if c:
                 R += c * negrow
                 H += c * hist
                 ops += row_ops
-        return self.unpack(R, self.m)[::-1], self.unpack(H, len(self._rows)), ops
+        return self.residues(R), self.residues(H), ops
 
     def insert(self, residual, coords):
-        """Add a row for (residual, coords) = reduce(v), both residues; returns its field ops."""
-        p = self.p
-        lead = next(filter(None, residual), None)
-        if lead is None:
+        """Add a row for (residual, coords) = reduce(v); returns its field ops."""
+        if not residual:
             raise InsertZero("cannot insert the zero vector")
-        piv = residual.index(lead)
-        inv = pow(lead, -1, p)
+        p, w = self.p, self._w
+        s = (residual.bit_length() - 1) // w  # the pivot's slot, the top one
+        inv = pow(residual >> s * w, -1, p)
         q = p - inv
         # residual = v - sum coords[i]*original_i, scaled by inv and negated
-        negrow = self.pack([q * x % p for x in reversed(residual)])
-        hist = self.pack([q * c % p for c in coords] + [inv])
-        nnz = len(coords) - coords.count(0)
-        row_ops = 2 * (self.m - residual.count(0)) + nnz + 1
-        s = self.m - 1 - piv  # the pivot's slot, piv slots below the top
-        low = (1 << (s + 1) * self._w) - 1 if s < piv else 0  # fewer slots below than above
-        self._rows.append((s * self._w, low, negrow, hist, row_ops))
+        negrow = self.residues(residual * q)
+        hist = self.residues(coords * q) + (inv << len(self._rows) * w)
+        nnz = self.count_nonzero(coords)
+        row_ops = 2 * self.count_nonzero(residual) + nnz + 1
+        low = (1 << (s + 1) * w) - 1 if 2 * s + 1 < self.m else 0  # fewer slots below than above
+        self._rows.append((s * w, low, negrow, hist, row_ops))
         return 1 + self.m + nnz
+
+
+def _respace(data, count, width, to):
+    """count slots of width bytes copied into slots of to bytes, low bytes first."""
+    if width == to:
+        return data
+    out, data = bytearray(count * to), memoryview(data).cast("B")
+    for j in range(min(width, to)):
+        out[j::to] = data[j::width]
+    return out
 
 
 class EchelonAccumulator:
@@ -311,8 +333,8 @@ class EchelonAccumulator:
     def reduce(self, vec):
         """Return (residual, coords) with vec = residual + coords over the originals.
 
-        The residual vanishes on every pivot column, and everywhere exactly
-        when ``not any(residual)``; ``coordinates(coords)`` reads the
+        The residual vanishes on every pivot column, and is 0 exactly when
+        vec lies in the span of the rows; ``coordinates(coords)`` reads the
         coordinates off as {insertion index: nonzero field element}.
         """
         residual, coords, ops = self.store.reduce(vec)

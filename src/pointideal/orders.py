@@ -134,7 +134,7 @@ def _independent_residuals(rows, width):
     kept = []
     for row in rows:
         residual, coords = acc.reduce(acc.vector(row))
-        if any(residual):
+        if residual:
             acc.insert(residual, coords)
             g = gcd(*residual)
             kept.append(tuple(x // g for x in residual))

@@ -46,7 +46,7 @@ def essential_variables(points: PointSet, spec) -> EssentialSet:
     relations = {}
     for i in reversed(orders.varord(spec)):
         residual, coords = acc.reduce(columns[i - 1])
-        if any(residual):
+        if residual:
             acc.insert(residual, coords)
             raw_ids.append(i)
             ess.append(i)

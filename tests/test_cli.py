@@ -206,11 +206,37 @@ def test_basis_bad_modulus(capsys, tmp_path):
 
 
 def test_basis_overlong_integer_is_parse_error(capsys, tmp_path):
+    # n, p and exponents must be ints; one longer than the interpreter's
+    # int-conversion limit reads as its text, and is refused as text is
+    big = "7" * 5000
     p = tmp_path / "big.json"
-    p.write_text('{"field":{"type":"rational"},"n":1,"points":[[' + "7" * 5000 + "]]}")
-    code, out, err = run_cli(capsys, "basis", str(p))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ")
+    for doc in (
+        '{"field":{"type":"rational"},"n":' + big + ',"points":[["1"]]}',
+        '{"field":{"type":"prime","p":' + big + '},"n":1,"points":[["1"]]}',
+    ):
+        p.write_text(doc)
+        code, out, err = run_cli(capsys, "basis", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err) < 200
+    with pytest.raises(fileio.ParseError, match="B\\[0\\]"):
+        fileio.parse_result('{"order":"lex:1","field":{"type":"rational"},"n":1,"B":[[' + big + ']],"G":[]}', orders.lex(1))
+
+
+@pytest.mark.parametrize(
+    "field", [{"type": "rational"}, {"type": "prime", "p": 7}], ids=["QQ", "GFp"]
+)
+def test_basis_reads_a_bare_integer_of_any_length(capsys, tmp_path, field):
+    # a bare JSON integer past the int-conversion limit reads like the quoted one
+    big = "9" * 5000
+    outs = []
+    for cell in (big, '"' + big + '"'):
+        p = tmp_path / "big.json"
+        p.write_text('{"field":' + json.dumps(field) + ',"n":1,"points":[[0],[' + cell + "]]}")
+        code, out, err = run_cli(capsys, "basis", str(p))
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["B"] == [[0], [1]]
 
 
 def test_basis_writes_and_reads_back_coefficients_of_any_length(capsys, tmp_path):
@@ -527,7 +553,11 @@ def test_selftest_catches_a_broken_packed_store(capsys, monkeypatch):
 
     def broken(self, vec):
         residual, coords, ops = reduce(self, vec)
-        return residual, [(c + 1) % self.p for c in coords[:1]] + coords[1:], ops
+        if self._rows:
+            # coordinate 0 is the lowest slot of the packed coordinates
+            c = coords & self._mask
+            coords += (c + 1) % self.p - c
+        return residual, coords, ops
 
     monkeypatch.setattr(PackedRows, "reduce", broken)
     code, out, _ = run_cli(capsys, "selftest")
@@ -680,7 +710,7 @@ CLI_MODULES = [
     "pointideal.poly", "pointideal.projection",
 ]
 # source lines those modules hold: every CLI process compiles them
-CLI_LINES = 2031
+CLI_LINES = 2061
 
 
 def test_cli_import_loads_exactly_these_modules():

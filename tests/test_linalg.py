@@ -1,13 +1,11 @@
 """Incremental row reduction with provenance over the inserted originals."""
 
 import random
-import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from pointideal import linalg
 from pointideal._oracles import ListRows
 from pointideal.fields import PrimeField, QQ
 from pointideal.linalg import EchelonAccumulator, InsertZero, IntRows, PackedRows
@@ -22,10 +20,12 @@ def random_vector(rng, fld, m):
 
 
 def elements(store, residual, coords):
-    """A residual of ``store.reduce`` as field elements."""
+    """A residual of ``store.reduce`` as field elements; the zero residual is 0."""
+    if not residual:
+        return [0] * store.m
     if isinstance(store, IntRows):
         return [Fraction(r, coords[1]) for r in residual]
-    return residual
+    return store.unpack(residual, store.m)[::-1]
 
 
 def reduce_elements(acc, v):
@@ -58,7 +58,7 @@ def test_known_dependence():
     acc.insert(*acc.reduce(acc.vector(ones)))
     acc.insert(*acc.reduce(acc.vector(x5)))
     residual, coords = acc.reduce(acc.vector([Fraction(1), Fraction(2), Fraction(0), Fraction(3)]))
-    assert not any(residual)
+    assert residual == 0
     assert acc.coordinates(coords) == {0: Fraction(1), 1: Fraction(1)}
 
 
@@ -72,27 +72,27 @@ def test_reduce_recombination_invariant(fld):
             v = random_vector(rng, fld, m)
             residual, coords = acc.reduce(acc.vector(v))
             coeffs = acc.coordinates(coords)
-            assert recombine(fld, originals, coeffs, elements(acc.store, residual, coords)) == [
-                fld.canonical(x) for x in v
-            ]
+            entries = elements(acc.store, residual, coords)
+            assert recombine(fld, originals, coeffs, entries) == [fld.canonical(x) for x in v]
             # every residual vanishes on the pivots of the rows before it
-            assert not any(residual[piv] for piv in pivots)
-            if any(residual):
+            assert not any(entries[piv] for piv in pivots)
+            if residual:
                 acc.insert(residual, coords)
                 originals.append(v)
-                pivots.append(first_nonzero(residual))
+                pivots.append(first_nonzero(entries))
         assert len(pivots) <= m
         if len(pivots) == m:
             v = random_vector(rng, fld, m)
             residual, _ = acc.reduce(acc.vector(v))
-            assert not any(residual)
+            assert residual == 0
 
 
 def test_insert_zero_rejected():
+    # reduce returns the zero residual as 0 in both stores
     with pytest.raises(InsertZero):
-        EchelonAccumulator(3, QQ).insert([0] * 3, ([], 1))
+        EchelonAccumulator(3, QQ).insert(0, ([], 1))
     with pytest.raises(InsertZero):
-        EchelonAccumulator(3, GF).insert([0] * 3, [])
+        EchelonAccumulator(3, GF).insert(0, 0)
 
 
 def test_rank_saturates():
@@ -127,12 +127,13 @@ def _reduce_both(store, listed, v, vec, pivots):
     """
     residual, coords, ops = store.reduce(vec)
     want = listed.reduce(v)
-    assert (elements(store, residual, coords), store.coordinates(coords), ops) == want
-    assert not any(residual[piv] for piv in pivots)
-    if not any(residual):
+    entries = elements(store, residual, coords)
+    assert (entries, store.coordinates(coords), ops) == want
+    assert not any(entries[piv] for piv in pivots)
+    if not residual:
         return False
     assert store.insert(residual, coords) == listed.insert(*want[:2])
-    pivots.append(first_nonzero(residual))
+    pivots.append(first_nonzero(entries))
     return True
 
 
@@ -171,19 +172,27 @@ def test_step_is_entrywise_product(fld):
             assert got == products
 
 
-@pytest.mark.parametrize(
-    "fld", [PrimeField(32003), PrimeField(2**61 - 1), QQ], ids=["lanes", "bytes", "QQ"]
-)
+# the slots of GF(32003) at m <= 536 are one 64-bit lane each; those of
+# 2**61 - 1 are 17 bytes or more, spread byte by byte over the lanes
+SLOTS = {"lanes": 32003, "bytes": 2**61 - 1}
+
+
+def width_bits(p, m):
+    """The slot width: the fewest whole bytes that hold the Barrett product."""
+    s = (m * (p - 1) ** 2 + p).bit_length()
+    return -(-(2 * s - p.bit_length() + 1) // 8) * 8
+
+
+@pytest.mark.parametrize("fld", [*map(PrimeField, SLOTS.values()), QQ], ids=[*SLOTS, "QQ"])
 def test_combiner_is_exact_past_m_terms(fld):
     # 20m + 1 terms, the first 10m of them (p-1)*(p-1) in every slot, the
-    # most a slot can gain: summed without reducing, they would overflow
-    # the 16-byte slots of m = 7, which hold 64 of them; a 64-bit lane
-    # holds more terms than a test can sum
+    # most a slot can gain: summed without reducing, they would pass 2**s,
+    # the slot bound below which the sum is reduced, after 8 of them
     rng = random.Random(13)
     m, count = 7, 141
     store = EchelonAccumulator(m, fld).store
     if fld.kind == "prime":
-        assert store.lanes == (fld.p == 32003)
+        assert store._w == width_bits(fld.p, m)
         top = fld.p - 1
         vecs = [[top] * m] + [random_vector(rng, fld, m) for _ in range(5)]
         coeffs = [top] * 70 + [rng.randrange(fld.p) for _ in range(count - 70)]
@@ -196,22 +205,47 @@ def test_combiner_is_exact_past_m_terms(fld):
         at = [rng.randrange(6) for _ in range(count)]
     combine = store.combiner([store.vector(v) for v in vecs])
     expect = [fld.canonical(sum(c * vecs[j][k] for c, j in zip(coeffs, at))) for k in range(m)]
-    got = combine(coeffs, at)
-    assert got == store.vector(expect)
-    assert store.coordinates(got) == {k: x for k, x in enumerate(expect) if x}
+    assert store.coordinates(combine(coeffs, at)) == {k: x for k, x in enumerate(expect) if x}
     # the empty sum, and a sum that cancels, are the zero vector
-    zero = store.vector([fld.zero] * m)
-    assert combine([], []) == zero and store.coordinates(zero) == {}
+    assert store.coordinates(combine([], [])) == {}
     minus_one = fld.canonical(-1)
-    assert combine([fld.one, minus_one] * (m + 1), [2, 2] * (m + 1)) == zero
+    assert store.coordinates(combine([fld.one, minus_one] * (m + 1), [2, 2] * (m + 1))) == {}
 
 
 # 2**61 - 1 and the largest prime below 2**63 give packed slots wider than
-# 64 bits; 2**31 - 1 leaves the 64-bit lanes between m = 4 and m = 5
+# 64 bits; small primes and small m give slots of fewer than 8 bytes
 PACKED_PRIMES = (2, 3, 101, 32003, 2**31 - 1, 2**61 - 1, 9223372036854775783)
 PACKED_SIZES = ((1, 4), (5, 20), (40, 60), (200, 120))
-# (m, vectors, bound below 2**64) on either side of the lane bound
-LANE_EDGE = {2**31 - 1: ((4, 16, True), (5, 20, False))}
+
+
+def width_steps(p, top):
+    """Each m <= top whose slots are wider than those of m - 1."""
+    return [m for m in range(2, top + 1) if width_bits(p, m) > width_bits(p, m - 1)]
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_residues_at_slot_edges(p):
+    # every slot below 2**s comes back as its residue, the edges of the
+    # Barrett reduction included, on both sides of each step of the width
+    rng = random.Random(p % 991)
+    steps = width_steps(p, 1000)
+    if p == 32003:
+        assert 537 in steps and 536 not in steps
+    for m in sorted({1, *steps, *(m - 1 for m in steps)}):
+        store = PackedRows(m, PrimeField(p))
+        s, w = store._s, store._w
+        assert w == width_bits(p, m)
+        assert (2**s - 1) * store._mu < 2**w
+        edges = [0, 1, p - 1, p, 2 * p - 1, (p - 1) ** 2, m * (p - 1) ** 2 + p - 1, 2**s - 1]
+        values = edges * 2 + [rng.randrange(2**s) for _ in range(m)]
+        rng.shuffle(values)
+        for k in range(0, len(values), m):
+            slots = values[k : k + m]
+            want = [x % p for x in slots]
+            got = store.residues(sum(x << i * w for i, x in enumerate(slots)))
+            assert got == sum(x << i * w for i, x in enumerate(want))
+            assert store.unpack(got, len(slots)) == want
+            assert store.count_nonzero(got) == len(slots) - want.count(0)
 
 
 def _mixed_vector(rng, p, m, originals):
@@ -234,50 +268,27 @@ def _mixed_vector(rng, p, m, originals):
     return [rng.randrange(p) for _ in range(m)]
 
 
-def _packed_matches_list_rows(fld, m, count, lanes, rng):
-    p = fld.p
-    packed, listed = PackedRows(m, fld), ListRows(m, fld)
-    assert packed.lanes == lanes
-    # slots are 64-bit lanes, or the fewest whole bytes above the bound
-    width = 64 if lanes else -(-(m * (p - 1) ** 2 + p).bit_length() // 8) * 8
-    assert packed._w == width
-    originals, pivots = [], []
-    for _ in range(count):
-        v = _mixed_vector(rng, p, m, originals)
-        if _reduce_both(packed, listed, v, packed.vector(v), pivots):
-            originals.append(v)
-    _same_rows(packed, listed, fld, m)
-    assert 0 < len(pivots) < count
-
-
 @pytest.mark.parametrize("p", PACKED_PRIMES)
 def test_packed_rows_match_list_rows(p):
     fld = PrimeField(p)
     rng = random.Random(p % 997)
-    little = sys.byteorder == "little"
-    sizes = [(m, count, m * (p - 1) ** 2 + p < 2**64) for m, count in PACKED_SIZES]
-    for m, count, fits in [*LANE_EDGE.get(p, ()), *sizes]:
-        _packed_matches_list_rows(fld, m, count, fits and little, rng)
-
-
-def test_packed_rows_byte_path_below_lane_bound(monkeypatch):
-    # a big-endian machine packs whole-byte slots even where a lane would do
-    monkeypatch.setattr(linalg, "_LITTLE_ENDIAN", False)
-    fld = PrimeField(32003)
-    rng = random.Random(7)
     for m, count in PACKED_SIZES:
-        _packed_matches_list_rows(fld, m, count, False, rng)
+        packed, listed = PackedRows(m, fld), ListRows(m, fld)
+        assert packed._w == width_bits(p, m)
+        originals, pivots = [], []
+        for _ in range(count):
+            v = _mixed_vector(rng, p, m, originals)
+            if _reduce_both(packed, listed, v, packed.vector(v), pivots):
+                originals.append(v)
+        _same_rows(packed, listed, fld, m)
+        assert 0 < len(pivots) < count
 
 
-@pytest.mark.parametrize("lanes", [True, False], ids=["lanes", "bytes"])
-def test_packed_store_vectors_are_residues(monkeypatch, lanes):
-    if lanes and sys.byteorder != "little":
-        pytest.skip("64-bit lanes need a little-endian machine")
-    monkeypatch.setattr(linalg, "_LITTLE_ENDIAN", lanes)
-    p, m = 32003, 40
+@pytest.mark.parametrize("p", SLOTS.values(), ids=SLOTS)
+def test_packed_store_vectors_are_residues(p):
+    m = 40
     fld = PrimeField(p)
     packed, listed = PackedRows(m, fld), ListRows(m, fld)
-    assert packed.lanes == lanes
     rng = random.Random(13)
     # negative entries and entries of p and above become their residues
     raw = [rng.choice((-1, -p, -p - 5, p, p + 1, 3 * p - 1, 2**70 + 9, 5)) for _ in range(m)]
@@ -296,22 +307,19 @@ def test_packed_store_vectors_are_residues(monkeypatch, lanes):
     dep = [(3 * x + 7 * y) % p for x, y in zip(vec, v)]
     assert not _reduce_both(packed, listed, dep, packed.vector(dep), pivots)
     residual, coords, _ops = packed.reduce(packed.vector(dep))
+    assert residual == 0
     with pytest.raises(InsertZero):
         packed.insert(residual, coords)
     assert len(pivots) == 2
     _same_rows(packed, listed, fld, m)
 
 
-@pytest.mark.parametrize("lanes", [True, False], ids=["lanes", "bytes"])
-def test_packed_rows_end_at_their_pivots(monkeypatch, lanes):
+@pytest.mark.parametrize("p", SLOTS.values(), ids=SLOTS)
+def test_packed_rows_end_at_their_pivots(p):
     # index k sits in slot m - 1 - k, so a row, zero before its pivot, is
     # no longer than the m - piv slots from its pivot on
-    if lanes and sys.byteorder != "little":
-        pytest.skip("64-bit lanes need a little-endian machine")
-    monkeypatch.setattr(linalg, "_LITTLE_ENDIAN", lanes)
-    fld, m = PrimeField(32003), 60
+    fld, m = PrimeField(p), 60
     packed, listed = PackedRows(m, fld), ListRows(m, fld)
-    assert packed.lanes == lanes
     rng = random.Random(17)
     originals, pivots = [], []
     for _ in range(120):
@@ -342,16 +350,12 @@ def boolean_vectors(rng, m, n, count):
     return vectors
 
 
-@pytest.mark.parametrize("lanes", [True, False], ids=["lanes", "bytes"])
-def test_packed_rows_match_list_rows_on_boolean_points(monkeypatch, lanes):
+@pytest.mark.parametrize("p", SLOTS.values(), ids=SLOTS)
+def test_packed_rows_match_list_rows_on_boolean_points(p):
     # the gfp-boolean shape: products of coordinate columns of 0/1 points;
     # full rank, so pivots lie in both halves and both reads are taken
-    if lanes and sys.byteorder != "little":
-        pytest.skip("64-bit lanes need a little-endian machine")
-    monkeypatch.setattr(linalg, "_LITTLE_ENDIAN", lanes)
-    fld, m = PrimeField(32003), 160
+    fld, m = PrimeField(p), 160
     packed, listed = PackedRows(m, fld), ListRows(m, fld)
-    assert packed.lanes == lanes
     pivots = []
     for v in boolean_vectors(random.Random(3), m, 10, 400):
         _reduce_both(packed, listed, v, packed.vector(v), pivots)
