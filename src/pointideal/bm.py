@@ -228,7 +228,7 @@ def bm(points: PointSet, spec) -> GroebnerResult:
         residual, coords = acc.reduce(v)
         if not residual:
             # t - sum coords[i]*B[i]: t exceeds all of the ascending B
-            G.append(Polynomial([(fld.one, t_exps), *acc.tail(coords, B)]))
+            G.append(Polynomial.on_basis((fld.one, t_exps), *acc.tail(coords), B))
             continue
         acc.insert(residual, coords)
         b_index = len(B)

@@ -14,7 +14,7 @@ from a parent in B, and the values of each g are one sum by ``combiner``.
 
 from __future__ import annotations
 
-from operator import gt, lt
+from operator import lt
 
 from .linalg import EchelonAccumulator
 from .orders import monomial_mul_var, order_vector
@@ -73,7 +73,7 @@ def verify_result(result, points) -> None:
     # the monomials x_i*b, b in B, outside B whose every divisor x_j lies on B
     border = {monomial_mul_var(b, i) for b in B for i in range(1, n + 1)} - index.keys()
     corners = {c for c in border if all(not c[j] or _below(c, j) in index for j in range(n))}
-    leads = [g.terms[0][1] if g.terms else None for g in G]  # None: a zero g
+    leads = [g.leading_monomial if g.basis is not None or g.terms else None for g in G]  # None: a zero g
     if len(leads) != len(corners) or set(leads) != corners:
         raise VerificationError(
             f"the leading monomials of G are not the {len(corners)} corners of B"
@@ -82,22 +82,28 @@ def verify_result(result, points) -> None:
     if not all(map(lt, lead_ovs, lead_ovs[1:])):
         raise VerificationError("G is not ascending by leading monomial")
 
-    terms = []  # per g: its coefficients and the index in B of each tail monomial
+    rows = []  # per g: its coefficients, and the index of each term's vector: m + k, then B's
     for k, g in enumerate(G):
-        coeffs = [c for c, _e in g.terms]
-        at = [index.get(e, m) for _c, e in g.terms[1:]]
-        if coeffs[0] != fld.one:
-            raise VerificationError(f"G[{k}] is not monic: its lead coefficient is {coeffs[0]!r}")
+        if g.basis is B:  # held on B: its tail indices, ascending
+            (c0, _e), at, tail = g.lead, g.at, g.coeffs
+        else:  # held as terms: the tail reversed, indexed against B, m off B
+            (c0, _e), *rest = g.terms
+            at = [index.get(e, m) for _c, e in reversed(rest)]
+            tail = [c for c, _e in reversed(rest)]
+        if c0 != fld.one:
+            raise VerificationError(f"G[{k}] is not monic: its lead coefficient is {c0!r}")
         if m in at:
-            raise VerificationError(f"the tail of G[{k}] leaves B at {g.terms[1 + at.index(m)][1]}")
-        if not all(map(gt, at, at[1:])) or at and ovs[at[0]] >= lead_ovs[k]:
+            off = next(e for _c, e in g.terms[1:] if e not in index)
+            raise VerificationError(f"the tail of G[{k}] leaves B at {off}")
+        if not all(map(lt, at, at[1:])) or at and ovs[at[-1]] >= lead_ovs[k]:
             raise VerificationError(f"the terms of G[{k}] do not strictly descend")
+        coeffs = [c0, *tail]
         if not _elements(fld, coeffs):
             raise VerificationError(f"a coefficient of G[{k}] is not a nonzero element of {fld}")
-        terms.append((coeffs, at))
+        rows.append((coeffs, [m + k, *at]))
 
     acc = EchelonAccumulator(m, fld)
     total = acc.combiner(points.evaluate(acc, [*B, *leads]))
-    for k, (coeffs, at) in enumerate(terms):
-        if nonzero := acc.coordinates(total(coeffs, [m + k, *at])):
+    for k, (coeffs, at) in enumerate(rows):
+        if nonzero := acc.coordinates(total(coeffs, at)):
             raise VerificationError(f"G[{k}] does not vanish at point {min(nonzero)}")

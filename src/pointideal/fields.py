@@ -157,8 +157,7 @@ class PrimeField(FrozenRecord):
         except ValueError as exc:
             raise ValueError(f"bad integer literal {_quote(text)}") from exc
 
-    def format(self, a) -> str:
-        return str(a)
+    format = staticmethod(str)  # the residue's digits; a builtin, as the writer calls it per term
 
     def __repr__(self):
         return f"GF({self.p})"

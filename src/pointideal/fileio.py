@@ -60,17 +60,21 @@ def parse_order(text: str, n: int) -> OrderSpec:
     raise OrderError(f"cannot parse order spec {text!r}")
 
 
+class _Numeral(str):
+    """A JSON number kept as its text: a non-integer, or an integer past ``MAX_DIGITS``."""
+
+
 def _load_json(text: str, source: str):
-    """The JSON value; a non-integer number or an integer past ``MAX_DIGITS`` is left as its text."""
+    """The JSON value; a number ``json`` would not read exactly is a ``_Numeral``."""
     try:
         try:
-            return json.loads(text, parse_float=str)
+            return json.loads(text, parse_float=_Numeral)
         except json.JSONDecodeError:
             raise
         except ValueError:
             # an integer past the int-conversion limit: only then a Python call per int
-            long_as_text = lambda t: t if len(t) > MAX_DIGITS else int(t)  # noqa: E731
-            return json.loads(text, parse_float=str, parse_int=long_as_text)
+            long_as_text = lambda t: _Numeral(t) if len(t) > MAX_DIGITS else int(t)  # noqa: E731
+            return json.loads(text, parse_float=_Numeral, parse_int=long_as_text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -87,9 +91,12 @@ def _load_document(text: str, source: str, keys):
     for key in keys:
         if key not in doc:
             raise ParseError(f"{source}: missing key {key!r}")
+    if not isinstance(desc := doc["field"], dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}.get(type(desc), "a number")
+        raise ParseError(f"{source}: the field descriptor must be an object, not {kind}")
     try:
-        fld = field_from_descriptor(doc["field"])
-    except (ValueError, TypeError, AttributeError) as exc:
+        fld = field_from_descriptor(desc)
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"{source}: bad field descriptor: {exc}") from exc
     return doc, fld
 
@@ -145,40 +152,40 @@ def serialize_points(points: PointSet) -> str:
     return json.dumps(doc, indent=2)
 
 
-class _MonomialText(dict):
-    """JSON text of monomials: filled with B, any other one encoded on lookup."""
-
-    def __missing__(self, m):
-        return json.dumps(list(m))
-
-
 def serialize_result(result: GroebnerResult) -> str:
     """Result document: B ascending, G as descending [coeff, exponents] terms.
 
     The text is ``json.dumps`` of the object with keys order, field, n, B
     (exponent lists) and G (lists of [coefficient text, exponent list]),
-    byte for byte, but written once per monomial rather than once per term:
-    every tail of a G element lies on B, so each B monomial is encoded once
-    and its text is reused for every term on it, and only the leading
-    monomials, which lie outside B, are encoded one by one.  The coefficient
-    is quoted by hand; ``field.format`` writes only ``-0123456789/``, which
-    JSON writes between quotes unescaped.  ``result.stats`` is not written.
+    byte for byte.  A monomial's text is ``str`` of its exponent list, its
+    JSON for int exponents; each B monomial's is made once.  An element
+    held on ``result.B`` (``bm``'s and ``lift``'s, see ``Polynomial``) is
+    written from its lead and its tail indices, and its terms are never
+    built; one held as terms (parsed, or made by ``combine``) looks its
+    monomials up in one dict of B's texts, made for the document.  The
+    coefficient is quoted by hand; ``field.format`` writes only
+    ``-0123456789/``, which JSON writes between quotes unescaped.
+    ``result.stats`` is not written.
     """
-    fld = result.field
+    fld, B = result.field, result.B
     fmt = fld.format
-    enc = _MonomialText((b, json.dumps(list(b))) for b in result.B)
+    enc = [str(list(b)) for b in B]
+    on_B = None  # B monomial -> its text, made for the first element held as terms
     head = json.dumps(
         {"order": str(result.spec), "field": fld.to_descriptor(), "n": result.spec.n}
     )
-    B = ", ".join([enc[b] for b in result.B])
-    G = ", ".join(
-        [
-            "[" + ", ".join([f'["{fmt(c)}", {enc[m]}]' for c, m in g.terms]) + "]"
-            for g in result.G
-        ]
-    )
+    G = []
+    for g in result.G:
+        if g.basis is B:
+            coeffs = [g.lead[0], *reversed(g.coeffs)]
+            texts = [str(list(g.lead[1])), *map(enc.__getitem__, reversed(g.at))]
+        else:
+            on_B = on_B or dict(zip(B, enc))
+            coeffs = [c for c, _m in g.terms]
+            texts = [on_B.get(m) or str(list(m)) for _c, m in g.terms]
+        G.append("[" + ", ".join([f'["{fmt(c)}", {t}]' for c, t in zip(coeffs, texts)]) + "]")
     # the head's closing brace moves to the end of the document
-    return f'{head[:-1]}, "B": [{B}], "G": [{G}]}}'
+    return f'{head[:-1]}, "B": [{", ".join(enc)}], "G": [{", ".join(G)}]}}'
 
 
 def _exponents(v, n: int, what: str) -> tuple:

@@ -18,8 +18,9 @@ format of coords, and ``reduce(vec)`` returns (residual, coords): the
 residual is 0 exactly when vec lies in the span of the rows, and coords,
 with it, is what ``insert`` needs.  Field elements come back only from
 ``coordinates``, {k: nonzero entry k} of coords or of a combiner's sum, and
-``tail(coords, B)``, the terms (-c_i, B[i]) of the nonzero coordinates
-c_i, i descending: the tail of the G element t - sum c_i*B[i].
+``tail(coords)``, the tail of the G element t - sum c_i*B[i] as
+``Polynomial.on_basis`` takes it: the indices i of the nonzero c_i,
+ascending (int objects shared by every tail), and the -c_i.
 
 * ``IntRows`` (the rationals) holds a vector as (integers, D) with D > 0
   and gcd(D, *integers) = 1, its entries integers[k]/D; the step multiplies
@@ -90,6 +91,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
@@ -106,6 +108,7 @@ class IntRows:
 
     def __init__(self, m, field):
         self.m = m
+        self._index = list(range(m))
         # per row: (pivot, N, H, d, reduce ops) with row = N/d and
         # history = H/d, d = N[pivot] > 0 and gcd(*N, *H) = 1
         self._rows = []
@@ -146,10 +149,9 @@ class IntRows:
         C, D = coords
         return {i: Fraction(c, D) for i, c in enumerate(C) if c}
 
-    @staticmethod
-    def tail(coords, B):
+    def tail(self, coords):
         C, D = coords
-        return [(Fraction(-c, D), b) for c, b in zip(reversed(C), reversed(B[: len(C)])) if c]
+        return list(compress(self._index, C)), [Fraction(-c, D) for c in C if c]
 
     def reduce(self, vec):
         """(R, (C, D), field ops) with v = R/D + sum C[i]/D*original_i."""
@@ -206,6 +208,7 @@ class PackedRows:
 
     def __init__(self, m, field):
         self.m = m
+        self._index = list(range(m))
         self.p = p = field.p
         # every slot stays below 2**s; a slot holds the Barrett product x * mu
         self._s = s = (m * (p - 1) ** 2 + p).bit_length()
@@ -275,9 +278,9 @@ class PackedRows:
     def coordinates(self, coords):
         return {i: c for i, c in enumerate(self._slots(coords)) if c}
 
-    def tail(self, coords, B):
-        p, cs = self.p, self._slots(coords)
-        return [(p - c, b) for c, b in zip(reversed(cs), reversed(B[: len(cs)])) if c]
+    def tail(self, coords):
+        cs = self._slots(self.residues(coords * (self.p - 1)))  # -c_i in slot i
+        return list(compress(self._index, cs)), list(filter(None, cs))
 
     def reduce(self, vec):
         """(residual, coords, field ops) with v = residual + sum coords[i]*original_i."""

@@ -9,15 +9,24 @@ from ._record import FrozenRecord
 class Polynomial(FrozenRecord):
     """Terms (coeff, exponent tuple): no zero coefficient, and monomials
     strictly descending in the active order.  The constructor trusts its
-    caller to keep this: ``from_dict`` filters and sorts, ``bm`` reads
-    tails off the ascending B in reverse, ``lift`` keeps the sub-run's
-    order, and ``parse_result`` does not check it.
+    caller to keep this, and ``parse_result`` does not check it.  ``bm``
+    and ``lift`` make G elements ``on_basis``: the leading term ``lead``
+    and the tail as ascending indices ``at`` into the result's B,
+    ``basis``, with coefficients ``coeffs``.  The writer and the verifier
+    read these; ``terms`` is built from them on first access.
     """
 
-    __slots__ = _fields = ("terms",)
+    _fields = ("terms",)
+    __slots__ = ("_terms", "lead", "at", "coeffs", "basis")
 
     def __init__(self, terms):
-        self.terms = tuple(terms)
+        self._terms, self.basis = tuple(terms), None
+
+    @classmethod
+    def on_basis(cls, lead, at, coeffs, B):
+        g = cls.__new__(cls)
+        g._terms, g.lead, g.at, g.coeffs, g.basis = None, lead, at, coeffs, B
+        return g
 
     @classmethod
     def from_dict(cls, coeffs: dict, spec, field):
@@ -30,8 +39,15 @@ class Polynomial(FrozenRecord):
         return cls([(field.one, tuple(exps))])
 
     @property
+    def terms(self):
+        if self._terms is None:  # each tail monomial B's own tuple
+            tail = map(self.basis.__getitem__, reversed(self.at))
+            self._terms = (self.lead, *zip(reversed(self.coeffs), tail))
+        return self._terms
+
+    @property
     def leading_monomial(self):
-        return self.terms[0][1]
+        return self.lead[1] if self.basis is not None else self.terms[0][1]
 
     def __repr__(self):
         if not self.terms:

@@ -72,28 +72,21 @@ def _embed(exps_sub, es: EssentialSet, n: int):
 
 
 def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
-    """Lift a projected-ring result back to the full ring.
+    """Lift a projected-ring result of ``bm`` back to the full ring.
 
-    B and G are reindexed verbatim.  The tails of ``sub.G`` lie on
-    ``sub.B``, so each B monomial is embedded once and the lifted tails
-    reuse those tuples; only the leading monomials are embedded per G
-    element.  A dropped variable with relation x_k = c0 + sum c_j*x_j
-    contributes x_k - c0 - sum c_j*NF(x_j), where NF(x_j) is x_j itself when
-    x_j is in B and otherwise minus the tail of the element of G led by x_j
-    (a degree-1 monomial outside B is a corner).  Every tail monomial of
-    the lifted G is the same tuple object as its entry of the lifted B.
+    The embedding keeps B's order, so each element of ``sub.G`` keeps its
+    tail indices and coefficients, the same lists, over the lifted B; only
+    its lead is embedded.  A dropped variable with relation x_k = c0 + sum
+    c_j*x_j contributes x_k - c0 - sum c_j*NF(x_j), built by ``combine`` and
+    held as terms: NF(x_j) is x_j itself when x_j is in B and otherwise
+    minus the tail of the element of G led by x_j (a degree-1 monomial
+    outside B is a corner).  Every tail monomial of the lifted G is the
+    same tuple object as its entry of the lifted B.
     """
     fld = sub.field
     n = spec.n
-    embedded = {b: _embed(b, es, n) for b in sub.B}
-    B = [embedded[b] for b in sub.B]
-    # the embedding preserves the order, so terms stay descending
-    G = []
-    for g in sub.G:
-        (c0, lead), *tail = g.terms
-        terms = [(c0, _embed(lead, es, n))]
-        terms += [(c, embedded[m]) for c, m in tail]
-        G.append(Polynomial(terms))
+    B = [_embed(b, es, n) for b in sub.B]
+    G = [Polynomial.on_basis((g.lead[0], _embed(g.lead[1], es, n)), g.at, g.coeffs, B) for g in sub.G]
     # each monomial of B, mapped to its tuple in B
     in_B = {b: b for b in B}
     one = in_B[(0,) * n]
@@ -109,7 +102,9 @@ def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
             if x_j in in_B:
                 parts.append((fld.canonical(-c), Polynomial.monomial(in_B[x_j], fld)))
             else:
-                parts.append((c, Polynomial(by_lead[x_j].terms[1:])))
+                g = by_lead[x_j]
+                tail_j = zip(reversed(g.coeffs), map(B.__getitem__, reversed(g.at)))
+                parts.append((c, Polynomial(tail_j)))
         G.append(combine(parts, spec, fld))
     G.sort(key=lambda g: orders.order_vector(spec, g.leading_monomial))
     stats = RunStats(**sub.stats.to_dict())

@@ -17,10 +17,12 @@ from pointideal import fileio, orders
 from pointideal._oracles import random_point_set
 from pointideal._selftest import GOLDEN_B, GOLDEN_POINTS, golden_G
 from pointideal.bm import RunStats, bm
+from pointideal.certify import verify_result
 from pointideal.cli import build_spoly_lists, main
 from pointideal.fields import PrimeField, QQ
 from pointideal.linalg import PackedRows
 from pointideal.oracles import naive_merge
+from pointideal.poly import Polynomial
 from pointideal.projection import bm_projected
 
 GOLDEN_POINTS_JSON = """
@@ -294,6 +296,21 @@ def test_basis_long_field_type_gives_short_error(capsys, tmp_path):
         assert code == 2 and out == ""
         (line,) = err.splitlines()
         assert "unknown field type" in line and len(line.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "field, kind",
+    [("[]", "an array"), ('"prime"', "a string"), ("7", "a number"), ("7.5", "a number"),
+     ("null", "null"), ("true", "a boolean")],
+)
+def test_field_descriptor_that_is_not_an_object_is_parse_error(capsys, tmp_path, field, kind):
+    message = f"the field descriptor must be an object, not {kind}"
+    p = tmp_path / "points.json"
+    p.write_text('{"field": %s, "n": 1, "points": [["1"]]}' % field)
+    code, out, err = run_cli(capsys, "basis", str(p))
+    assert code == 2 and out == "" and err == f"error: {p}: {message}\n"
+    with pytest.raises(fileio.ParseError, match=f"^<result>: {message}$"):
+        fileio.parse_result('{"field": %s, "B": [[0]], "G": []}' % field, orders.lex(1))
 
 
 def test_basis_duplicate_points(capsys, tmp_path):
@@ -701,6 +718,50 @@ def test_serialize_result_matches_per_term_document(fld, order, shape):
     assert fileio.parse_result(text, spec) == res
 
 
+@pytest.mark.parametrize("projected", [False, True], ids=["direct", "projected"])
+@pytest.mark.parametrize("order", ["lex", "degrevlex"])
+@pytest.mark.parametrize("fld", [PrimeField(32003), QQ], ids=["GFp", "QQ"])
+def test_parsed_result_writes_the_same_text(fld, order, projected):
+    # the run's G is held on B and written by index; the parsed G is held
+    # as terms and written by looking each monomial up
+    rng = random.Random(5)
+    spec = fileio.parse_order(order, 5)
+    if projected:
+        res = bm_projected(dependent_point_set(rng, fld, 2, 3, 20), spec)
+        assert any(g.basis is None for g in res.G)  # the dropped variables' elements
+    else:
+        res = bm(random_point_set(rng, fld, 5, 20), spec)
+    assert any(g.basis is res.B for g in res.G)
+    text = fileio.serialize_result(res)
+    back = fileio.parse_result(text, spec)
+    assert all(g.basis is None for g in back.G)
+    assert fileio.serialize_result(back) == text
+
+
+@pytest.mark.parametrize("fld", [PrimeField(32003), QQ], ids=["GFp", "QQ"])
+def test_run_write_and_verify_build_no_terms(monkeypatch, fld):
+    # bm, lift, serialize_result and verify_result read a G element held on
+    # B by its indices: its per-term tuples are built only when asked for
+    built, terms = [], Polynomial.terms
+
+    def counted(g):
+        if g.basis is not None and g._terms is None:
+            built.append(g)
+        return terms.fget(g)
+
+    monkeypatch.setattr(Polynomial, "terms", property(counted))
+    rng = random.Random(3)
+    for pts in (dependent_point_set(rng, fld, 3, 3, 40), random_point_set(rng, fld, 4, 40)):
+        res = bm_projected(pts, orders.degrevlex(pts.n))
+        fileio.serialize_result(res)
+        verify_result(res, pts)
+        held = [g for g in res.G if g.basis is res.B]
+        assert built == [] and len(held) > 1
+        held[0].terms  # the count sees a build
+        assert built == held[:1]
+        built.clear()
+
+
 # ``oracles`` is loaded because the benchmark's tracer reads it from
 # sys.modules; ``_selftest`` loads only when the selftest command runs
 CLI_MODULES = [
@@ -710,7 +771,7 @@ CLI_MODULES = [
     "pointideal.poly", "pointideal.projection",
 ]
 # source lines those modules hold: every CLI process compiles them
-CLI_LINES = 2061
+CLI_LINES = 2081
 
 
 def test_cli_import_loads_exactly_these_modules():
