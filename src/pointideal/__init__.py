@@ -9,6 +9,8 @@ an essential-variable projection shrinks the ring first when the points
 allow it.
 """
 
+from types import ModuleType as _Module
+
 from .bm import (
     DuplicatePoints,
     EmptyPointSet,
@@ -62,49 +64,5 @@ from .projection import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArityMismatch",
-    "BACKEND",
-    "DeltaList",
-    "DuplicatePoints",
-    "EmptyPointSet",
-    "EssentialSet",
-    "FieldError",
-    "GroebnerResult",
-    "NonAdmissibleColumn",
-    "NotPrime",
-    "OrderError",
-    "OrderSpec",
-    "ParseError",
-    "PointSet",
-    "PointSetError",
-    "Polynomial",
-    "PrimeField",
-    "QQ",
-    "RationalField",
-    "RunStats",
-    "SingularMatrix",
-    "bm",
-    "bm_projected",
-    "combine",
-    "deglex",
-    "degrevlex",
-    "delta",
-    "essential_variables",
-    "field_from_descriptor",
-    "lex",
-    "lift",
-    "load_merge_list",
-    "load_points",
-    "matrix_order",
-    "normal_form",
-    "parse_merge_list",
-    "parse_order",
-    "parse_points",
-    "parse_result",
-    "project",
-    "serialize_points",
-    "serialize_result",
-    "standard_matrix",
-    "varord",
-]
+# the names imported above, and no submodule
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _Module))

@@ -84,17 +84,13 @@ def verify_result(result, points) -> None:
 
     rows = []  # per g: its coefficients, and the index of each term's vector: m + k, then B's
     for k, g in enumerate(G):
-        if g.basis is B:  # held on B: its tail indices, ascending
-            (c0, _e), at, tail = g.lead, g.at, g.coeffs
-        else:  # held as terms: the tail reversed, indexed against B, m off B
-            (c0, _e), *rest = g.terms
-            at = [index.get(e, m) for _c, e in reversed(rest)]
-            tail = [c for c, _e in reversed(rest)]
+        try:  # held on B: its tail indices, ascending
+            g = g.held_on(B, index)
+        except ValueError as exc:
+            raise VerificationError(f"the tail of G[{k}] leaves B: {exc}") from None
+        (c0, _e), at, tail = g.lead, g.at, g.coeffs
         if c0 != fld.one:
             raise VerificationError(f"G[{k}] is not monic: its lead coefficient is {c0!r}")
-        if m in at:
-            off = next(e for _c, e in g.terms[1:] if e not in index)
-            raise VerificationError(f"the tail of G[{k}] leaves B at {off}")
         if not all(map(lt, at, at[1:])) or at and ovs[at[-1]] >= lead_ovs[k]:
             raise VerificationError(f"the terms of G[{k}] do not strictly descend")
         coeffs = [c0, *tail]

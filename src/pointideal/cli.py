@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import fileio, orders, projection
 from .deltamerge import ArityMismatch, BACKEND, DeltaList
-from .fields import FieldError
+from .fields import FieldError, read_integer
 from .oracles import naive_merge
 
 EXIT_OK = 0
@@ -159,11 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_merge)
 
     s = sub.add_parser("bench-spoly", help="comparison-count benchmark")
-    s.add_argument("--s", type=int, required=True, help=f"size parameter, 3 to {SPOLY_MAX_S}")
+    s.add_argument("--s", type=read_integer, required=True, help=f"size parameter, 3 to {SPOLY_MAX_S}")
     s.set_defaults(func=cmd_bench_spoly)
 
     t = sub.add_parser("selftest", help="run the built-in checks")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=read_integer, default=0)
     t.set_defaults(func=cmd_selftest)
     return p
 

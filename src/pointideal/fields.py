@@ -1,4 +1,4 @@
-"""Exact coefficient fields: the rationals and prime fields Z_p.
+r"""Exact coefficient fields: the rationals and prime fields Z_p.
 
 Elements are plain Python values (``fractions.Fraction`` for the rationals,
 canonical residues ``int`` in ``[0, p)`` for prime fields), so equality is
@@ -6,6 +6,14 @@ bit-for-bit after canonicalization and everything hashes.  Code computes
 with Python's operators and passes the result to ``field.canonical``; a
 field holds only ``kind``, ``zero``, ``one``, ``canonical``, the text forms
 (``parse`` reads all that ``format`` writes) and the descriptor.
+
+Every literal a user writes is read here, the same at every length, with
+D an ASCII digit 0-9 and only ASCII whitespace around it (no ``_``, no
+other digits).  ``read_integer`` reads an integer, ``[-+]?D+``, and so
+does ``PrimeField.parse``, mod p.  ``RationalField.parse`` reads
+``[-+]?D+/D+`` with b not 0, or a decimal
+``[-+]?(D+(\.D*)?|\.D+)([eE][-+]?D+)?`` with |exponent| < ``MAX_DIGITS``.
+README's "Input grammar" says which input takes which.
 """
 
 from __future__ import annotations
@@ -18,13 +26,17 @@ from ._record import FrozenRecord
 
 
 # CPython's default limit on the digits of an int converted from or to text.
-# A result's coefficients outgrow its points, so format and parse convert
-# longer numerals through decimal, which has no such limit
+# A result's coefficients outgrow its points, so format and read_integer
+# convert longer numerals through decimal, which has no such limit.  It
+# also bounds a decimal literal's exponent, before 10**exponent is computed
 MAX_DIGITS = 4300
 
-# an integer, and what RationalField.format writes: an integer or a/b, b not 0
-_INTEGER = re.compile(r"[-+]?\d+")
-_RATIO = re.compile(r"[-+]?\d+(/0*[1-9]\d*)?")
+SPACE = " \t\n\r\f\v"  # ASCII whitespace, the only kind a literal may have around it
+_INTEGER = re.compile(r"[-+]?[0-9]+")
+# a/b (b not 0), or a decimal; no two parts can split one run of digits, so refusal is linear
+_RATIONAL = re.compile(
+    r"([-+]?[0-9]+)/(0*[1-9][0-9]*)|([-+]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?"
+)
 
 
 # characters of a bad literal that an error message quotes
@@ -41,6 +53,17 @@ def _quote(text: str) -> str:
     if len(text) <= EXCERPT:
         return repr(text)
     return f"{text[:EXCERPT]!r}... ({len(text)} characters)"
+
+
+def read_integer(text: str) -> int:
+    """The integer ``text`` writes, ``[-+]?D+`` of any length; else a ValueError quoting it."""
+    digits = text.strip(SPACE)
+    if _INTEGER.fullmatch(digits) is None:
+        raise ValueError(f"bad integer literal {_quote(digits)}")
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int-conversion limit
+        return int(Decimal(digits))
 
 
 class FieldError(Exception):
@@ -94,21 +117,16 @@ class RationalField(FrozenRecord):
         raise TypeError(f"{type(a).__name__} is not a rational")
 
     def parse(self, text: str):
-        """Parse "a/b", an integer or a decimal such as "0.1" or "1e-07".
-
-        A literal whose exponent would make more than ``MAX_DIGITS`` digits
-        is rejected before 10**exponent is computed; "a/b" may be any length.
-        """
-        text = text.strip()
-        if len(text) > MAX_DIGITS and _RATIO.fullmatch(text):
-            return Fraction(*[int(Decimal(k)) for k in text.split("/")])
-        mantissa, _e, exponent = text.lower().partition("e")
-        try:
-            if exponent and abs(int(exponent)) + len(mantissa) > MAX_DIGITS:
-                raise ValueError("exponent too large")
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational literal {_quote(text)}") from exc
+        """The rational ``text`` writes: "a/b", an integer or a decimal such as "0.1" or "1e-07"."""
+        literal = text.strip(SPACE)
+        if match := _RATIONAL.fullmatch(literal):
+            num, den, sign, whole, frac, exp = match.groups()
+            if num:
+                return Fraction(read_integer(num), read_integer(den))
+            if abs(e := read_integer(exp) if exp else 0) < MAX_DIGITS:
+                n, e = read_integer(sign + whole + (frac or "")), e - len(frac or "")
+                return Fraction(n * 10**e) if e >= 0 else Fraction(n, 10**-e)
+        raise ValueError(f"bad rational literal {_quote(literal)}")
 
     def format(self, a) -> str:
         """``str(a)``: "a/b", or the integer when b is 1, of any length."""
@@ -149,13 +167,8 @@ class PrimeField(FrozenRecord):
         return a if 0 <= a < self.p else a % self.p
 
     def parse(self, text: str):
-        text = text.strip()  # an integer of any length, reduced mod p
-        try:
-            if len(text) > MAX_DIGITS and _INTEGER.fullmatch(text):
-                return int(Decimal(text)) % self.p
-            return int(text, 10) % self.p
-        except ValueError as exc:
-            raise ValueError(f"bad integer literal {_quote(text)}") from exc
+        """The integer ``text`` writes (``read_integer``), reduced mod p."""
+        return read_integer(text) % self.p
 
     format = staticmethod(str)  # the residue's digits; a builtin, as the writer calls it per term
 

@@ -1,18 +1,42 @@
-"""The user's text: point-set JSON, result JSON, order specs and merge-list files."""
+"""The user's text: point-set JSON, result JSON, order specs and merge-list files.
+
+Every literal in them is read by ``fields``; its docstring has the grammar.
+"""
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .bm import GroebnerResult, PointSet, RunStats
-from .fields import MAX_DIGITS, _quote, field_from_descriptor
+from .fields import MAX_DIGITS, SPACE, _quote, field_from_descriptor, read_integer
 from .orders import STANDARD_KINDS, OrderError, OrderSpec
 from .poly import Polynomial
 
 
 class ParseError(ValueError):
     pass
+
+
+def _integers(entries, where: str) -> tuple:
+    """Each entry by ``read_integer``; a bad one is a ParseError naming ``where`` and its position."""
+    out = []
+    for pos, x in enumerate(entries, start=1):
+        try:
+            out.append(read_integer(x))
+        except ValueError as exc:
+            raise ParseError(f"{where} {pos}: {exc}") from exc
+    return tuple(out)
+
+
+def _integer_rows(text: str, sep: str, source: str) -> list:
+    """The entries, apart by the pattern ``sep``, of each line not blank or a "#" comment."""
+    rows = []
+    for ln, line in enumerate(text.split("\n"), start=1):
+        if (line := line.strip(SPACE)) and not line.startswith("#"):
+            rows.append(_integers(re.split(sep, line), f"{source}: line {ln}, entry"))
+    return rows
 
 
 def read_text(path) -> str:
@@ -27,36 +51,21 @@ def read_text(path) -> str:
 def parse_order(text: str, n: int) -> OrderSpec:
     """Parse the textual order grammar: lex[:i1,i2,...] etc, matrix:<path>.
 
-    The order must have n variables; a matrix file must hold an n x n matrix.
-    A perm entry or matrix entry that is not an integer is a ParseError
-    naming its position or line.
+    The order must have n variables; a matrix file must hold an n x n matrix,
+    a row per line that is not blank or a "#" comment, entries apart by ASCII
+    spaces or tabs.  A perm or matrix entry that ``read_integer`` refuses is
+    a ParseError naming its position.
     """
     kind, _, rest = text.partition(":")
-    kind = kind.strip()
+    kind = kind.strip(SPACE)
     if kind in STANDARD_KINDS:
         perm = None
-        if rest.strip():
-            entries = []
-            for pos, x in enumerate(rest.split(","), start=1):
-                try:
-                    entries.append(int(x))
-                except ValueError as exc:
-                    raise ParseError(
-                        f"--order {text}: perm position {pos}: {x.strip()!r} is not an integer"
-                    ) from exc
-            perm = tuple(entries)
+        if rest.strip(SPACE):
+            perm = _integers(rest.split(","), f"--order {text}: perm position")
         return OrderSpec(n, kind, perm)
     if kind == "matrix":
-        path = Path(rest.strip())
-        rows = []
-        for ln, line in enumerate(read_text(path).splitlines(), start=1):
-            line = line.strip()
-            if line:
-                try:
-                    rows.append(tuple(int(x) for x in line.split()))
-                except ValueError as exc:
-                    raise ParseError(f"{path}: line {ln}: {exc}") from exc
-        return OrderSpec(n, "matrix", matrix=rows)
+        path = Path(rest.strip(SPACE))
+        return OrderSpec(n, "matrix", matrix=_integer_rows(read_text(path), "[ \t]+", str(path)))
     raise OrderError(f"cannot parse order spec {text!r}")
 
 
@@ -73,7 +82,7 @@ def _load_json(text: str, source: str):
             raise
         except ValueError:
             # an integer past the int-conversion limit: only then a Python call per int
-            long_as_text = lambda t: _Numeral(t) if len(t) > MAX_DIGITS else int(t)  # noqa: E731
+            long_as_text = lambda t: _Numeral(t) if len(t) > MAX_DIGITS else read_integer(t)  # noqa: E731
             return json.loads(text, parse_float=_Numeral, parse_int=long_as_text)
     except json.JSONDecodeError as exc:
         raise ParseError(
@@ -110,11 +119,12 @@ def parse_points(text: str, source: str = "<points>") -> PointSet:
          "n": N,
          "points": [["a/b", ...], ...]}
 
-    A coordinate may also be a JSON number.  A non-integer number reaches
-    ``field.parse`` as its literal text, never through a float, so a
-    rational keeps every digit and a prime field rejects it.  An integer of
-    more than ``MAX_DIGITS`` characters reaches it as text too, and reads
-    like the quoted one.
+    A quoted coordinate is read by ``field.parse`` (see ``fields``).  It may
+    also be a JSON number.  A JSON integer, read by ``json``, goes straight
+    to ``PointSet``, which takes it through ``field.canonical``.  A
+    non-integer number, or an integer of more than ``MAX_DIGITS``
+    characters, reaches ``field.parse`` as its literal text, never through
+    a float, so a rational keeps every digit and a prime field rejects it.
     """
     doc, fld = _load_document(text, source, ("field", "n", "points"))
     n = doc["n"]
@@ -123,6 +133,7 @@ def parse_points(text: str, source: str = "<points>") -> PointSet:
     raw = doc["points"]
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{source}: 'points' must be a non-empty list")
+    parse = fld.parse
     points = []
     for r, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != n:
@@ -130,7 +141,7 @@ def parse_points(text: str, source: str = "<points>") -> PointSet:
         coords = []
         for c, cell in enumerate(row):
             try:
-                coords.append(fld.parse(str(cell)))
+                coords.append(cell if type(cell) is int else parse(str(cell)))
             except ValueError as exc:
                 raise ParseError(
                     f"{source}: point {r}, coordinate {c}: {exc}"
@@ -199,13 +210,25 @@ def _exponents(v, n: int, what: str) -> tuple:
     return tuple(v)
 
 
+def _term(fld, term, n: int, what: str) -> tuple:
+    """(coefficient, exponents) of the G term [c, exponents]; else a ValueError naming ``what``."""
+    try:
+        c, m = term
+        c = fld.parse(str(c))
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    return c, _exponents(m, n, what)
+
+
 def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
     """Round-trip parse of a result document produced by serialize_result.
 
     Every exponent vector in B and G must be a list of ``spec.n``
-    non-negative integers (booleans excluded).  As in ``parse_points``, a
-    coefficient written as a JSON number keeps every digit.  An order member
-    must be ``str(spec)``; n and an older document's stats are not read.
+    non-negative integers (booleans excluded).  ``field.parse`` reads each
+    coefficient from its text (see ``fields``), so one written as a JSON
+    number keeps every digit; a bad one is named by its G element and term.
+    An order member must be ``str(spec)``; n and an older document's stats
+    are not read.
     """
     doc, fld = _load_document(text, source, ("field", "B", "G"))
     if (named := doc.get("order", str(spec))) != str(spec):
@@ -214,12 +237,7 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
     try:
         B = [_exponents(b, n, f"B[{k}]") for k, b in enumerate(doc["B"])]
         G = [
-            Polynomial(
-                [
-                    (fld.parse(str(c)), _exponents(m, n, f"G[{k}] term {t}"))
-                    for t, (c, m) in enumerate(terms)
-                ]
-            )
+            Polynomial([_term(fld, term, n, f"G[{k}] term {t}") for t, term in enumerate(terms)])
             for k, terms in enumerate(doc["G"])
         ]
     except (ValueError, TypeError) as exc:
@@ -228,16 +246,8 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
 
 
 def parse_merge_list(text: str, source: str = "<list>"):
-    """One tuple per line, entries comma-separated integers."""
-    items = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            items.append(tuple(int(x.strip()) for x in line.split(",")))
-        except ValueError as exc:
-            raise ParseError(f"{source}: line {ln}: {exc}") from exc
+    """One tuple per line, entries comma-separated integers (``read_integer``)."""
+    items = _integer_rows(text, ",", source)
     if items and any(len(it) != len(items[0]) for it in items):
         raise ParseError(f"{source}: rows of differing arity")
     return items

@@ -28,6 +28,17 @@ class Polynomial(FrozenRecord):
         g._terms, g.lead, g.at, g.coeffs, g.basis = None, lead, at, coeffs, B
         return g
 
+    def held_on(self, B, index):
+        """This element ``on_basis`` over ``B``, whose positions ``index``
+        maps; a tail monomial off B is a ValueError naming it."""
+        if self.basis is B:
+            return self
+        lead, *tail = self.terms
+        if off := [e for _c, e in tail if e not in index]:
+            raise ValueError(f"the tail monomial {list(off[0])} is not in B")
+        tail.reverse()
+        return Polynomial.on_basis(lead, [index[e] for _c, e in tail], [c for c, _e in tail], B)
+
     @classmethod
     def from_dict(cls, coeffs: dict, spec, field):
         terms = [(c, m) for m, c in coeffs.items() if c != field.zero]

@@ -76,17 +76,21 @@ def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
 
     The embedding keeps B's order, so each element of ``sub.G`` keeps its
     tail indices and coefficients, the same lists, over the lifted B; only
-    its lead is embedded.  A dropped variable with relation x_k = c0 + sum
-    c_j*x_j contributes x_k - c0 - sum c_j*NF(x_j), built by ``combine`` and
-    held as terms: NF(x_j) is x_j itself when x_j is in B and otherwise
-    minus the tail of the element of G led by x_j (a degree-1 monomial
-    outside B is a corner).  Every tail monomial of the lifted G is the
-    same tuple object as its entry of the lifted B.
+    its lead is embedded; one held as terms (a parsed sub-result) is first
+    indexed against ``sub.B`` by ``Polynomial.held_on``.  A dropped variable
+    with relation x_k = c0 + sum c_j*x_j contributes x_k - c0 - sum
+    c_j*NF(x_j), built by ``combine`` and held as terms: NF(x_j) is x_j
+    itself when x_j is in B and otherwise minus the tail of the element of G
+    led by x_j (a degree-1 monomial outside B is a corner).  Every tail
+    monomial of the lifted G is the same tuple object as its entry of the
+    lifted B.
     """
     fld = sub.field
     n = spec.n
     B = [_embed(b, es, n) for b in sub.B]
-    G = [Polynomial.on_basis((g.lead[0], _embed(g.lead[1], es, n)), g.at, g.coeffs, B) for g in sub.G]
+    index = {b: k for k, b in enumerate(sub.B)}
+    held = [g.held_on(sub.B, index) for g in sub.G]
+    G = [Polynomial.on_basis((g.lead[0], _embed(g.lead[1], es, n)), g.at, g.coeffs, B) for g in held]
     # each monomial of B, mapped to its tuple in B
     in_B = {b: b for b in B}
     one = in_B[(0,) * n]

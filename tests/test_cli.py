@@ -189,10 +189,27 @@ def test_basis_bad_order(capsys, points_file, tmp_path):
 def test_basis_bad_order_perm_is_parse_error(capsys, tmp_path):
     two = tmp_path / "two.json"
     two.write_text('{"field":{"type":"prime","p":101},"n":2,"points":[[0,1],[1,0]]}')
-    for order, pos in (("lex:a,b", 1), ("degrevlex:1,x", 2), ("deglex:2,,1", 2)):
+    for order, pos in (("lex:a,b", 1), ("degrevlex:1,x", 2), ("deglex:2,,1", 2),
+                       ("lex:\u0661,2", 1), ("lex:2,1_0", 2), ("lex:1,\u20032", 2)):
         code, out, err = run_cli(capsys, "basis", str(two), "--order", order)
         assert code == 2 and out == ""
-        assert err.startswith(f"error: --order {order}: perm position {pos}:")
+        assert err.startswith(f"error: --order {order}: perm position {pos}: bad integer literal")
+
+
+@pytest.mark.parametrize("field", [{"type": "rational"}, {"type": "prime", "p": 7}], ids=["QQ", "GFp"])
+@pytest.mark.parametrize("literal", ["1_0", "\u0661\u0662", "2\u00a0"], ids=["underscore", "arabic-indic", "nbsp"])
+def test_basis_reads_ascii_literals_only(capsys, tmp_path, field, literal):
+    # a literal has one grammar: ASCII digits, and ASCII spaces around them
+    p, grid = tmp_path / "points.json", tmp_path / "A.txt"
+    p.write_text(json.dumps({"field": field, "n": 2, "points": [["0", "1"], ["2", literal]]}))
+    code, out, err = run_cli(capsys, "basis", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {p}: point 1, coordinate 1: bad ")
+    p.write_text(json.dumps({"field": field, "n": 2, "points": [[0, 1], [2, 3]]}))
+    grid.write_text(f"1 1\n0 {literal}\n")
+    code, out, err = run_cli(capsys, "basis", str(p), "--order", f"matrix:{grid}")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {grid}: line 2, entry 2: bad integer literal")
 
 
 def test_basis_bad_modulus(capsys, tmp_path):
@@ -438,10 +455,11 @@ def test_merge_arity_mismatch(capsys, tmp_path):
 
 def test_merge_bad_tuple(capsys, tmp_path):
     fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
-    fa.write_text("1,x\n")
     write_list(fb, [(1, 2)])
-    code, _, err = run_cli(capsys, "merge", str(fa), str(fb))
-    assert code == 2 and "line 1" in err
+    for text, pos in (("1,x", 2), ("1_0,2", 1), ("1,\u0662", 2), ("\u20031,2", 1)):
+        fa.write_text(text + "\n")
+        code, _, err = run_cli(capsys, "merge", str(fa), str(fb))
+        assert code == 2 and err.startswith(f"error: {fa}: line 1, entry {pos}: bad integer literal")
 
 
 def test_merge_undecodable_list_is_parse_error(capsys, tmp_path):
@@ -495,6 +513,16 @@ def test_bench_spoly_rejects_huge_s_before_building(capsys, monkeypatch):
     assert err == "error: s must be between 3 and 1000\n"
     code, out, _ = run_cli(capsys, "bench-spoly", "--s", "1001")
     assert code == 1 and out == ""
+
+
+def test_integer_options_take_the_literal_grammar(capsys):
+    # --s and --seed are read as every other integer is: ASCII digits only
+    for argv in (["bench-spoly", "--s", "\u0661\u0660"], ["selftest", "--seed", "1_0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and f"argument {argv[1]}: invalid" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "bench-spoly", "--s", " +010 ")
+    assert code == 0 and json.loads(out)["s"] == 10
 
 
 def _spoly_lists_by_order_vector(s):
@@ -771,7 +799,7 @@ CLI_MODULES = [
     "pointideal.poly", "pointideal.projection",
 ]
 # source lines those modules hold: every CLI process compiles them
-CLI_LINES = 2081
+CLI_LINES = 2077
 
 
 def test_cli_import_loads_exactly_these_modules():

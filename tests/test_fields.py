@@ -1,6 +1,8 @@
 """Fields: canonical forms, parsing, construction errors."""
 
 import json
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 from pointideal import fileio
 from pointideal.bm import PointSet
 from pointideal.fields import (
+    MAX_DIGITS,
     FieldError,
     NotPrime,
     PrimeField,
@@ -16,6 +19,7 @@ from pointideal.fields import (
     RationalField,
     field_from_descriptor,
     is_probable_prime,
+    read_integer,
 )
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
@@ -55,8 +59,9 @@ def test_rational_parse_takes_format_at_any_length():
         assert QQ.parse(text) == c and QQ.parse(f" {text}\n") == c and len(text) > 5000
     pts = PointSet(QQ, 2, [(Fraction(7 * 10**5000 + 1, 3), 1), (-(10**4400), Fraction(1, 2))])
     assert fileio.parse_points(fileio.serialize_points(pts)) == pts
-    # a long numeral that is not one that format writes keeps the limit
-    for text in ("1/" + "0" * 5000, "1e4300", "7" * 5000 + ".5", "x" * 5000):
+    # one grammar at every length: a long decimal reads like a short one
+    assert QQ.parse("7" * 5000 + ".5") == Fraction(7 * (10**5000 - 1) // 9 * 10 + 5, 10)
+    for text in ("1/" + "0" * 5000, "1e4300", "x" * 5000):
         with pytest.raises(ValueError):
             QQ.parse(text)
     assert QQ.parse("-3/4") == Fraction(-3, 4) and GF5.parse("7") == 2
@@ -143,6 +148,48 @@ def test_parse_errors():
         QQ.parse("abc")
     with pytest.raises(ValueError):
         GF5.parse("x")
+    # one ASCII grammar: no "_", no other script's digits, no other spaces
+    for text in ("1_0", "\u0661\u0662", "1\u00a0", "\u20031", "1/2_0", "1e1_0", "\uff11"):
+        for fld in (QQ, GF5):
+            with pytest.raises(ValueError, match=f"bad (integer|rational) literal {re.escape(repr(text))}"):
+                fld.parse(text)
+        with pytest.raises(ValueError, match="bad integer literal"):
+            read_integer(text)
+
+
+Z = "0" * 5000  # zeros that take a literal past MAX_DIGITS, its value kept
+# (short, long, value): every form of the grammar, at both lengths
+LITERALS = [
+    ("10", Z + "10", 10), ("-7", "-" + Z + "7", -7), ("+0012", "+" + Z + "12", 12),
+    ("3/4", Z + "3/" + Z + "4", Fraction(3, 4)), ("-6/08", "-" + Z + "6/" + Z + "8", Fraction(-3, 4)),
+    ("2.5", Z + "2.5" + Z, Fraction(5, 2)), ("-.5e-1", "-.5" + Z + "e-" + Z + "1", Fraction(-1, 20)),
+    ("5.", Z + "5.", 5), ("1E+2", Z + "1E+" + Z + "2", 100),
+]
+
+
+def test_a_literal_reads_the_same_at_10_and_at_5000_digits():
+    for short, long, value in LITERALS:
+        assert len(long) > MAX_DIGITS
+        assert QQ.parse(short) == QQ.parse(long) == value
+        if type(value) is int and "." not in short and "E" not in short:
+            assert GF5.parse(short) == GF5.parse(long) == value % 5
+            assert read_integer(short) == read_integer(long) == value
+    for text in ("1_0", "\u0661\u0662", "x"):  # refused at both lengths
+        for literal in (text, Z + text):
+            for reader in (QQ.parse, GF5.parse, read_integer):
+                with pytest.raises(ValueError):
+                    reader(literal)
+
+
+def test_a_long_bad_literal_is_refused_in_linear_time():
+    # a pattern in which two parts could split one run of digits backtracks
+    # quadratically: 0.8 s for 5,000 digits, about 13 s for these 20,000
+    long = "1" * 20000
+    for text in (long + "x", long + "." + long + "x", long + "e" + long + "x", long + "/" + long + "x"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            QQ.parse(text)
+        assert time.perf_counter() - start < 1
 
 
 def test_field_equality_and_hash():

@@ -2,13 +2,14 @@
 
 import inspect
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import dependent_point_set, random_order
-from pointideal import orders, projection
+from pointideal import fileio, orders, projection
 from pointideal._oracles import random_field, random_point_set
 from pointideal._selftest import (
     GOLDEN_ESS,
@@ -194,6 +195,35 @@ def test_lift_matches_per_term_embedding():
         for g in lifted.G:
             assert all(mo is at[mo] for _c, mo in g.terms[1:])
         verify_result(lifted, pts)
+
+
+def parsed_sub_result(fld):
+    """The points, spec, essential set, sub-run and the sub-run read back from its document."""
+    pts = dependent_point_set(random.Random(1), fld, 2, 2, 10)
+    spec = orders.degrevlex(pts.n)
+    es = essential_variables(pts, spec)
+    sub_spec = orders.restrict(spec, es.ess)
+    sub = bm(project(pts, es), sub_spec)
+    return pts, spec, es, sub, fileio.parse_result(fileio.serialize_result(sub), sub_spec)
+
+
+@pytest.mark.parametrize("fld", [PrimeField(101), QQ], ids=["GFp", "QQ"])
+def test_lift_of_a_parsed_sub_result_equals_the_direct_one(fld):
+    # a parsed sub-result holds G as terms, not on B; lift indexes it once
+    pts, spec, es, sub, parsed = parsed_sub_result(fld)
+    assert es.relations and all(g.basis is None for g in parsed.G)
+    direct, lifted = lift(sub, es, spec), lift(parsed, es, spec)
+    assert lifted == direct
+    assert fileio.serialize_result(lifted) == fileio.serialize_result(direct)
+    verify_result(lifted, pts)
+
+
+def test_lift_names_a_tail_monomial_off_b():
+    _pts, spec, es, _sub, parsed = parsed_sub_result(PrimeField(101))
+    g, h = parsed.G[:2]
+    parsed.G[0] = Polynomial([*g.terms[:-1], (g.terms[-1][0], h.leading_monomial)])
+    with pytest.raises(ValueError, match=re.escape(f"tail monomial {list(h.leading_monomial)} is not in B")):
+        lift(parsed, es, spec)
 
 
 def test_lift_copies_the_stats():
