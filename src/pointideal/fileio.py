@@ -61,12 +61,12 @@ def parse_order(text: str, n: int) -> OrderSpec:
     if kind in STANDARD_KINDS:
         perm = None
         if rest.strip(SPACE):
-            perm = _integers(rest.split(","), f"--order {text}: perm position")
+            perm = _integers(rest.split(","), f"--order {_quote(text)}: perm position")
         return OrderSpec(n, kind, perm)
     if kind == "matrix":
         path = Path(rest.strip(SPACE))
         return OrderSpec(n, "matrix", matrix=_integer_rows(read_text(path), "[ \t]+", str(path)))
-    raise OrderError(f"cannot parse order spec {text!r}")
+    raise OrderError(f"cannot parse order spec {_quote(text)}")
 
 
 class _Numeral(str):

@@ -24,25 +24,22 @@ ascending (int objects shared by every tail), and the -c_i.
 
 * ``IntRows`` (the rationals) holds a vector as (integers, D) with D > 0
   and gcd(D, *integers) = 1, its entries integers[k]/D; the step multiplies
-  the integer lists and divides out one gcd.  Row k is one list of
-  integers N_k and its history one list of integers H_k, over one common
-  denominator d_k = N_k[pivot] > 0, with the content gcd(N_k, H_k) divided
-  out: the row is N_k/d_k and the history H_k/d_k.  ``reduce`` starts from the
-  vector's R over D and keeps the coordinates as integers C over the same
-  D.  Reducing by a row whose pivot entry a = R[pivot] is nonzero is
-  ``R = d*R - a*N``, ``C = d*C + a*H`` and ``D *= d``, after dividing
-  gcd(a, d) out of a and d; that small gcd removes most of the common factor
-  (84 of 103 bits on average on the qq-random benchmark).  The full content
-  gcd(D, *R, *C) is divided out only once D has doubled in length since the
-  last time.  The residual is R, or 0 when R is zero, and coords is (C, D);
-  ``insert`` builds the row from them as integers.  ``fractions.Fraction``
-  is avoided because each of its multiplies and adds runs a gcd and a
-  normalisation in Python code, entry by entry; here a step or a row update
-  is a list comprehension of int multiplies, whose arithmetic runs in C.  Evaluation
-  vectors of small-height points share most of their denominators, so the
-  rows stay a few hundred bits long; vectors with unrelated large
-  denominators make every entry as long as their lcm, and there the list
-  rows of the oracle can be faster.  ``combiner`` sums over one lcm.
+  the integer lists and divides out one gcd.  Row k is one primitive list
+  NH_k, the row N_k and then its negated history -H_k, over d_k =
+  N_k[pivot] > 0.  ``reduce`` keeps the residual and the coordinates as one
+  list RC over D, split into R (0 when R is zero) and coords (C, D) only
+  as it returns.  Reducing by a row whose pivot entry a = RC[pivot] is
+  nonzero divides gcd(a, d) out of a and d (84 of 103 common bits on
+  average on qq-random), then is one list comprehension, ``RC = d*RC -
+  a*NH`` with ``D *= d``: RC is padded to the row's longer history, an
+  entry stays r (or d*r) where NH is 0, and when d = 1, in half the steps,
+  neither D nor RC is scaled.  The content gcd(D, *RC) is divided out once
+  D has doubled in length since the last time.  ``fractions.Fraction``
+  would run a gcd and a normalisation in Python code per entry; here each
+  step is int arithmetic that runs in C.  Small-height points share most
+  of their denominators, so rows stay a few hundred bits long; unrelated
+  large denominators make every entry as long as their lcm, where the
+  oracle's list rows can be faster.  ``combiner`` sums over one lcm.
 * ``PackedRows`` (GF(p)) holds a vector as a list of residues in [0, p),
   as ``vector`` and ``step`` return it, and a row, a history, a residual
   and coords each as one Python ``int`` with a w-bit slot per entry
@@ -66,20 +63,18 @@ ascending (int objects shared by every tail), and the -c_i.
   m = 536, 14 for 2**31 - 1 at m = 200.  ``reduce`` returns ``residues(R)``
   and ``residues(H)``; ``insert`` scales both by -1/lead through
   ``residues`` and counts nonzero slots by popcount; ``combiner`` reduces
-  its sum after every (2**s - p) // (p-1)**2 >= m terms.  Replacing an
-  ``x % p`` per slot, this cut gfp-boolean ``wall_s`` by 11 %.  Packing
-  goes through ``array("Q")`` lanes, byte-swapped on a big-endian machine,
-  and strided byte copies between lanes and w-byte slots.  Exact for p < 2**63.
+  its sum after every (2**s - p) // (p-1)**2 >= m terms.  Packing goes
+  through ``array("Q")`` lanes, byte-swapped on a big-endian machine, and
+  strided byte copies between lanes and w-byte slots.  Exact for p < 2**63.
 
 ``field_ops`` counts the same model operations in both stores and in the
-test oracle's list rows (``_oracles.ListRows``), as before the stores
-existed: reducing by a row whose pivot coefficient c is nonzero costs
-2*nnz(row) (a multiply and a subtract per nonzero row entry) plus the
-number of history entries (a multiply each); ``insert`` costs
-1 + m + nnz(coords) (the pivot inverse, scaling the row, scaling the
-history).  Each row carries its reduce cost, computed at insert, so the
-counter does not depend on how a row is stored or on the zeros a store
-skips.  A step is not counted here; its caller counts it.
+test oracle's list rows (``_oracles.ListRows``): reducing by a row whose
+pivot coefficient is nonzero costs 2*nnz(row) (a multiply and a subtract
+per nonzero row entry) plus nnz(history) (a multiply each); ``insert``
+costs 1 + m + nnz(coords) (the pivot inverse, scaling the row, scaling
+the history).  Each row carries its reduce cost, computed at insert, so
+the counter does not depend on how a row is stored or on the zeros a
+store skips.  A step is not counted here; its caller counts it.
 
 numpy is not used.  Importing it raises the CLI's peak resident memory from
 16 MB to 28 MB, and its int64 rows are exact only while
@@ -91,7 +86,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, zip_longest
 from math import gcd, lcm
 from operator import mul
 
@@ -109,8 +104,8 @@ class IntRows:
     def __init__(self, m, field):
         self.m = m
         self._index = list(range(m))
-        # per row: (pivot, N, H, d, reduce ops) with row = N/d and
-        # history = H/d, d = N[pivot] > 0 and gcd(*N, *H) = 1
+        # per row: (pivot, NH, d, reduce ops), NH = [*N, *-H] with row = N/d,
+        # history = H/d, d = N[pivot] > 0 and gcd(*NH) = 1
         self._rows = []
 
     @staticmethod
@@ -155,33 +150,30 @@ class IntRows:
 
     def reduce(self, vec):
         """(R, (C, D), field ops) with v = R/D + sum C[i]/D*original_i."""
-        R, D = vec
-        C = []
+        RC, D = vec
         ops = 0
         limit = 2 * D.bit_length() + 64
-        for piv, N, H, d, row_ops in self._rows:
-            a = R[piv]
+        for piv, NH, d, row_ops in self._rows:
+            a = RC[piv]
             if not a:
                 continue
             ops += row_ops
-            # R/D - (a/D)*(N/d) and C/D + (a/D)*(H/d), over D*d once the
-            # common factor of a and d is divided out
+            # RC/D - (a/D)*(NH/d) over D*d, once gcd(a, d) is divided out
             g = gcd(a, d)
-            a //= g
-            d //= g
-            R = [d * r - a * x for r, x in zip(R, N)]
-            C += [0] * (len(H) - len(C))
-            C = [d * c + a * h for c, h in zip(C, H)]
+            a, d = a // g, d // g
+            if d == 1:
+                RC = [r - a * x if x else r for r, x in zip_longest(RC, NH, fillvalue=0)]
+                continue
+            RC = [d * r - a * x if x else d * r for r, x in zip_longest(RC, NH, fillvalue=0)]
             D *= d
             if D.bit_length() > limit:
-                # the content, once D has doubled in length (plus a word)
-                # since the last time
-                g = gcd(D, *R, *C)
-                R = [r // g for r in R]
-                C = [c // g for c in C]
+                # the content, once D has doubled in length since the last time
+                g = gcd(D, *RC)
+                RC = [x // g for x in RC]
                 D //= g
                 limit = 2 * D.bit_length() + 64
-        return R if any(R) else 0, (C, D), ops
+        R = RC[: self.m]
+        return R if any(R) else 0, (RC[self.m :], D), ops
 
     def insert(self, residual, coords):
         """Add a row for (residual, coords) = reduce(v); returns its field ops."""
@@ -189,17 +181,16 @@ class IntRows:
             raise InsertZero("cannot insert the zero vector")
         piv = next(k for k, x in enumerate(residual) if x)
         # v - sum C[i]/D*original_i = R/D: the row is R and the history
-        # D*e_idx - C, both over R[piv]
+        # D*e_idx - C, both over R[piv]; the history is kept negated
         C, D = coords
-        NH = [*residual, *[-c for c in C], *[0] * (len(self._rows) - len(C)), D]
+        NH = [*residual, *C, *[0] * (len(self._rows) - len(C)), -D]
         # a positive d keeps every D of reduce positive
         g = gcd(*NH) if residual[piv] > 0 else -gcd(*NH)
         if g != 1:
             NH = [x // g for x in NH]
-        N, H = NH[: self.m], NH[self.m :]
         nnz = len(C) - C.count(0)
-        row_ops = 2 * (self.m - N.count(0)) + nnz + 1
-        self._rows.append((piv, N, H, N[piv], row_ops))
+        row_ops = 2 * (self.m - residual.count(0)) + nnz + 1
+        self._rows.append((piv, NH, NH[piv], row_ops))
         return 1 + self.m + nnz
 
 

@@ -58,6 +58,15 @@ def _standard_rows(n, kind, perm):
     return ones + tuple(unit(i, -1) for i in reversed(perm[1:]))
 
 
+def _ints(entries, where):
+    """entries as a tuple; the first that is not an int (a bool, a float, a str) is an OrderError."""
+    entries = tuple(entries)
+    for pos, x in enumerate(entries, start=1):
+        if type(x) is not int:
+            raise OrderError(f"{where} {pos} is {x!r}, not an int")
+    return entries
+
+
 class OrderSpec(FrozenRecord):
     """An admissible order on n variables, held as its integer matrix.
 
@@ -74,12 +83,12 @@ class OrderSpec(FrozenRecord):
         # kind: "lex" | "deglex" | "degrevlex" | "matrix"
         # perm: (i_1,...,i_n) with x_{i_1} > ... > x_{i_n}; matrix: n rows of n ints
         if kind in STANDARD_KINDS:
-            perm = tuple(perm if perm is not None else range(1, n + 1))
+            perm = _ints(perm if perm is not None else range(1, n + 1), "perm entry")
             if sorted(perm) != list(range(1, n + 1)):
                 raise OrderError(f"perm {perm} is not a permutation of 1..{n}")
             mat = _standard_rows(n, kind, perm)
         elif kind == "matrix":
-            mat = tuple(tuple(int(x) for x in row) for row in matrix or ())
+            mat = tuple(_ints(row, f"matrix row {i}, entry") for i, row in enumerate(matrix or (), start=1))
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise OrderError(
                     f"order matrix must be {n}x{n}, got row lengths {list(map(len, mat))}"

@@ -19,7 +19,7 @@ from pointideal._selftest import GOLDEN_B, GOLDEN_POINTS, golden_G
 from pointideal.bm import RunStats, bm
 from pointideal.certify import verify_result
 from pointideal.cli import build_spoly_lists, main
-from pointideal.fields import PrimeField, QQ
+from pointideal.fields import EXCERPT, PrimeField, QQ
 from pointideal.linalg import PackedRows
 from pointideal.oracles import naive_merge
 from pointideal.poly import Polynomial
@@ -193,7 +193,15 @@ def test_basis_bad_order_perm_is_parse_error(capsys, tmp_path):
                        ("lex:\u0661,2", 1), ("lex:2,1_0", 2), ("lex:1,\u20032", 2)):
         code, out, err = run_cli(capsys, "basis", str(two), "--order", order)
         assert code == 2 and out == ""
-        assert err.startswith(f"error: --order {order}: perm position {pos}: bad integer literal")
+        assert err.startswith(f"error: --order {order!r}: perm position {pos}: bad integer literal")
+
+
+def test_basis_bad_order_is_quoted_short(capsys, points_file):
+    # a long --order is cut in the message, as every literal quoted there is
+    for order, want in (("lex:" + "0" * 3000 + "x", 2), ("foo" + "x" * 3000, 1)):
+        code, out, err = run_cli(capsys, "basis", str(points_file), "--order", order)
+        assert code == want and out == "" and err.count("\n") == 1 and len(err) < 200
+        assert f"{order[:EXCERPT]!r}... ({len(order)} characters)" in err
 
 
 @pytest.mark.parametrize("field", [{"type": "rational"}, {"type": "prime", "p": 7}], ids=["QQ", "GFp"])

@@ -161,14 +161,11 @@ def mutate(draw, literals):
     return k, literals[:k] + [bad] + literals[k + 1 :]
 
 
-def refused(capsys, argv, position, echoed=""):
-    """Run the CLI: exit 2, one short line naming ``position``, no traceback.
-
-    The line may also echo ``echoed``, an argument the user typed.
-    """
+def refused(capsys, argv, position):
+    """Run the CLI: exit 2, one short line naming ``position``, no traceback."""
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 400 + len(echoed)
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 400
     assert re.search(position, err), err
 
 
@@ -241,4 +238,59 @@ def test_order_specs_read_and_mutated(capsys, tmp_path, data):
     path = tmp_path / "points.json"
     path.write_text(json.dumps({"field": {"type": "prime", "p": 7}, "n": n, "points": [[0] * n]}))
     spec = f"{kind}:{','.join(entries)}"
-    refused(capsys, ["basis", str(path), "--order", spec], f"perm position {k + 1}: bad", echoed=spec)
+    refused(capsys, ["basis", str(path), "--order", spec], f"perm position {k + 1}: bad")
+
+
+@st.composite
+def order_matrices(draw):
+    """An admissible n x n integer matrix.
+
+    Column j is 0 above row lead[j] and positive there; with its columns
+    taken in the order of their lead rows it is lower triangular with a
+    positive diagonal, so it is nonsingular.
+    """
+    n = draw(st.integers(1, 4))
+    rows = [[draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
+    for j, lead in enumerate(draw(st.permutations(range(n)))):
+        for i in range(lead):
+            rows[i][j] = 0
+        rows[lead][j] = draw(st.integers(1, 9))
+    return rows
+
+
+def written(v):
+    """v as an integer literal, with a "+" or leading zeros."""
+    sign = st.just("-") if v < 0 else st.sampled_from(["", "+"])
+    return st.tuples(sign, st.sampled_from(["", "0", "000"])).map(lambda t: t[0] + t[1] + str(abs(v)))
+
+
+@GENERATED
+@given(data=st.data())
+def test_order_matrix_files_read_and_mutated(capsys, tmp_path, data):
+    matrix = data.draw(order_matrices())
+    n = len(matrix)
+    # a row per line, entries apart by ASCII spaces or tabs; blank and "#" lines around them
+    fillers = [data.draw(st.lists(st.sampled_from(["", " ", "\t", "# a comment", " \t# 1 x"]), max_size=2))
+               for _ in range(n + 1)]
+    pads = [(data.draw(in_line), data.draw(st.sampled_from([" ", "\t", "  ", " \t"]))) for _ in range(n)]
+    lines = [sum(map(len, fillers[: i + 1])) + i + 1 for i in range(n)]  # the line of each row
+    path = tmp_path / "A.txt"
+
+    def write(entries):
+        text = []
+        for i, (pad, sep) in enumerate(pads):
+            text += [*fillers[i], pad + sep.join(entries[i * n : (i + 1) * n]) + pad]
+        path.write_text("\n".join(text + fillers[n]))
+
+    entries = [data.draw(written(v)) for row in matrix for v in row]
+    write(entries)
+    spec = fileio.parse_order(f"matrix:{path}", n)
+    assert spec == orders.matrix_order(matrix)
+    write([str(x) for row in spec.matrix for x in row])
+    assert fileio.parse_order(f"matrix:{path}", n) == spec
+    k, entries = mutate(data.draw, entries)
+    write(entries)
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"field": {"type": "prime", "p": 7}, "n": n, "points": [[0] * n]}))
+    position = rf"{re.escape(str(path))}: line {lines[k // n]}, entry {k % n + 1}: bad"
+    refused(capsys, ["basis", str(points), "--order", f"matrix:{path}"], position)

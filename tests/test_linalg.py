@@ -419,6 +419,32 @@ def test_int_rows_match_list_rows():
             _reduce_both(ints, listed, w, ints.vector(w), pivots)
 
 
+def test_int_rows_row_step_branches():
+    # rows built so that each branch of the row step is taken: v0 gives a
+    # row with d = 1, v1 one with d = 2, and v2 = 1*v0 + 1/2*v1 + its
+    # residual one with d = 6; each row is [*N, *-H], histories of 1, 2, 3
+    ints, listed, pivots = IntRows(4, QQ), ListRows(4, QQ), []
+    for v in ([1, 0, 3, 0], [0, 2, 0, 1], [1, 1, 0, 0]):
+        v = [Fraction(x) for x in v]
+        assert _reduce_both(ints, listed, v, ints.vector(v), pivots)
+    assert [(piv, NH, d) for piv, NH, d, _ops in ints._rows] == [
+        (0, [1, 0, 3, 0, -1], 1),
+        (1, [0, 2, 0, 1, 0, -1], 2),
+        (2, [0, 0, 6, 1, -2, -1, 2], 6),
+    ]
+    # (vector, D of its coords): [2,0,0,0] uses rows 0 (a = 2) and 2
+    # (a = -6), both with d' = 1, so D stays 1, and RC grows from a history
+    # of 1 to one of 3; [0,1,1,0] uses row 1 (d' = 2), where NH is 0 at the
+    # vector's entry 2, then row 2 (d' = 3); [3,0,0,5] uses row 0 (d' = 1),
+    # where NH is 0 at entry 3, then row 2 (d' = 2)
+    for w, D in (([2, 0, 0, 0], 1), ([0, 1, 1, 0], 6), ([3, 0, 0, 5], 2)):
+        w = [Fraction(x) for x in w]
+        residual, (C, got), ops = ints.reduce(ints.vector(w))
+        assert got == D and len(C) == 3 and ops == 12
+        assert (elements(ints, residual, (C, got)), ints.coordinates((C, got)), ops) == listed.reduce(w)
+    _same_rows(ints, listed, QQ, 4)
+
+
 def test_accumulator_store_follows_field_kind():
     assert isinstance(EchelonAccumulator(3, GF).store, PackedRows)
     assert isinstance(EchelonAccumulator(3, QQ).store, IntRows)

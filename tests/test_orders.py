@@ -136,6 +136,23 @@ def test_order_spec_checked_when_built():
         OrderSpec(2, "matrix", matrix=((1, 0), (0, -1)))
 
 
+@pytest.mark.parametrize("kind, entries, named", [
+    # a float that equals an int would compare equal to (2, 1) and print as lex:2.0,1.0
+    ("lex", (2.0, 1.0), r"perm entry 1 is 2\.0, not an int"),
+    ("degrevlex", (2, True), r"perm entry 2 is True, not an int"),
+    ("deglex", ("1", "2"), r"perm entry 1 is '1', not an int"),
+    # int() would read 1.9 as 1 and an Arabic-Indic one as 1
+    ("matrix", ((1, 0), (0, 1.9)), r"matrix row 2, entry 2 is 1\.9, not an int"),
+    ("matrix", (("١", 0), (0, 1)), r"matrix row 1, entry 1 is '١', not an int"),
+    ("matrix", ((1, 0), (False, 1)), r"matrix row 2, entry 1 is False, not an int"),
+])
+def test_order_spec_takes_only_int_entries(kind, entries, named):
+    # each case is a valid spec once its entries are the ints they stand for
+    args = {"matrix": entries} if kind == "matrix" else {"perm": entries}
+    with pytest.raises(OrderError, match=named):
+        OrderSpec(2, kind, **args)
+
+
 def test_order_spec_is_a_value():
     a, b = lex(3), OrderSpec(3, "lex", (1, 2, 3))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
