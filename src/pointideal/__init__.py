@@ -53,7 +53,7 @@ from .orders import (
     standard_matrix,
     varord,
 )
-from .poly import Polynomial, combine
+from .poly import Polynomial
 from .projection import (
     EssentialSet,
     bm_projected,

@@ -265,7 +265,7 @@ def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Poly
     evaluated by ``points.evaluate``; each call eliminates B once, anew.
     """
     n, fld = points.n, points.field
-    if result.spec.n != n or any(len(m) != n for _c, m in f.terms):
+    if result.spec.n != n or any(len(m) != n for m in [*result.B, *(m for _c, m in f.terms)]):
         raise PointSetError(f"normal_form: arity differs from point arity {n}")
     if result.field != fld:
         raise PointSetError(f"normal_form: result over {result.field}, points over {fld}")

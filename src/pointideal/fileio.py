@@ -170,18 +170,17 @@ def serialize_result(result: GroebnerResult) -> str:
     (exponent lists) and G (lists of [coefficient text, exponent list]),
     byte for byte.  A monomial's text is ``str`` of its exponent list, its
     JSON for int exponents; each B monomial's is made once.  An element
-    held on ``result.B`` (``bm``'s and ``lift``'s, see ``Polynomial``) is
-    written from its lead and its tail indices, and its terms are never
-    built; one held as terms (parsed, or made by ``combine``) looks its
-    monomials up in one dict of B's texts, made for the document.  The
-    coefficient is quoted by hand; ``field.format`` writes only
-    ``-0123456789/``, which JSON writes between quotes unescaped.
+    held on ``result.B`` (every one ``bm`` and ``lift`` return, see
+    ``Polynomial``) is written from its lead and its tail indices, and its
+    terms are never built; one held as terms (parsed, or made by user code)
+    writes each monomial's text anew.  The coefficient is quoted by hand;
+    ``field.format`` writes only ``-0123456789/``, which JSON writes
+    between quotes unescaped.
     ``result.stats`` is not written.
     """
     fld, B = result.field, result.B
     fmt = fld.format
     enc = [str(list(b)) for b in B]
-    on_B = None  # B monomial -> its text, made for the first element held as terms
     head = json.dumps(
         {"order": str(result.spec), "field": fld.to_descriptor(), "n": result.spec.n}
     )
@@ -191,9 +190,8 @@ def serialize_result(result: GroebnerResult) -> str:
             coeffs = [g.lead[0], *reversed(g.coeffs)]
             texts = [str(list(g.lead[1])), *map(enc.__getitem__, reversed(g.at))]
         else:
-            on_B = on_B or dict(zip(B, enc))
             coeffs = [c for c, _m in g.terms]
-            texts = [on_B.get(m) or str(list(m)) for _c, m in g.terms]
+            texts = [str(list(m)) for _c, m in g.terms]
         G.append("[" + ", ".join([f'["{fmt(c)}", {t}]' for c, t in zip(coeffs, texts)]) + "]")
     # the head's closing brace moves to the end of the document
     return f'{head[:-1]}, "B": [{", ".join(enc)}], "G": [{", ".join(G)}]}}'

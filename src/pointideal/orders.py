@@ -82,6 +82,8 @@ class OrderSpec(FrozenRecord):
     def __init__(self, n: int, kind: str, perm: tuple = None, matrix: tuple = None):
         # kind: "lex" | "deglex" | "degrevlex" | "matrix"
         # perm: (i_1,...,i_n) with x_{i_1} > ... > x_{i_n}; matrix: n rows of n ints
+        if type(n) is not int or n < 0:
+            raise OrderError(f"n is {n!r}, not a non-negative int")
         if kind in STANDARD_KINDS:
             perm = _ints(perm if perm is not None else range(1, n + 1), "perm entry")
             if sorted(perm) != list(range(1, n + 1)):

@@ -17,7 +17,8 @@ from . import orders
 from ._record import Record
 from .bm import GroebnerResult, PointSet, RunStats, bm
 from .linalg import EchelonAccumulator
-from .poly import Polynomial, combine
+# combine stays bound here so that perfbench's tracer can patch projection.combine
+from .poly import Polynomial, combine  # noqa: F401
 
 
 class EssentialSet(Record):
@@ -79,11 +80,10 @@ def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
     its lead is embedded; one held as terms (a parsed sub-result) is first
     indexed against ``sub.B`` by ``Polynomial.held_on``.  A dropped variable
     with relation x_k = c0 + sum c_j*x_j contributes x_k - c0 - sum
-    c_j*NF(x_j), built by ``combine`` and held as terms: NF(x_j) is x_j
-    itself when x_j is in B and otherwise minus the tail of the element of G
-    led by x_j (a degree-1 monomial outside B is a corner).  Every tail
-    monomial of the lifted G is the same tuple object as its entry of the
-    lifted B.
+    c_j*NF(x_j), its tail summed by B index: -c0 at 1, the first of B; -c_j
+    at x_j when x_j is in B, and otherwise c_j times the tail of the element
+    of G led by x_j (a degree-1 monomial outside B is a corner).  Every
+    element of the lifted G is held on the lifted B.
     """
     fld = sub.field
     n = spec.n
@@ -91,25 +91,18 @@ def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
     index = {b: k for k, b in enumerate(sub.B)}
     held = [g.held_on(sub.B, index) for g in sub.G]
     G = [Polynomial.on_basis((g.lead[0], _embed(g.lead[1], es, n)), g.at, g.coeffs, B) for g in held]
-    # each monomial of B, mapped to its tuple in B
-    in_B = {b: b for b in B}
-    one = in_B[(0,) * n]
-    by_lead = {g.leading_monomial: g for g in G}
+    by_lead = {g.lead[1]: g for g in held}
     for k in sorted(es.relations):
-        const, tail = es.relations[k]
-        parts = [
-            (fld.one, Polynomial.monomial(orders.monomial_mul_var(one, k), fld)),
-            (fld.canonical(-const), Polynomial.monomial(one, fld)),
-        ]
-        for j, c in tail.items():
-            x_j = orders.monomial_mul_var(one, j)
-            if x_j in in_B:
-                parts.append((fld.canonical(-c), Polynomial.monomial(in_B[x_j], fld)))
-            else:
-                g = by_lead[x_j]
-                tail_j = zip(reversed(g.coeffs), map(B.__getitem__, reversed(g.at)))
-                parts.append((c, Polynomial(tail_j)))
-        G.append(combine(parts, spec, fld))
+        const, rel = es.relations[k]
+        tail = {0: -const}  # B index -> coefficient
+        for j, c in rel.items():
+            x_j = tuple(int(i == j) for i in es.ess)  # in the projected ring
+            g = by_lead.get(x_j)  # None when x_j is in B: NF(x_j) is x_j
+            for a, d in [(index[x_j], -1)] if g is None else zip(g.at, g.coeffs):
+                tail[a] = tail.get(a, 0) + c * d
+        tail = {a: e for a, d in sorted(tail.items()) if (e := fld.canonical(d))}
+        lead = (fld.one, orders.monomial_mul_var(B[0], k))
+        G.append(Polynomial.on_basis(lead, list(tail), list(tail.values()), B))
     G.sort(key=lambda g: orders.order_vector(spec, g.leading_monomial))
     stats = RunStats(**sub.stats.to_dict())
     return GroebnerResult(G=G, B=B, stats=stats, spec=spec, field=fld)

@@ -384,6 +384,11 @@ def test_normal_form_rejects_arity_mismatch():
     other = bm(random_point_set(random.Random(3), PrimeField(7), 3, 5), orders.lex(3))
     with pytest.raises(PointSetError, match="arity"):
         normal_form(Polynomial([(1, (1, 0))]), other, pts)
+    # B padded to 3 exponents or cut to 1 once let a bare StopIteration out of evaluate
+    for B in ([(*b, 0) for b in res.B], [b[:1] for b in res.B]):
+        bad = GroebnerResult(G=res.G, B=B, stats=res.stats, spec=res.spec, field=res.field)
+        with pytest.raises(PointSetError, match="point arity 2"):
+            normal_form(Polynomial([(1, (1, 0))]), bad, pts)
     assert normal_form(Polynomial([(1, (1, 0))]), res, pts).terms
 
 

@@ -758,16 +758,15 @@ def test_serialize_result_matches_per_term_document(fld, order, shape):
 @pytest.mark.parametrize("order", ["lex", "degrevlex"])
 @pytest.mark.parametrize("fld", [PrimeField(32003), QQ], ids=["GFp", "QQ"])
 def test_parsed_result_writes_the_same_text(fld, order, projected):
-    # the run's G is held on B and written by index; the parsed G is held
-    # as terms and written by looking each monomial up
+    # the run's G is held on B and written by index, the dropped variables'
+    # elements too; the parsed G is held as terms and written term by term
     rng = random.Random(5)
     spec = fileio.parse_order(order, 5)
     if projected:
         res = bm_projected(dependent_point_set(rng, fld, 2, 3, 20), spec)
-        assert any(g.basis is None for g in res.G)  # the dropped variables' elements
     else:
         res = bm(random_point_set(rng, fld, 5, 20), spec)
-    assert any(g.basis is res.B for g in res.G)
+    assert all(g.basis is res.B for g in res.G)
     text = fileio.serialize_result(res)
     back = fileio.parse_result(text, spec)
     assert all(g.basis is None for g in back.G)
@@ -777,22 +776,29 @@ def test_parsed_result_writes_the_same_text(fld, order, projected):
 @pytest.mark.parametrize("fld", [PrimeField(32003), QQ], ids=["GFp", "QQ"])
 def test_run_write_and_verify_build_no_terms(monkeypatch, fld):
     # bm, lift, serialize_result and verify_result read a G element held on
-    # B by its indices: its per-term tuples are built only when asked for
-    built, terms = [], Polynomial.terms
+    # B by its indices: its per-term tuples are built only when asked for,
+    # and the run makes no polynomial from terms
+    built, terms, made, init = [], Polynomial.terms, [], Polynomial.__init__
 
     def counted(g):
         if g.basis is not None and g._terms is None:
             built.append(g)
         return terms.fget(g)
 
+    def counted_init(g, ts):
+        made.append(g)
+        init(g, ts)
+
     monkeypatch.setattr(Polynomial, "terms", property(counted))
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
     rng = random.Random(3)
     for pts in (dependent_point_set(rng, fld, 3, 3, 40), random_point_set(rng, fld, 4, 40)):
         res = bm_projected(pts, orders.degrevlex(pts.n))
+        assert made == []
         fileio.serialize_result(res)
         verify_result(res, pts)
         held = [g for g in res.G if g.basis is res.B]
-        assert built == [] and len(held) > 1
+        assert built == [] and len(held) == len(res.G) > 1
         held[0].terms  # the count sees a build
         assert built == held[:1]
         built.clear()
@@ -807,7 +813,7 @@ CLI_MODULES = [
     "pointideal.poly", "pointideal.projection",
 ]
 # source lines those modules hold: every CLI process compiles them
-CLI_LINES = 2077
+CLI_LINES = 2072
 
 
 def test_cli_import_loads_exactly_these_modules():

@@ -134,6 +134,8 @@ def test_order_spec_checked_when_built():
         OrderSpec(3, "lex", (1, 1, 2))
     with pytest.raises(NonAdmissibleColumn):
         OrderSpec(2, "matrix", matrix=((1, 0), (0, -1)))
+    # n = 0, the empty ring, is a spec
+    assert str(OrderSpec(0, "lex")) == "lex:" and str(OrderSpec(0, "matrix", matrix=())) == "matrix:"
 
 
 @pytest.mark.parametrize("kind, entries, named", [
@@ -145,12 +147,20 @@ def test_order_spec_checked_when_built():
     ("matrix", ((1, 0), (0, 1.9)), r"matrix row 2, entry 2 is 1\.9, not an int"),
     ("matrix", (("١", 0), (0, 1)), r"matrix row 1, entry 1 is '١', not an int"),
     ("matrix", ((1, 0), (False, 1)), r"matrix row 2, entry 1 is False, not an int"),
+    # n itself: True once printed lex:1, 2.0 leaked a TypeError and -1 printed lex:
+    ("n", True, r"n is True, not a non-negative int"),
+    ("n", 2.0, r"n is 2\.0, not a non-negative int"),
+    ("n", -1, r"n is -1, not a non-negative int"),
 ])
 def test_order_spec_takes_only_int_entries(kind, entries, named):
-    # each case is a valid spec once its entries are the ints they stand for
-    args = {"matrix": entries} if kind == "matrix" else {"perm": entries}
+    # each case is a valid spec once its entries are the ints they stand for;
+    # an "n" case is the n of a lex order
+    if kind == "n":
+        args = {"n": entries, "kind": "lex"}
+    else:
+        args = {"n": 2, "kind": kind, "matrix" if kind == "matrix" else "perm": entries}
     with pytest.raises(OrderError, match=named):
-        OrderSpec(2, kind, **args)
+        OrderSpec(**args)
 
 
 def test_order_spec_is_a_value():

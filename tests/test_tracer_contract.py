@@ -56,6 +56,8 @@ def test_tracer_patches_restores_and_records(tmp_path, monkeypatch, capsys):
     # the tracer calls merge_with_sources with five positional arguments and
     # reads items, element and delta comparisons from its 5-tuple
     assert by_name.get("deltamerge.merge_with_sources")
+    # the lift sums each dropped variable's tail by B index, with no combine
+    assert "poly.combine" not in by_name
     assert tr.replay_mismatches == 0
     assert tr.counts["projection.n_dropped"] == 2
     # counted on the result of the patched projection.bm_projected: a caller
