@@ -19,12 +19,14 @@ candidate bookkeeping (the memoized duplicate-preserving list against
 explicit divisibility filtering) and the library's elimination arithmetic
 and G construction, over either field.  ``evaluate`` computes each power
 with ``pow``, sharing nothing with ``PointSet.evaluate``'s parent chains.
+``lex_basis`` finds a lex B by the lex game, with no elimination at all.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -215,6 +217,31 @@ def abbott_basis(points: PointSet, spec) -> GroebnerResult:
             entry = (orders.order_vector(spec, cand), cand, b_index, i)
             bisect.insort(L, entry, key=lambda e: e[0])
     return GroebnerResult(G=G, B=B, stats=RunStats(), spec=spec, field=fld)
+
+
+def lex_basis(points: PointSet, spec) -> list:
+    """The lex B of ``points``, ascending, by the lex game: no linear algebra.
+
+    Group the points by the coordinate of the smallest variable x_s and take
+    each group's B in the larger variables; then a*x_s^k is in B exactly
+    when k is below the number of groups whose B holds a (Cerlienco and
+    Mureddu, Discrete Math. 139, 1995; Felszeghy, Ráth and Rónyai, *The lex
+    game and some applications*, J. Symbolic Comput. 41, 2006).
+    """
+    if spec.kind != "lex" or spec.n != points.n:
+        raise orders.OrderError(f"lex_basis needs a lex order on {points.n} variables, not {spec}")
+
+    def game(pts, variables):  # 0-based coordinates, largest variable first
+        if not variables:  # the points are distinct: one is left
+            return [(0,) * points.n]
+        s, groups = variables[-1], {}
+        for p in pts:
+            groups.setdefault(p[s], []).append(p)
+        held = Counter(a for group in groups.values() for a in game(group, variables[:-1]))
+        return [a[:s] + (k,) + a[s + 1 :] for a, count in held.items() for k in range(count)]
+
+    B = game(points.points, [i - 1 for i in spec.perm])
+    return sorted(B, key=lambda b: orders.order_vector(spec, b))
 
 
 def random_point_set(rng: random.Random, field, n, m) -> PointSet:

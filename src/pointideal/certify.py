@@ -73,7 +73,7 @@ def verify_result(result, points) -> None:
     # the monomials x_i*b, b in B, outside B whose every divisor x_j lies on B
     border = {monomial_mul_var(b, i) for b in B for i in range(1, n + 1)} - index.keys()
     corners = {c for c in border if all(not c[j] or _below(c, j) in index for j in range(n))}
-    leads = [g.leading_monomial if g.basis is not None or g.terms else None for g in G]  # None: a zero g
+    leads = [g.leading_monomial for g in G]  # None: a zero g
     if len(leads) != len(corners) or set(leads) != corners:
         raise VerificationError(
             f"the leading monomials of G are not the {len(corners)} corners of B"

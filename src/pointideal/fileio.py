@@ -169,11 +169,10 @@ def serialize_result(result: GroebnerResult) -> str:
     The text is ``json.dumps`` of the object with keys order, field, n, B
     (exponent lists) and G (lists of [coefficient text, exponent list]),
     byte for byte.  A monomial's text is ``str`` of its exponent list, its
-    JSON for int exponents; each B monomial's is made once.  An element
-    held on ``result.B`` (every one ``bm`` and ``lift`` return, see
-    ``Polynomial``) is written from its lead and its tail indices, and its
-    terms are never built; one held as terms (parsed, or made by user code)
-    writes each monomial's text anew.  The coefficient is quoted by hand;
+    JSON for int exponents; each B monomial's is made once.  Each element
+    is written from its lead and tail indices on B (``Polynomial.held_on``:
+    one made from terms with no term or a tail off B is its ValueError, as
+    ``parse_result`` would refuse it).  The coefficient is quoted by hand;
     ``field.format`` writes only ``-0123456789/``, which JSON writes
     between quotes unescaped.
     ``result.stats`` is not written.
@@ -181,17 +180,13 @@ def serialize_result(result: GroebnerResult) -> str:
     fld, B = result.field, result.B
     fmt = fld.format
     enc = [str(list(b)) for b in B]
-    head = json.dumps(
-        {"order": str(result.spec), "field": fld.to_descriptor(), "n": result.spec.n}
-    )
+    index = {b: k for k, b in enumerate(B)}
+    head = json.dumps({"order": str(result.spec), "field": fld.to_descriptor(), "n": result.spec.n})
     G = []
     for g in result.G:
-        if g.basis is B:
-            coeffs = [g.lead[0], *reversed(g.coeffs)]
-            texts = [str(list(g.lead[1])), *map(enc.__getitem__, reversed(g.at))]
-        else:
-            coeffs = [c for c, _m in g.terms]
-            texts = [str(list(m)) for _c, m in g.terms]
+        g = g.held_on(B, index)
+        coeffs = [g.lead[0], *reversed(g.coeffs)]
+        texts = [str(list(g.lead[1])), *map(enc.__getitem__, reversed(g.at))]
         G.append("[" + ", ".join([f'["{fmt(c)}", {t}]' for c, t in zip(coeffs, texts)]) + "]")
     # the head's closing brace moves to the end of the document
     return f'{head[:-1]}, "B": [{", ".join(enc)}], "G": [{", ".join(G)}]}}'
@@ -225,8 +220,9 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
     non-negative integers (booleans excluded).  ``field.parse`` reads each
     coefficient from its text (see ``fields``), so one written as a JSON
     number keeps every digit; a bad one is named by its G element and term.
-    An order member must be ``str(spec)``; n and an older document's stats
-    are not read.
+    Each element is held on B (``Polynomial.held_on``): one with no term or
+    a tail off B is a ParseError naming it.  An order member must be
+    ``str(spec)``; n and an older document's stats are not read.
     """
     doc, fld = _load_document(text, source, ("field", "B", "G"))
     if (named := doc.get("order", str(spec))) != str(spec):
@@ -234,10 +230,13 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
     n = spec.n
     try:
         B = [_exponents(b, n, f"B[{k}]") for k, b in enumerate(doc["B"])]
-        G = [
-            Polynomial([_term(fld, term, n, f"G[{k}] term {t}") for t, term in enumerate(terms)])
-            for k, terms in enumerate(doc["G"])
-        ]
+        index, G = {b: k for k, b in enumerate(B)}, []
+        for k, terms in enumerate(doc["G"]):
+            g = Polynomial([_term(fld, term, n, f"G[{k}] term {t}") for t, term in enumerate(terms)])
+            try:
+                G.append(g.held_on(B, index))
+            except ValueError as exc:
+                raise ValueError(f"G[{k}]: {exc}") from None
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{source}: bad B or G: {exc}") from exc
     return GroebnerResult(G=G, B=B, stats=RunStats(), spec=spec, field=fld)

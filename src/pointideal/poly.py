@@ -9,11 +9,11 @@ from ._record import FrozenRecord
 class Polynomial(FrozenRecord):
     """Terms (coeff, exponent tuple): no zero coefficient, and monomials
     strictly descending in the active order.  The constructor trusts its
-    caller to keep this, and ``parse_result`` does not check it.  ``bm``
-    and ``lift`` make G elements ``on_basis``: the leading term ``lead``
+    caller to keep this.  Every G element ``bm``, ``lift`` and
+    ``parse_result`` make is held ``on_basis``: the leading term ``lead``
     and the tail as ascending indices ``at`` into the result's B,
     ``basis``, with coefficients ``coeffs``.  The writer and the verifier
-    read these; ``terms`` is built from them on first access.
+    read these through ``held_on``; ``terms`` is built on first access.
     """
 
     _fields = ("terms",)
@@ -30,9 +30,11 @@ class Polynomial(FrozenRecord):
 
     def held_on(self, B, index):
         """This element ``on_basis`` over ``B``, whose positions ``index``
-        maps; a tail monomial off B is a ValueError naming it."""
+        maps; a tail monomial off B, or no lead, is a ValueError."""
         if self.basis is B:
             return self
+        if not self.terms:
+            raise ValueError("the polynomial is zero")
         lead, *tail = self.terms
         if off := [e for _c, e in tail if e not in index]:
             raise ValueError(f"the tail monomial {list(off[0])} is not in B")
@@ -57,8 +59,8 @@ class Polynomial(FrozenRecord):
         return self._terms
 
     @property
-    def leading_monomial(self):
-        return self.lead[1] if self.basis is not None else self.terms[0][1]
+    def leading_monomial(self):  # None for the zero polynomial
+        return self.lead[1] if self.basis is not None else next((m for _c, m in self.terms), None)
 
     def __repr__(self):
         if not self.terms:

@@ -75,10 +75,10 @@ def _embed(exps_sub, es: EssentialSet, n: int):
 def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
     """Lift a projected-ring result of ``bm`` back to the full ring.
 
-    The embedding keeps B's order, so each element of ``sub.G`` keeps its
-    tail indices and coefficients, the same lists, over the lifted B; only
-    its lead is embedded; one held as terms (a parsed sub-result) is first
-    indexed against ``sub.B`` by ``Polynomial.held_on``.  A dropped variable
+    The embedding keeps B's order, so each element of ``sub.G``, held on
+    ``sub.B`` (``Polynomial.held_on`` indexes one made by user code once),
+    keeps its tail indices and coefficients, the same lists, over the
+    lifted B; only its lead is embedded.  A dropped variable
     with relation x_k = c0 + sum c_j*x_j contributes x_k - c0 - sum
     c_j*NF(x_j), its tail summed by B index: -c0 at 1, the first of B; -c_j
     at x_j when x_j is in B, and otherwise c_j times the tail of the element

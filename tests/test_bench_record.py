@@ -7,6 +7,7 @@ Hand-written records stand in for the benchmark runs, so nothing here runs
 import copy
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,3 +73,14 @@ def test_expect_exits_0_when_every_counter_is_equal(tmp_path, monkeypatch, capsy
     expect = _fake_checkout(tmp_path, monkeypatch, 7)
     assert bench_record.main(["t", "--expect", str(expect)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"1 counters equal {expect}"
+
+
+def test_ci_expects_a_committed_record_that_readme_names():
+    # the record CI's smoke run is held to is at the root, and README's
+    # account of that step names the same one
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    expected = re.findall(r"bench_record\.py ci .*--expect (\S+)", workflow)
+    assert len(expected) == 1 and (ROOT / expected[0]).is_file(), expected
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert f"bench_record.py ci --seconds 1 --expect {expected[0]}" in readme
+    assert set(re.findall(r"--expect (BENCH_\w+\.json)", readme)) == set(expected)

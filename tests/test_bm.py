@@ -15,6 +15,7 @@ from pointideal import fileio, orders
 from pointideal._oracles import (
     abbott_basis,
     evaluate,
+    lex_basis,
     random_matrix_order,
     random_monomial,
     random_point_set,
@@ -268,6 +269,19 @@ def _bm_against_oracle(fld, n, m, order, seed):
     return res
 
 
+def test_lex_basis_equals_bm_under_every_lex_order():
+    # the lex game groups points by their smallest coordinate and shares no
+    # code with bm; GF(2) and GF(3) make many points share a coordinate
+    rng = random.Random(7)
+    for fld in (PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003), QQ):
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            m = rng.randint(1, min(40, fld.p**n if fld.kind == "prime" else 40))
+            pts = random_point_set(rng, fld, n, m)
+            spec = orders.lex(n, rng.sample(range(1, n + 1), n))
+            assert lex_basis(pts, spec) == bm(pts, spec).B, (fld, n, m, spec)
+
+
 @pytest.fixture(scope="module")
 def real_size_lex():
     pts = random_point_set(random.Random(1), PrimeField(32003), 12, 600)
@@ -283,6 +297,7 @@ def test_real_size_gf32003_lex_is_certified(real_size_lex, monkeypatch):
     verify_result(res, pts)
     assert len(res.B) == 600 and len(res.G) == 13 and res.stats.L_max == 6594
     assert len(steps) == 599 + 13
+    assert res.B == lex_basis(pts, res.spec)
 
 
 def test_real_size_normal_form_of_a_high_power(real_size_lex, monkeypatch):

@@ -74,7 +74,8 @@ def tail_above_lead(res, pts):
 
 
 def zero_g(res, pts):
-    # parse_result reads "G": [[]] as the zero polynomial
+    # parse_result refuses "G": [[]]; a zero polynomial built by hand
+    # reaches the check
     return with_g(res, longest(res), []), pts
 
 

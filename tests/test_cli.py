@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -759,7 +760,7 @@ def test_serialize_result_matches_per_term_document(fld, order, shape):
 @pytest.mark.parametrize("fld", [PrimeField(32003), QQ], ids=["GFp", "QQ"])
 def test_parsed_result_writes_the_same_text(fld, order, projected):
     # the run's G is held on B and written by index, the dropped variables'
-    # elements too; the parsed G is held as terms and written term by term
+    # elements too; the parsed G is held on the parsed B and written alike
     rng = random.Random(5)
     spec = fileio.parse_order(order, 5)
     if projected:
@@ -769,8 +770,29 @@ def test_parsed_result_writes_the_same_text(fld, order, projected):
     assert all(g.basis is res.B for g in res.G)
     text = fileio.serialize_result(res)
     back = fileio.parse_result(text, spec)
-    assert all(g.basis is None for g in back.G)
+    assert all(g.basis is back.B for g in back.G)
     assert fileio.serialize_result(back) == text
+
+
+def test_writer_indexes_a_hand_built_element_or_refuses_it():
+    # an element made from its terms is indexed against B once and written
+    # alike; one the reader would refuse is held_on's ValueError
+    res = bm(random_point_set(random.Random(5), PrimeField(32003), 3, 12), orders.degrevlex(3))
+    text = fileio.serialize_result(res)
+    k = max(range(len(res.G)), key=lambda k: len(res.G[k].terms))
+    g, lead = res.G[k].terms, res.G[-1].leading_monomial
+    assert len(g) > 1 and lead not in res.B
+    for made, message in [
+        (Polynomial(g), None),
+        (Polynomial([*g[:-1], (g[-1][0], lead)]), f"the tail monomial {list(lead)} is not in B"),
+        (Polynomial([]), "the polynomial is zero"),
+    ]:
+        res.G[k] = made
+        if message is None:
+            assert fileio.serialize_result(res) == text
+        else:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fileio.serialize_result(res)
 
 
 @pytest.mark.parametrize("fld", [PrimeField(32003), QQ], ids=["GFp", "QQ"])
@@ -813,7 +835,7 @@ CLI_MODULES = [
     "pointideal.poly", "pointideal.projection",
 ]
 # source lines those modules hold: every CLI process compiles them
-CLI_LINES = 2072
+CLI_LINES = 2071
 
 
 def test_cli_import_loads_exactly_these_modules():

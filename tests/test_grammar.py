@@ -131,11 +131,17 @@ def test_point_documents_round_trip(case):
 
 @st.composite
 def result_documents(draw):
-    """(document, result): a result document of drawn coefficients over lex."""
+    """(document, result): a result document of drawn coefficients over lex.
+
+    Each element has a lead of any exponents and a tail drawn from B, as
+    ``parse_result`` holds every element on B.
+    """
     fld, n = draw(st.sampled_from([QQ, GF])), draw(st.integers(1, 3))
     exponents = st.lists(st.integers(0, 3), min_size=n, max_size=n)
     B = draw(st.lists(exponents, min_size=1, max_size=3))
-    G = draw(st.lists(st.lists(st.tuples(literal_of(fld), exponents), min_size=1, max_size=3), max_size=3))
+    lead = st.tuples(literal_of(fld), exponents)
+    tail = st.lists(st.tuples(literal_of(fld), st.sampled_from(B)), max_size=2)
+    G = draw(st.lists(st.tuples(lead, tail).map(lambda e: [e[0], *e[1]]), max_size=3))
     spec = orders.lex(n)
     doc = {"order": str(spec), "field": fld.to_descriptor(), "n": n, "B": B,
            "G": [[[text, m] for (text, _c), m in g] for g in G]}
@@ -193,13 +199,23 @@ def test_mutated_result_documents_are_refused(data):
     doc, result = data.draw(result_documents())
     parsed = json.loads(doc)
     terms = [(k, t) for k, g in enumerate(parsed["G"]) for t in range(len(g))]
-    if not terms or data.draw(st.booleans()):
+    tails = [(k, t) for k, t in terms if t]
+    kind = data.draw(st.sampled_from(["truncate"] + ["literal", "empty"] * bool(terms) + ["off B"] * bool(tails)))
+    if kind == "truncate":
         doc, position = doc[: data.draw(st.integers(0, len(doc) - 1))], r"line \d+, column \d+"
-    else:
+    elif kind == "literal":
         i, texts = mutate(data.draw, [parsed["G"][k][t][0] for k, t in terms])
         for (k, t), text in zip(terms, texts):
             parsed["G"][k][t][0] = text
         doc, position = json.dumps(parsed), rf"G\[{terms[i][0]}\] term {terms[i][1]}: bad"
+    elif kind == "empty":
+        k = data.draw(st.integers(0, len(parsed["G"]) - 1))
+        parsed["G"][k] = []
+        doc, position = json.dumps(parsed), rf"G\[{k}\]: the polynomial is zero"
+    else:  # a tail monomial moved off B: every drawn exponent is at most 3
+        k, t = data.draw(st.sampled_from(tails))
+        parsed["G"][k][t][1] = [4] * result.spec.n
+        doc, position = json.dumps(parsed), rf"G\[{k}\]: the tail monomial \[4"
     try:
         fileio.parse_result(doc, result.spec)
     except fileio.ParseError as exc:

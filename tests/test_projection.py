@@ -209,9 +209,9 @@ def parsed_sub_result(fld):
 
 @pytest.mark.parametrize("fld", [PrimeField(101), QQ], ids=["GFp", "QQ"])
 def test_lift_of_a_parsed_sub_result_equals_the_direct_one(fld):
-    # a parsed sub-result holds G as terms, not on B; lift indexes it once
+    # a parsed sub-result holds G on its own parsed B, which lift keeps as is
     pts, spec, es, sub, parsed = parsed_sub_result(fld)
-    assert es.relations and all(g.basis is None for g in parsed.G)
+    assert es.relations and all(g.basis is parsed.B for g in parsed.G)
     direct, lifted = lift(sub, es, spec), lift(parsed, es, spec)
     assert lifted == direct
     assert fileio.serialize_result(lifted) == fileio.serialize_result(direct)
@@ -223,6 +223,15 @@ def test_lift_names_a_tail_monomial_off_b():
     g, h = parsed.G[:2]
     parsed.G[0] = Polynomial([*g.terms[:-1], (g.terms[-1][0], h.leading_monomial)])
     with pytest.raises(ValueError, match=re.escape(f"tail monomial {list(h.leading_monomial)} is not in B")):
+        lift(parsed, es, spec)
+
+
+def test_lift_names_a_zero_element():
+    # the zero polynomial has no leading monomial, and held_on names it
+    _pts, spec, es, _sub, parsed = parsed_sub_result(PrimeField(101))
+    assert Polynomial([]).leading_monomial is None
+    parsed.G.append(Polynomial([]))
+    with pytest.raises(ValueError, match="the polynomial is zero"):
         lift(parsed, es, spec)
 
 
