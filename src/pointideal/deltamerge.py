@@ -14,8 +14,13 @@ up by the tuple.
 ``locate`` walks the memos without a call per step: the first comparison
 and each resumed one are inlined, memos above the running first difference
 are skipped in one loop, and a run of memos equal to it is stepped by
-reading the one entry where the items differ.  ``compare_from`` stays the
-comparison of ``delta`` and ``DeltaList``; ``locate`` counts what it would.
+reading the one entry where the items differ.  On a host list longer than
+``LONG_LIST``, a stretch of items that precede the probe with the same first
+difference is crossed by one ``bisect_left`` and its counts charged in bulk;
+bisection re-reads the prefixes the memos skip, so it pays only on the long
+stretches of long lists (Hwang-Lin binary merging).
+``compare_from`` stays the comparison of ``delta`` and ``DeltaList``;
+``locate`` counts what it would.
 
 The loops that locate and merge count their work:
 
@@ -25,10 +30,15 @@ The loops that locate and merge count their work:
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from ._record import Record
 
 # the merge kernel is pure Python; reported by benchmarks next to timings
 BACKEND = "python"
+
+# host lists longer than this cross each stretch of the walk by bisection
+LONG_LIST = 400
 
 
 class ArityMismatch(ValueError):
@@ -73,6 +83,13 @@ def locate(items, deltas, b, n, start=0, hint=1, before_equal=True):
     unchanged and the step reads that one entry.  These comparisons are
     inlined: ``elem`` and ``dcmps`` count exactly what one ``compare_from``
     call per first and per equal-delta comparison would count.
+
+    On a list longer than ``LONG_LIST``, while dab <= n, a stretch of items
+    that precede b with the same dab (those below b[:dab]) starting at
+    items[i+1] is crossed by one ``bisect_left`` to its last item ie.  It
+    charges what the walk would: ie - i ``dcmps`` and one ``elem`` per memo
+    equal to dab among them.  Short lists keep the walk: their stretches are
+    short, and each bisection step re-reads the prefix the memos skip.
     """
     t = len(items)
     if start >= t:
@@ -94,7 +111,16 @@ def locate(items, deltas, b, n, start=0, hint=1, before_equal=True):
     last = t - 1
     i = start
     dcmps = 0
+    jump_below = n + 1 if t > LONG_LIST else 0  # jump while dab <= n, on long lists
     while True:
+        if dab < jump_below and i < last:
+            d = deltas[i]
+            if d > dab or (d == dab and items[i + 1][dab - 1] < b[dab - 1]):
+                # items[i+1..ie] precede b with the same dab: those below b[:dab]
+                ie = bisect_left(items, b[:dab], i + 2) - 1
+                dcmps += ie - i
+                elem += deltas[i:ie].count(dab)
+                i = ie
         # items[i+1] precedes b with the same delta, or equals items[i]
         i0 = i
         while i < last and deltas[i] > dab:

@@ -502,6 +502,16 @@ def test_bench_spoly_small(capsys):
     assert doc["naive"]["element_cmps"] == 10 * 10 - 4
 
 
+def test_bench_spoly_counts_on_a_list_past_long_list(capsys):
+    # the host list of s - 2 = 498 items is crossed by deltamerge's jump;
+    # it charges the counts the step-by-step walk charges
+    code, out, _ = run_cli(capsys, "bench-spoly", "--s", "500")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["delta"]["element_cmps"] == 502 and doc["delta"]["delta_cmps"] == 497
+    assert doc["naive"]["element_cmps"] == 249996
+
+
 def test_bench_spoly_degenerate(capsys):
     code, out, _ = run_cli(capsys, "bench-spoly", "--s", "3")
     doc = json.loads(out)
@@ -835,7 +845,7 @@ CLI_MODULES = [
     "pointideal.poly", "pointideal.projection",
 ]
 # source lines those modules hold: every CLI process compiles them
-CLI_LINES = 2071
+CLI_LINES = 2097
 
 
 def test_cli_import_loads_exactly_these_modules():

@@ -1,22 +1,28 @@
 """Delta-memoized lists: locate, merge, counters, and the naive oracle."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
 
-from pointideal._oracles import naive_deltas, stepwise_locate
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from pointideal import deltamerge, orders
+from pointideal._oracles import naive_deltas, random_point_set, stepwise_locate
 from pointideal._selftest import (
     GOLDEN_MERGE_A,
     GOLDEN_MERGE_B,
     GOLDEN_MERGE_DELTAS,
     GOLDEN_MERGE_ITEMS,
 )
+from pointideal.bm import bm
 from pointideal.deltamerge import (
+    LONG_LIST,
     ArityMismatch,
     DeltaList,
     delta,
     locate,
     merge_with_sources,
 )
+from pointideal.fields import PrimeField
 from pointideal.oracles import naive_merge
 
 
@@ -31,6 +37,11 @@ def sorted_lists(n, max_len=25):
 list_pairs = st.integers(1, 8).flatmap(
     lambda n: st.tuples(st.just(n), sorted_lists(n), sorted_lists(n))
 )
+
+# drawn lists are far shorter than LONG_LIST: at 0 every walk takes the jump
+jump_thresholds = pytest.mark.parametrize("long_list", [LONG_LIST, 0], ids=["LONG_LIST", "0"])
+# monkeypatch sets the threshold once per test, the same for every example
+FIXTURE_OK = [HealthCheck.function_scoped_fixture]
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +126,12 @@ def walk_cases(draw):
     return n, items, b
 
 
-@settings(max_examples=500, deadline=None)
+@jump_thresholds
+@settings(max_examples=500, deadline=None, suppress_health_check=FIXTURE_OK)
 @given(case=walk_cases(), before_equal=st.booleans(), data=st.data())
-def test_locate_matches_stepwise_oracle(case, before_equal, data):
+def test_locate_matches_stepwise_oracle(monkeypatch, long_list, case, before_equal, data):
     # the inline walk returns the stepwise walk's 5-tuple, counters included
+    monkeypatch.setattr(deltamerge, "LONG_LIST", long_list)
     n, items, b = case
     deltas = naive_deltas(items)
     start = data.draw(st.integers(0, len(items)))
@@ -128,6 +141,25 @@ def test_locate_matches_stepwise_oracle(case, before_equal, data):
         hint = data.draw(st.integers(1, common + 1))
     got = locate(items, deltas, b, n, start, hint, before_equal)
     assert got == stepwise_locate(items, deltas, b, n, start, hint, before_equal)
+
+
+def test_locate_on_long_lists_of_a_lex_run_matches_stepwise_oracle(monkeypatch):
+    # every locate call on a host list longer than LONG_LIST in a real run,
+    # where the jump crosses stretches, against the stepwise walk
+    checked = []
+
+    def checked_locate(items, deltas, b, n, start=0, hint=1, before_equal=True):
+        got = locate(items, deltas, b, n, start, hint, before_equal)
+        if len(items) > LONG_LIST:
+            want = stepwise_locate(items, deltas, b, n, start, hint, before_equal)
+            checked.append(None if got == want else (got, want))
+        return got
+
+    monkeypatch.setattr(deltamerge, "locate", checked_locate)
+    pts = random_point_set(random.Random(1), PrimeField(32003), 8, 70)
+    res = bm(pts, orders.lex(8))
+    assert res.stats.L_max > LONG_LIST and len(checked) > 50
+    assert [c for c in checked if c] == []
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +248,11 @@ def test_merge_arity_mismatch():
         a.merge(b)
 
 
-@settings(max_examples=400, deadline=None)
+@jump_thresholds
+@settings(max_examples=400, deadline=None, suppress_health_check=FIXTURE_OK)
 @given(data=list_pairs)
-def test_merge_matches_naive_oracle(data):
+def test_merge_matches_naive_oracle(monkeypatch, long_list, data):
+    monkeypatch.setattr(deltamerge, "LONG_LIST", long_list)
     n, la, lb = data
     a = DeltaList.from_items(la, arity=n)
     b = DeltaList.from_items(lb, arity=n)
