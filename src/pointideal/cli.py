@@ -8,7 +8,8 @@ Subcommands::
     selftest     check known answers and the naive merge; certify seeded runs
 
 Exit codes: 0 success, 1 validation error, 2 parse error or a file that
-cannot be read or written, 3 selftest failure.
+cannot be read or written, 3 selftest failure.  ``main(argv)`` may be called
+many times in one process; it builds its parser once, on the first call.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import fileio, orders, projection
@@ -137,6 +139,7 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pointideal",

@@ -54,7 +54,8 @@ def parse_order(text: str, n: int) -> OrderSpec:
     The order must have n variables; a matrix file must hold an n x n matrix,
     a row per line that is not blank or a "#" comment, entries apart by ASCII
     spaces or tabs.  A perm or matrix entry that ``read_integer`` refuses is
-    a ParseError naming its position.
+    a ParseError naming its position; a matrix spec naming no file is one
+    too, raised before anything is read.
     """
     kind, _, rest = text.partition(":")
     kind = kind.strip(SPACE)
@@ -64,7 +65,9 @@ def parse_order(text: str, n: int) -> OrderSpec:
             perm = _integers(rest.split(","), f"--order {_quote(text)}: perm position")
         return OrderSpec(n, kind, perm)
     if kind == "matrix":
-        path = Path(rest.strip(SPACE))
+        if not (name := rest.strip(SPACE)):
+            raise ParseError(f"--order {_quote(text)}: no matrix file is named")
+        path = Path(name)
         return OrderSpec(n, "matrix", matrix=_integer_rows(read_text(path), "[ \t]+", str(path)))
     raise OrderError(f"cannot parse order spec {_quote(text)}")
 

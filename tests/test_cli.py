@@ -1,5 +1,6 @@
 """CLI commands, file formats, and exit codes."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -195,6 +196,21 @@ def test_basis_bad_order_perm_is_parse_error(capsys, tmp_path):
         code, out, err = run_cli(capsys, "basis", str(two), "--order", order)
         assert code == 2 and out == ""
         assert err.startswith(f"error: --order {order!r}: perm position {pos}: bad integer literal")
+
+
+@pytest.mark.parametrize("order", ["matrix:", "matrix: \t "])
+def test_basis_matrix_order_naming_no_file_is_parse_error(capsys, points_file, monkeypatch, order):
+    # an empty path is Path(""), the working directory: nothing may be read
+    code, out, err = run_cli(capsys, "basis", str(points_file), "--order", order)
+    assert code == 2 and out == ""
+    assert err == f"error: --order {order!r}: no matrix file is named\n"
+
+    def refuse(path):
+        raise AssertionError(f"read {path!r}")
+
+    monkeypatch.setattr(fileio, "read_text", refuse)
+    with pytest.raises(fileio.ParseError, match="no matrix file is named"):
+        fileio.parse_order(order, 5)
 
 
 def test_basis_bad_order_is_quoted_short(capsys, points_file):
@@ -592,6 +608,43 @@ def test_spoly_lists_shape():
 
 
 # ---------------------------------------------------------------------------
+# many calls of main in one process
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch, points_file):
+    assert run_cli(capsys, "basis", str(points_file))[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["basis", str(points_file)], ["bench-spoly", "--s", "5"],
+                 ["basis", str(points_file), "--order", "degrevlex"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert built == []
+
+
+def test_main_carries_no_state_from_one_call_to_the_next(capsys, points_file, tmp_path):
+    stats = tmp_path / "s.json"
+    code, first, err = run_cli(capsys, "basis", str(points_file), "--stats", str(stats))
+    assert code == 0 and err == "" and stats.exists()
+    stats.unlink()
+    assert run_cli(capsys, "basis", str(points_file)) == (0, first, "")
+    assert not stats.exists()
+    fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_list(fa, [(1, 2)])
+    write_list(fb, [(0, 3)])
+    assert run_cli(capsys, "merge", str(fa), str(fb))[0] == 0
+    assert run_cli(capsys, "basis", str(points_file)) == (0, first, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", str(points_file), "--no-such-flag"])
+    assert exc.value.code == 2 and "--no-such-flag" in capsys.readouterr().err
+    assert run_cli(capsys, "basis", str(points_file)) == (0, first, "")
+
+
+# ---------------------------------------------------------------------------
 # selftest and file round trips
 
 def test_selftest_passes(capsys):
@@ -845,7 +898,7 @@ CLI_MODULES = [
     "pointideal.poly", "pointideal.projection",
 ]
 # source lines those modules hold: every CLI process compiles them
-CLI_LINES = 2097
+CLI_LINES = 2103
 
 
 def test_cli_import_loads_exactly_these_modules():
