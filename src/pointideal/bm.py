@@ -6,8 +6,10 @@ elimination store's own format, so it is eliminated without conversion.
 The candidate list is a delta-memoized sorted list of order vectors that
 keeps duplicates; the length of the run of equal minimal elements decides,
 through the support-vs-multiplicity test, whether a candidate is an
-initial-ideal multiple, and the n new candidates of each basis monomial are
-merged in bulk.  Nothing rides through the merge besides the order vectors:
+initial-ideal multiple.  The n new candidates of each basis monomial are
+made by one call of ``orders.children`` and merged in bulk: ``orders`` owns
+order-vector arithmetic, and this loop reads no order-vector entry.
+Nothing rides through the merge besides the order vectors:
 ``pending``, keyed by order vector, holds each candidate's (parent in B,
 variable).  The skip test needs no more, so a monomial is built only for a
 run that is not skipped.
@@ -21,7 +23,7 @@ from sys import modules
 
 from . import orders
 from ._record import FrozenRecord, Record
-from .deltamerge import compare_from, merge_with_sources
+from .deltamerge import merge_with_sources
 from .linalg import EchelonAccumulator
 # combine stays bound here so that perfbench's tracer can patch bm.combine
 from .poly import Polynomial, combine  # noqa: F401
@@ -69,14 +71,15 @@ class PointSet(FrozenRecord):
         """The vectors of 1, x_1, ..., x_n at the points, in the format of ``acc``."""
         return [acc.vector([self.field.one] * self.m), *map(acc.vector, zip(*self.points))]
 
-    def evaluate(self, acc, monomials):
+    def evaluate(self, acc, monomials, known=None):
         """The vectors of the monomials at the points, in the format of ``acc``.
 
-        x^a is one ``step`` from x^a / x_i, x_i its first variable, and so on down to 1
-        or a monomial asked for, evaluated first by degree: a power holds one vector.
+        x^a is one ``step`` from x^a / x_i, x_i its first variable, and so on down to 1,
+        a monomial of the dict ``known`` of vectors, or a monomial asked for, evaluated
+        first by degree: a power holds one vector.
         """
         one, *columns = self.generators(acc)
-        value = {(0,) * self.n: one}
+        value = {(0,) * self.n: one, **(known or {})}
         for a in sorted(set(monomials), key=sum):
             e, up = a, []
             while e not in value:
@@ -155,22 +158,6 @@ def _progress_log():
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
-def probe_deltas(spec, vars_increasing):
-    """Deltas of the candidates x_i*t, i in ``vars_increasing``, and their cost.
-
-    The order vectors of x_i*t and x_j*t differ where columns i and j of the
-    order matrix differ, so the deltas of consecutive candidates and the
-    entries ``compare_from`` reads to find them are the same for every t.
-    """
-    cols = [spec.columns[i - 1] for i in vars_increasing]
-    deltas, cost = [], 0
-    for u, w in zip(cols, cols[1:]):
-        d, _s, c = compare_from(u, w, 1, spec.n)
-        deltas.append(d)
-        cost += c
-    return deltas, cost
-
-
 def bm(points: PointSet, spec) -> GroebnerResult:
     """Reduced Gröbner basis and quotient monomial basis of I(points).
 
@@ -186,8 +173,7 @@ def bm(points: PointSet, spec) -> GroebnerResult:
     acc = EchelonAccumulator(m, fld)
     step = acc.step
     one_vec, *columns = points.generators(acc)
-    vars_increasing = tuple(reversed(orders.varord(spec)))
-    new_deltas, new_cost = probe_deltas(spec, vars_increasing)
+    variables, new_deltas, new_cost, children = orders.children(spec)
     # progress at DEBUG: |B| each time it crosses a tenth of m, and at the end
     log = _progress_log()
     next_tenth = 1
@@ -199,7 +185,6 @@ def bm(points: PointSet, spec) -> GroebnerResult:
     # later write is the copy the merge puts first, since new items go
     # before equal old ones, and a popped run is never made again
     pending = {L_items[0]: (None, None)}
-    nvec = len(L_items[0])
 
     B, B_vec, G = [], [], []
     stats.L_max = 1
@@ -207,7 +192,7 @@ def bm(points: PointSet, spec) -> GroebnerResult:
     while L_items:
         # pop the whole run of equal minimal elements; its length is Occ(t)
         run = 1
-        while run < len(L_items) and L_deltas[run - 1] == nvec + 1:
+        while run < len(L_items) and L_deltas[run - 1] == n + 1:
             run += 1
         t_ov = L_items[0]
         parent, var = pending.pop(t_ov)
@@ -238,14 +223,12 @@ def bm(points: PointSet, spec) -> GroebnerResult:
             log.debug("|B| = %d of m = %d", len(B), m)
             next_tenth = 10 * len(B) // m + 1
 
-        new_items = []
-        for i in vars_increasing:
-            ov = orders.order_vector_step(spec, t_ov, i)
-            new_items.append(ov)
+        new_items = children(t_ov)
+        for ov, i in zip(new_items, variables):
             pending[ov] = (b_index, i)
         stats.element_cmps += new_cost
         L_items, L_deltas, _, ec, dc = merge_with_sources(
-            L_items, L_deltas, new_items, new_deltas, nvec
+            L_items, L_deltas, new_items, new_deltas, n
         )
         stats.element_cmps += ec
         stats.delta_cmps += dc
@@ -261,33 +244,9 @@ def bm(points: PointSet, spec) -> GroebnerResult:
 def normal_form(f: Polynomial, result: GroebnerResult, points: PointSet) -> Polynomial:
     """The unique representative of [f] supported on the quotient basis.
 
-    Expresses f(P) in the coordinates of the vectors of B, each monomial
-    evaluated by ``points.evaluate``; each call eliminates B once, anew.
+    One call of ``certify.Quotient``, which eliminates B; to reduce many
+    polynomials against one result, keep a ``Quotient``.
     """
-    n, fld = points.n, points.field
-    if result.spec.n != n or any(len(m) != n for m in [*result.B, *(m for _c, m in f.terms)]):
-        raise PointSetError(f"normal_form: arity differs from point arity {n}")
-    if result.field != fld:
-        raise PointSetError(f"normal_form: result over {result.field}, points over {fld}")
-    coeffs = []
-    for c, m in f.terms:
-        try:
-            if any(type(x) is not int or x < 0 for x in m):
-                raise TypeError("an exponent is not a non-negative integer")
-            coeffs.append(fld.canonical(c))
-        except TypeError as e:
-            raise PointSetError(f"normal_form: term {c!r}*x^{list(m)} is not over {fld}: {e}")
-    acc = EchelonAccumulator(points.m, fld)
-    B = result.B
-    values = points.evaluate(acc, [*B, *[m for _c, m in f.terms]])
-    for b, v in zip(B, values):
-        residual, coords = acc.reduce(v)
-        if not residual:
-            raise PointSetError(f"normal_form: basis monomial {b} is dependent at the points")
-        acc.insert(residual, coords)
-    total = acc.coordinates(acc.combiner(values[len(B) :])(coeffs, range(len(coeffs))))
-    residual, coords = acc.reduce(acc.vector([total.get(k, fld.zero) for k in range(points.m)]))
-    if residual:
-        raise PointSetError("basis does not span the evaluation space")
-    coeffs = acc.coordinates(coords)
-    return Polynomial([(coeffs[i], B[i]) for i in sorted(coeffs, reverse=True)])
+    from .certify import Quotient  # certify stays off the CLI's imports
+
+    return Quotient(result, points).normal_form(f)

@@ -6,18 +6,22 @@ its corners, and each g is monic, has its tail on B and vanishes at the m
 points, then the corners lie in the initial ideal, whose m standard
 monomials are therefore B, and G is the reduced basis.
 
-No elimination is run.  The check holds an ``EchelonAccumulator``, the one
-door into the row stores, only for its vector format: the monomials of B
-and the corners are evaluated by ``points.evaluate``, each by one ``step``
-from a parent in B, and the values of each g are one sum by ``combiner``.
+``verify_result`` runs no elimination.  It holds an ``EchelonAccumulator``,
+the one door into the row stores, only for its vector format: the monomials
+of B and the corners are evaluated by ``points.evaluate``, each by one
+``step`` from a parent in B, and the values of each g are one sum by
+``combiner``.  ``Quotient`` eliminates the vectors of B once, and reduces
+any number of polynomials against them.
 """
 
 from __future__ import annotations
 
 from operator import lt
 
+from .bm import PointSetError
 from .linalg import EchelonAccumulator
 from .orders import monomial_mul_var, order_vector
+from .poly import Polynomial
 
 
 class VerificationError(ValueError):
@@ -103,3 +107,51 @@ def verify_result(result, points) -> None:
     for k, (coeffs, at) in enumerate(rows):
         if nonzero := acc.coordinates(total(coeffs, at)):
             raise VerificationError(f"G[{k}] does not vanish at point {min(nonzero)}")
+
+
+class Quotient:
+    """The quotient basis B of a result, eliminated once at its points.
+
+    Building it checks the result against the points and eliminates the m
+    vectors of B; ``normal_form(f)`` then reduces any f against them.
+    """
+
+    def __init__(self, result, points):
+        n, fld = points.n, points.field
+        if result.spec.n != n or any(len(b) != n for b in result.B):
+            raise PointSetError(f"normal_form: arity differs from point arity {n}")
+        if result.field != fld:
+            raise PointSetError(f"normal_form: result over {result.field}, points over {fld}")
+        self.B, self.points, self.acc = result.B, points, EchelonAccumulator(points.m, fld)
+        values = points.evaluate(self.acc, self.B)
+        for b, v in zip(self.B, values):
+            residual, coords = self.acc.reduce(v)
+            if not residual:
+                raise PointSetError(f"normal_form: basis monomial {b} is dependent at the points")
+            self.acc.insert(residual, coords)
+        self.values = dict(zip(self.B, values))
+
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        """The unique representative of [f] supported on B.
+
+        Expresses f(P) in the coordinates of the vectors of B, each monomial
+        of f evaluated by ``points.evaluate`` from those of B.
+        """
+        n, fld, acc = self.points.n, self.points.field, self.acc
+        if any(len(m) != n for _c, m in f.terms):
+            raise PointSetError(f"normal_form: arity differs from point arity {n}")
+        coeffs = []
+        for c, m in f.terms:
+            try:
+                if any(type(x) is not int or x < 0 for x in m):
+                    raise TypeError("an exponent is not a non-negative integer")
+                coeffs.append(fld.canonical(c))
+            except TypeError as e:
+                raise PointSetError(f"normal_form: term {c!r}*x^{list(m)} is not over {fld}: {e}")
+        values = self.points.evaluate(acc, [m for _c, m in f.terms], self.values)
+        total = acc.coordinates(acc.combiner(values)(coeffs, range(len(coeffs))))
+        residual, coords = acc.reduce(acc.vector([total.get(k, fld.zero) for k in range(self.points.m)]))
+        if residual:
+            raise PointSetError("basis does not span the evaluation space")
+        coeffs = acc.coordinates(coords)
+        return Polynomial([(coeffs[i], self.B[i]) for i in sorted(coeffs, reverse=True)])

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .bm import GroebnerResult, PointSet, RunStats
 from .fields import MAX_DIGITS, SPACE, _quote, field_from_descriptor, read_integer
-from .orders import STANDARD_KINDS, OrderError, OrderSpec
+from .orders import STANDARD_KINDS, OrderError, OrderSpec, order_vector
 from .poly import Polynomial
 
 
@@ -210,7 +210,8 @@ def _term(fld, term, n: int, what: str) -> tuple:
     """(coefficient, exponents) of the G term [c, exponents]; else a ValueError naming ``what``."""
     try:
         c, m = term
-        c = fld.parse(str(c))
+        if (c := fld.parse(str(c))) == fld.zero:
+            raise ValueError("the coefficient is zero")
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{what}: {exc}") from None
     return c, _exponents(m, n, what)
@@ -223,8 +224,9 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
     non-negative integers (booleans excluded).  ``field.parse`` reads each
     coefficient from its text (see ``fields``), so one written as a JSON
     number keeps every digit; a bad one is named by its G element and term.
-    Each element is held on B (``Polynomial.held_on``): one with no term or
-    a tail off B is a ParseError naming it.  An order member must be
+    Each element is held on B (``Polynomial.held_on``): one with no term, a
+    zero coefficient, a tail off B or terms that do not strictly descend in
+    ``spec`` is a ParseError naming it and the term.  An order member must be
     ``str(spec)``; n and an older document's stats are not read.
     """
     doc, fld = _load_document(text, source, ("field", "B", "G"))
@@ -234,12 +236,16 @@ def parse_result(text: str, spec, source: str = "<result>") -> GroebnerResult:
     try:
         B = [_exponents(b, n, f"B[{k}]") for k, b in enumerate(doc["B"])]
         index, G = {b: k for k, b in enumerate(B)}, []
+        ovs = [order_vector(spec, b) for b in B]
         for k, terms in enumerate(doc["G"]):
             g = Polynomial([_term(fld, term, n, f"G[{k}] term {t}") for t, term in enumerate(terms)])
             try:
-                G.append(g.held_on(B, index))
+                G.append(h := g.held_on(B, index))
             except ValueError as exc:
                 raise ValueError(f"G[{k}]: {exc}") from None
+            seq = [order_vector(spec, h.lead[1]), *map(ovs.__getitem__, reversed(h.at))]
+            if t := next((t for t in range(1, len(seq)) if seq[t] >= seq[t - 1]), 0):
+                raise ValueError(f"G[{k}] term {t}: {list(g.terms[t][1])} does not descend below term {t - 1}")
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{source}: bad B or G: {exc}") from exc
     return GroebnerResult(G=G, B=B, stats=RunStats(), spec=spec, field=fld)

@@ -6,7 +6,8 @@ variable permutation) or as an invertible integer matrix whose columns have
 positive leading entries.  Either way the order is held as its integer
 matrix, checked for admissibility when the ``OrderSpec`` is built; a
 monomial's order vector is the matrix times its exponents, and comparing
-monomials is lexicographic comparison of order vectors.
+monomials is lexicographic comparison of order vectors.  This module owns
+their arithmetic, the candidate loop's included (``children``).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from math import gcd
 from operator import add
 
 from ._record import FrozenRecord
+from .deltamerge import compare_from
 from .fields import QQ
 from .linalg import EchelonAccumulator
 
@@ -166,16 +168,30 @@ def order_vector(spec: OrderSpec, exps) -> tuple:
     return tuple(ov)
 
 
-def order_vector_step(spec: OrderSpec, ov: tuple, i: int) -> tuple:
-    """Order vector of x_i * m given the order vector of m: add column i."""
-    return tuple(map(add, ov, spec.columns[i - 1]))
-
-
 def varord(spec: OrderSpec) -> tuple:
     """(i_1,...,i_n) with x_{i_1} > ... > x_{i_n}: the columns, largest first."""
     return tuple(
         sorted(range(1, spec.n + 1), key=lambda j: spec.columns[j - 1], reverse=True)
     )
+
+
+def children(spec: OrderSpec):
+    """(variables, deltas, cost, make) for the children x_i*t of any t.
+
+    The variables come smallest first, so the children ascend in that
+    order.  x_i*t and x_j*t differ where columns i and j differ, so the
+    memo deltas of consecutive children, and the entries ``compare_from``
+    reads to find them, are the same for every t.  ``make(ov)`` lists the
+    children's order vectors, given the order vector ov of t.
+    """
+    variables = tuple(reversed(varord(spec)))
+    cols = [spec.columns[i - 1] for i in variables]
+    found = [compare_from(u, w, 1, spec.n) for u, w in zip(cols, cols[1:])]
+
+    def make(ov):
+        return [tuple(map(add, ov, col)) for col in cols]
+
+    return variables, [d for d, _s, _c in found], sum(c for _d, _s, c in found), make
 
 
 def restrict(spec: OrderSpec, ess) -> OrderSpec:

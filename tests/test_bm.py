@@ -31,9 +31,8 @@ from pointideal.bm import (
     bm,
     normal_form,
     occ_skip,
-    probe_deltas,
 )
-from pointideal.certify import verify_result
+from pointideal.certify import Quotient, verify_result
 from pointideal.deltamerge import compare_from
 from pointideal.fields import PrimeField, QQ
 from pointideal.linalg import EchelonAccumulator
@@ -228,15 +227,18 @@ PROBE_ORDERS = {
 @pytest.mark.parametrize("name", sorted(PROBE_ORDERS))
 def test_probe_deltas_are_those_of_every_monomial(name):
     # the deltas of x_i*t over vars_increasing, and the entries compare_from
-    # reads to find them, do not depend on t
+    # reads to find them, do not depend on t: orders.children gives them once
     spec = PROBE_ORDERS[name]
     vars_increasing = tuple(reversed(orders.varord(spec)))
-    deltas, cost = probe_deltas(spec, vars_increasing)
+    variables, deltas, cost, make = orders.children(spec)
+    assert variables == vars_increasing
     rng = random.Random(5)
     for _ in range(40):
         t = random_monomial(rng, spec.n, max_deg=12)
-        ov = orders.order_vector(spec, t)
-        probes = [orders.order_vector_step(spec, ov, i) for i in vars_increasing]
+        probes = make(orders.order_vector(spec, t))
+        assert probes == [
+            orders.order_vector(spec, orders.monomial_mul_var(t, i)) for i in vars_increasing
+        ]
         got = [compare_from(u, w, 1, spec.n) for u, w in zip(probes, probes[1:])]
         assert [d for d, _s, _c in got] == deltas
         assert sum(c for _d, _s, c in got) == cost
@@ -437,8 +439,28 @@ def test_normal_form_of_more_than_m_terms_is_the_sum_of_theirs(fld):
     coeffs = {random_monomial(rng, 3, 9): fld.canonical(rng.randint(-9, 9) or 1) for _ in range(40)}
     f = Polynomial.from_dict(coeffs, spec, fld)
     assert len(f.terms) > pts.m
-    parts = [(c, normal_form(Polynomial([(fld.one, e)]), res, pts)) for c, e in f.terms]
-    assert normal_form(f, res, pts) == combine(parts, spec, fld)
+    quotient = Quotient(res, pts)  # B eliminated once for all 41 normal forms
+    parts = [(c, quotient.normal_form(Polynomial([(fld.one, e)]))) for c, e in f.terms]
+    assert quotient.normal_form(f) == combine(parts, spec, fld)
+
+
+@pytest.mark.parametrize("fld", [PrimeField(7), PrimeField(32003), QQ], ids=str)
+def test_one_quotient_gives_every_normal_form(fld):
+    # one elimination of B serves many polynomials, each as normal_form alone
+    rng = random.Random(23)
+    for n, m in ((2, 6), (3, 12), (4, 9)):
+        pts = random_point_set(rng, fld, n, m)
+        spec = random_order(rng, n)
+        res = bm(pts, spec)
+        quotient = Quotient(res, pts)
+        for size in (0, 1, 5, 2 * m):
+            coeffs = {random_monomial(rng, n, 6): fld.canonical(rng.randint(1, 6)) for _ in range(size)}
+            f = Polynomial.from_dict(coeffs, spec, fld)
+            assert size < m or len(f.terms) > m
+            nf = quotient.normal_form(f)
+            assert nf == normal_form(f, res, pts)
+            for p in pts.points:
+                assert evaluate(nf, fld, p) == evaluate(f, fld, p)
 
 
 def test_normal_form_rejects_a_basis_dependent_at_the_points():

@@ -765,6 +765,25 @@ def test_parse_result_prime_field_rejects_decimal_number():
         fileio.parse_result(text, orders.lex(1))
 
 
+@pytest.mark.parametrize("G, message", [
+    ('[["1", [2]], ["3", [1]], ["4", [1]]]', r"G\[0\] term 2: \[1\] does not descend below term 1"),
+    ('[["1", [0]], ["3", [1]]]', r"G\[0\] term 1: \[1\] does not descend below term 0"),
+], ids=["repeated-tail-term", "tail-above-lead"])
+def test_parse_result_refuses_terms_out_of_order(G, message):
+    # both were read, and only verify_result said "do not strictly descend"
+    text = '{"field": {"type": "prime", "p": 7}, "B": [[0], [1]], "G": [%s]}' % G
+    with pytest.raises(fileio.ParseError, match=message):
+        fileio.parse_result(text, orders.lex(1))
+
+
+@pytest.mark.parametrize("zero", ['"0"', "0", '"14"', '"-7"'], ids=["text", "number", "p+p", "-p"])
+def test_parse_result_refuses_a_zero_coefficient(zero):
+    # read, it broke the Polynomial invariant until verify_result refused it
+    text = '{"field": {"type": "prime", "p": 7}, "B": [[0], [1]], "G": [[["1", [2]], [%s, [1]]]]}' % zero
+    with pytest.raises(fileio.ParseError, match=r"G\[0\] term 1: the coefficient is zero"):
+        fileio.parse_result(text, orders.lex(1))
+
+
 @pytest.mark.parametrize("wall_time", [0.1, 0.123456789012345, 1e-05, 2.0])
 def test_result_document_leaves_out_the_run_report(wall_time):
     # the digits of wall_time once moved the document's bytes
@@ -898,7 +917,7 @@ CLI_MODULES = [
     "pointideal.poly", "pointideal.projection",
 ]
 # source lines those modules hold: every CLI process compiles them
-CLI_LINES = 2103
+CLI_LINES = 2084
 
 
 def test_cli_import_loads_exactly_these_modules():

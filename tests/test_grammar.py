@@ -133,15 +133,22 @@ def test_point_documents_round_trip(case):
 def result_documents(draw):
     """(document, result): a result document of drawn coefficients over lex.
 
-    Each element has a lead of any exponents and a tail drawn from B, as
-    ``parse_result`` holds every element on B.
+    Each element has a lead of any exponents and a tail drawn from B below
+    it, its terms strictly descending and no coefficient zero, as
+    ``parse_result`` holds every element on B and refuses any other.
     """
     fld, n = draw(st.sampled_from([QQ, GF])), draw(st.integers(1, 3))
     exponents = st.lists(st.integers(0, 3), min_size=n, max_size=n)
     B = draw(st.lists(exponents, min_size=1, max_size=3))
-    lead = st.tuples(literal_of(fld), exponents)
-    tail = st.lists(st.tuples(literal_of(fld), st.sampled_from(B)), max_size=2)
-    G = draw(st.lists(st.tuples(lead, tail).map(lambda e: [e[0], *e[1]]), max_size=3))
+    nonzero = literal_of(fld).filter(lambda t: t[1] != 0)
+    lead = st.tuples(nonzero, exponents)
+    tail = st.lists(st.tuples(nonzero, st.sampled_from(B)), max_size=2, unique_by=lambda t: tuple(t[1]))
+
+    def descending(element):  # under lex(n) the order vector is the exponents
+        (c, e), tail = element
+        return [(c, e), *sorted([t for t in tail if t[1] < e], key=lambda t: t[1], reverse=True)]
+
+    G = draw(st.lists(st.tuples(lead, tail).map(descending), max_size=3))
     spec = orders.lex(n)
     doc = {"order": str(spec), "field": fld.to_descriptor(), "n": n, "B": B,
            "G": [[[text, m] for (text, _c), m in g] for g in G]}

@@ -1,4 +1,4 @@
-"""Term orders: order vectors, incremental steps, comparison, restriction."""
+"""Term orders: order vectors, the children of a monomial, comparison, restriction."""
 
 import random
 from operator import add
@@ -6,7 +6,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointideal._oracles import random_matrix_order
+from pointideal._oracles import random_matrix_order, random_monomial
 from pointideal.deltamerge import compare_from
 from pointideal.fileio import parse_order
 from pointideal.orders import (
@@ -14,13 +14,13 @@ from pointideal.orders import (
     OrderError,
     OrderSpec,
     SingularMatrix,
+    children,
     deglex,
     degrevlex,
     lex,
     matrix_order,
     monomial_mul_var,
     order_vector,
-    order_vector_step,
     restrict,
     standard_matrix,
     varord,
@@ -56,8 +56,9 @@ def test_order_vector_with_permutation():
     spec = deglex(4, (3, 1, 4, 2))
     # entries: (deg, a_{i_1}, a_{i_2}, a_{i_3}) = (deg, a_3, a_1, a_4)
     assert order_vector(spec, (1, 2, 3, 4)) == (10, 3, 1, 4)
-    assert order_vector_step(spec, (10, 3, 1, 4), 2) == (11, 3, 1, 4)
-    assert order_vector_step(spec, (10, 3, 1, 4), 3) == (11, 4, 1, 4)
+    variables, _deltas, _cost, make = children(spec)
+    kids = dict(zip(variables, make((10, 3, 1, 4))))
+    assert kids[2] == (11, 3, 1, 4) and kids[3] == (11, 4, 1, 4)
 
 
 def test_permuted_standard_matrices():
@@ -66,11 +67,34 @@ def test_permuted_standard_matrices():
     assert degrevlex(3, (2, 3, 1)).matrix == ((1, 1, 1), (-1, 0, 0), (0, 0, -1))
 
 
-def test_order_vector_step_examples():
-    assert order_vector_step(lex(3), (1, 0, 2), 3) == (1, 0, 3)
-    assert order_vector_step(deglex(3), (3, 1, 0), 1) == (4, 2, 0)
+def test_children_examples():
+    assert children(lex(3))[:3] == ((3, 2, 1), [2, 1], 3)
+    assert children(lex(3))[3]((1, 0, 2)) == [(1, 0, 3), (1, 1, 2), (2, 0, 2)]
     A = matrix_order(standard_matrix("degrevlex", 3))
-    assert order_vector_step(A, (3, -2, 0), 2) == (4, -2, -1)
+    assert children(A)[:3] == ((3, 2, 1), [2, 3], 5)
+    assert children(A)[3]((3, -2, 0)) == [(4, -3, 0), (4, -2, -1), (4, -2, 0)]
+
+
+@pytest.mark.parametrize("kind", ["lex", "deglex", "degrevlex", "matrix"])
+def test_children_are_the_order_vectors_of_x_i_t(kind):
+    # under random permutations and matrices, the children of a random t are
+    # the order vectors of x_i*t, ascending; their deltas and the entries
+    # compare_from reads to find them are those children() gives once
+    rng = random.Random(5)
+    for _ in range(12):
+        n = rng.randint(1, 6)
+        perm = rng.sample(range(1, n + 1), n)
+        spec = random_matrix_order(rng, n) if kind == "matrix" else OrderSpec(n, kind, perm)
+        variables, deltas, cost, make = children(spec)
+        assert sorted(variables) == list(range(1, n + 1))
+        for _ in range(20):
+            t = random_monomial(rng, n, max_deg=12)
+            kids = make(order_vector(spec, t))
+            assert kids == [order_vector(spec, monomial_mul_var(t, i)) for i in variables]
+            got = [compare_from(u, w, 1, n) for u, w in zip(kids, kids[1:])]
+            assert [d for d, _s, _c in got] == deltas
+            assert sum(c for _d, _s, c in got) == cost
+            assert all(s < 0 for _d, s, _c in got)
 
 
 @settings(max_examples=200)
@@ -82,10 +106,11 @@ def test_step_composes_to_order_vector(m):
         degrevlex(3, (3, 1, 2)),
         matrix_order([[1, 2, 0], [0, 1, 1], [1, 0, 0]]),
     ):
+        variables, _deltas, _cost, make = children(spec)
         ov = order_vector(spec, (0, 0, 0))
         for i in (1, 2, 3):
             for _ in range(m[i - 1]):
-                ov = order_vector_step(spec, ov, i)
+                ov = dict(zip(variables, make(ov)))[i]
         assert ov == order_vector(spec, m)
 
 
