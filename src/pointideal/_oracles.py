@@ -258,6 +258,32 @@ def random_point_set(rng: random.Random, field, n, m) -> PointSet:
     return PointSet(field=field, n=n, points=tuple(sorted(pts)))
 
 
+def dependent_point_set(rng, fld, n_free, n_dep, m):
+    """m distinct points, n_dep of whose coordinates are affine in the others.
+
+    The n_free free coordinates are drawn as by ``random_point_set``; each
+    dependent one is c0 + sum c_j*x_j with small integer c's, and the
+    coordinates are then shuffled.
+    """
+    free = random_point_set(rng, fld, n_free, m)
+    rel = [
+        [fld.canonical(rng.randint(-3, 3)) for _ in range(n_free + 1)]
+        for _ in range(n_dep)
+    ]
+    perm = list(range(n_free + n_dep))
+    rng.shuffle(perm)
+    points = []
+    for x in free.points:
+        p = list(x)
+        for c in rel:
+            v = c[0]
+            for a, xj in zip(c[1:], x):
+                v = fld.canonical(v + a * xj)
+            p.append(v)
+        points.append(tuple(p[k] for k in perm))
+    return PointSet(field=fld, n=n_free + n_dep, points=tuple(points))
+
+
 def random_matrix_order(rng: random.Random, n, max_entry=5):
     """A random admissible integer-matrix order."""
     while True:

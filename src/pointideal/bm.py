@@ -197,7 +197,7 @@ def bm(points: PointSet, spec) -> GroebnerResult:
         t_ov = L_items[0]
         parent, var = pending.pop(t_ov)
         del L_items[:run]
-        del L_deltas[: min(run, len(L_deltas))]
+        del L_deltas[:run]
         if parent is None:
             t_exps = one
             v = one_vec

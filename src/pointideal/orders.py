@@ -12,7 +12,6 @@ their arithmetic, the candidate loop's included (``children``).
 
 from __future__ import annotations
 
-from math import gcd
 from operator import add
 
 from ._record import FrozenRecord
@@ -103,7 +102,7 @@ class OrderSpec(FrozenRecord):
                     raise SingularMatrix(f"column {j + 1} is zero")
                 if lead < 0:
                     raise NonAdmissibleColumn(f"column {j + 1} has a negative leading entry")
-            if len(_independent_residuals(mat, n)) != n:
+            if len(_independent_rows(mat, n)) != n:
                 raise SingularMatrix("order matrix is singular over Q")
         else:
             raise OrderError(f"unknown order kind {kind!r}")
@@ -138,19 +137,15 @@ def standard_matrix(kind: str, n: int):
     return OrderSpec(n, kind).matrix
 
 
-def _independent_residuals(rows, width):
-    """Residuals over QQ of each row against the earlier rows; nonzero ones only.
-
-    Each is a primitive integer row, a positive multiple of the residual.
-    """
+def _independent_rows(rows, width):
+    """The rows, in order, that are independent over QQ of the rows before them."""
     acc = EchelonAccumulator(width, QQ)
     kept = []
     for row in rows:
         residual, coords = acc.reduce(acc.vector(row))
         if residual:
             acc.insert(residual, coords)
-            g = gcd(*residual)
-            kept.append(tuple(x // g for x in residual))
+            kept.append(tuple(row))
     return kept
 
 
@@ -204,6 +199,7 @@ def restrict(spec: OrderSpec, ess) -> OrderSpec:
     k = len(ess)
     if spec.kind in STANDARD_KINDS:
         return OrderSpec(k, spec.kind)
-    # keep the chosen columns, then drop rows dependent on earlier ones
+    # keep the chosen columns, then drop rows dependent on earlier ones: such a
+    # row is zero on a difference of monomials that the rows before it are
     rows = [[spec.matrix[i][j - 1] for j in ess] for i in range(spec.n)]
-    return matrix_order(_independent_residuals(rows, k))
+    return matrix_order(_independent_rows(rows, k))

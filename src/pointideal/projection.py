@@ -43,20 +43,17 @@ def essential_variables(points: PointSet, spec) -> EssentialSet:
     # raw id of each inserted vector: 0 for all-ones, else the variable index
     raw_ids = [0]
     acc.insert(*acc.reduce(one))
-    ess = []
     relations = {}
     for i in reversed(orders.varord(spec)):
         residual, coords = acc.reduce(columns[i - 1])
         if residual:
             acc.insert(residual, coords)
             raw_ids.append(i)
-            ess.append(i)
         else:
             flat = {raw_ids[l]: c for l, c in acc.coordinates(coords).items()}
             const = flat.pop(0, fld.zero)
             relations[i] = (const, flat)
-    ess_desc = tuple(reversed(ess))
-    return EssentialSet(ess=ess_desc, relations=relations)
+    return EssentialSet(ess=tuple(reversed(raw_ids[1:])), relations=relations)
 
 
 def project(points: PointSet, es: EssentialSet) -> PointSet:
@@ -92,11 +89,12 @@ def lift(sub: GroebnerResult, es: EssentialSet, spec) -> GroebnerResult:
     held = [g.held_on(sub.B, index) for g in sub.G]
     G = [Polynomial.on_basis((g.lead[0], _embed(g.lead[1], es, n)), g.at, g.coeffs, B) for g in held]
     by_lead = {g.lead[1]: g for g in held}
+    unit = {j: tuple(int(i == j) for i in es.ess) for j in es.ess}  # x_j in the projected ring
     for k in sorted(es.relations):
         const, rel = es.relations[k]
         tail = {0: -const}  # B index -> coefficient
         for j, c in rel.items():
-            x_j = tuple(int(i == j) for i in es.ess)  # in the projected ring
+            x_j = unit[j]
             g = by_lead.get(x_j)  # None when x_j is in B: NF(x_j) is x_j
             for a, d in [(index[x_j], -1)] if g is None else zip(g.at, g.coeffs):
                 tail[a] = tail.get(a, 0) + c * d

@@ -11,7 +11,7 @@ from pointideal._oracles import (
     random_matrix_order,
     random_point_set,
 )
-from pointideal.bm import PointSet, bm
+from pointideal.bm import bm
 from pointideal.projection import bm_projected
 
 
@@ -29,32 +29,6 @@ def random_instance(rng, n_max=10, m_max=30, big_field_cutoff=12):
         fld = random_field(rng)
     points = random_point_set(rng, fld, n, m)
     return points
-
-
-def dependent_point_set(rng, fld, n_free, n_dep, m):
-    """m distinct points, n_dep of whose coordinates are affine in the others.
-
-    The n_free free coordinates are drawn as by ``random_point_set``; each
-    dependent one is c0 + sum c_j*x_j with small integer c's, and the
-    coordinates are then shuffled.
-    """
-    free = random_point_set(rng, fld, n_free, m)
-    rel = [
-        [fld.canonical(rng.randint(-3, 3)) for _ in range(n_free + 1)]
-        for _ in range(n_dep)
-    ]
-    perm = list(range(n_free + n_dep))
-    rng.shuffle(perm)
-    points = []
-    for x in free.points:
-        p = list(x)
-        for c in rel:
-            v = c[0]
-            for a, xj in zip(c[1:], x):
-                v = fld.canonical(v + a * xj)
-            p.append(v)
-        points.append(tuple(p[k] for k in perm))
-    return PointSet(field=fld, n=n_free + n_dep, points=tuple(points))
 
 
 def counted_steps(monkeypatch):

@@ -1,14 +1,24 @@
-"""``bench_record.py --expect``: traced counters compared with a record.
+"""``bench_record.py``: traced counters compared with a record, and ``--real``.
 
 Hand-written records stand in for the benchmark runs, so nothing here runs
-``perfbench/``.
+``perfbench/``.  ``--real`` runs one small substituted case through the CLI.
 """
 
 import copy
+import hashlib
 import importlib.util
 import json
+import random
 import re
 from pathlib import Path
+
+import pytest
+
+from pointideal import fileio, orders
+from pointideal._oracles import random_point_set
+from pointideal.certify import VerificationError
+from pointideal.fields import PrimeField
+from pointideal.projection import bm_projected
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_record", ROOT / "bench_record.py")
@@ -73,6 +83,48 @@ def test_expect_exits_0_when_every_counter_is_equal(tmp_path, monkeypatch, capsy
     expect = _fake_checkout(tmp_path, monkeypatch, 7)
     assert bench_record.main(["t", "--expect", str(expect)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"1 counters equal {expect}"
+
+
+def _gf7(rng):
+    return random_point_set(rng, PrimeField(7), 2, 5)
+
+
+GF7_CASE = {"gf7 (2, 5) lex": ("lex", _gf7)}
+
+
+def test_real_records_each_case_run_by_the_cli_in_a_child(tmp_path, monkeypatch):
+    _fake_checkout(tmp_path, monkeypatch, 7)
+    monkeypatch.setattr(bench_record, "REAL_CASES", GF7_CASE)
+    assert bench_record.main(["t", "--real"]) == 0
+    case = json.loads((tmp_path / "BENCH_t.json").read_text())["real"]["gf7 (2, 5) lex"]
+    points = _gf7(random.Random(bench_record.SEED))
+    result = bm_projected(points, orders.lex(2))
+    document = fileio.serialize_result(result) + "\n"
+    assert case.pop("result_sha256") == hashlib.sha256(document.encode()).hexdigest()
+    stats, expected = case.pop("stats"), result.stats.to_dict()
+    assert stats.pop("wall_time") > 0 and stats == {k: v for k, v in expected.items() if k != "wall_time"}
+    assert case.pop("verify_result") == "pass"
+    assert case.pop("wall_s")["value"] > 0 and case.pop("peak_rss_mb")["value"] > 0
+    assert case == {"field": "GF(7)", "n": 2, "m": 5, "order": "lex"}
+
+
+def _refuted(result, points):
+    raise VerificationError("refuted")
+
+
+@pytest.mark.parametrize("fault", ["child exit", "verdict"])
+def test_a_failed_real_case_writes_no_record(tmp_path, monkeypatch, capsys, fault):
+    _fake_checkout(tmp_path, monkeypatch, 7)
+    if fault == "child exit":
+        monkeypatch.setattr(bench_record, "REAL_CASES", {"bad order": ("lex:9", _gf7)})
+        message = "real bad order: exit 1"
+    else:
+        monkeypatch.setattr(bench_record, "REAL_CASES", GF7_CASE)
+        monkeypatch.setattr(bench_record, "verify_result", _refuted)
+        message = "real gf7 (2, 5) lex: verify_result: refuted"
+    assert bench_record.main(["t", "--real"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_t.json").exists()
 
 
 def test_ci_expects_a_committed_record_that_readme_names():

@@ -18,9 +18,8 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import dependent_point_set
 from pointideal import fileio, orders
-from pointideal._oracles import random_point_set
+from pointideal._oracles import dependent_point_set, random_point_set
 from pointideal.bm import PointSet, bm
 from pointideal.fields import QQ, PrimeField
 from pointideal.poly import Polynomial

@@ -4,6 +4,7 @@ import random
 from operator import add
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from pointideal._oracles import random_matrix_order, random_monomial
@@ -267,10 +268,18 @@ def _restriction_agrees(spec, sub, ess, max_deg, rng, samples=300):
         assert full == small, (a_sub, b_sub)
 
 
+def _independent_cut_rows(spec, ess):
+    """The rows of spec.matrix cut to the ess columns that raise the rank of the rows before them."""
+    rows = [[row[j - 1] for j in ess] for row in spec.matrix]
+    ranks = [0] + [sympy.Matrix(rows[: i + 1]).rank() for i in range(len(rows))]
+    return tuple(tuple(row) for row, r0, r1 in zip(rows, ranks, ranks[1:]) if r1 > r0)
+
+
 def test_restrict_matrix_agrees_with_original():
     rng = random.Random(11)
     A = matrix_order(standard_matrix("deglex", 3))
     sub = restrict(A, (1, 3))
+    assert sub.matrix == ((1, 1), (1, 0))
     _restriction_agrees(A, sub, (1, 3), 6, rng)
     for _ in range(10):
         n = rng.randint(2, 5)
@@ -279,7 +288,8 @@ def test_restrict_matrix_agrees_with_original():
         k = rng.randint(1, n)
         ess = tuple(sorted(rng.sample(range(1, n + 1), k), key=vo.index))
         sub = restrict(spec, ess)
-        assert sub.n == k
+        # the order's own rows, not residuals of them
+        assert sub.n == k and sub.matrix == _independent_cut_rows(spec, ess)
         _restriction_agrees(spec, sub, ess, 4, rng, samples=120)
 
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dependent_point_set, random_order
+from conftest import random_order
 from pointideal import fileio, orders, projection
-from pointideal._oracles import random_field, random_point_set
+from pointideal._oracles import dependent_point_set, random_field, random_matrix_order, random_point_set
 from pointideal._selftest import (
     GOLDEN_ESS,
     GOLDEN_POINTS,
@@ -147,6 +147,23 @@ def test_pipeline_equals_direct_random():
         verify_result(direct, pts)
 
 
+@pytest.mark.parametrize("order", ["lex", "degrevlex", "matrix"])
+def test_wide_point_set_projects_to_the_direct_result(order):
+    # n >= m, the projection's own regime: at most m - 1 variables are essential
+    fld = PrimeField(32003)
+    if order == "matrix":
+        rng = random.Random(41)
+        pts = dependent_point_set(rng, fld, 3, 21, 20)
+        spec, n_essential = random_matrix_order(rng, pts.n), 3
+    else:
+        pts = random_point_set(random.Random(40), fld, 40, 20)
+        spec, n_essential = getattr(orders, order)(pts.n), pts.m - 1
+    direct, piped = bm(pts, spec), bm_projected(pts, spec)
+    assert piped.B == direct.B and piped.G == direct.G
+    assert piped.stats.n_essential == n_essential
+    verify_result(piped, pts)
+
+
 def reference_lift(sub, es, spec):
     """The lift embedding every term of G on its own."""
     fld, n = sub.field, spec.n
@@ -249,8 +266,8 @@ def test_lift_copies_the_stats():
 
 @pytest.mark.parametrize("order", ["lex", "degrevlex"])
 def test_lift_in_many_variables_is_not_cubic(order):
-    # the lift takes an order vector per term and per G element; as a full
-    # matrix product each cost O(n^2), and this case took 24 s per order
+    # the lift sorts G by an order vector per element; as a full matrix
+    # product each cost O(n^2), and this case took 24 s per order
     # (Python 3.11, shared 2-core VM) against 0.2 s as a sum of columns
     n = 600
     pts = PointSet(field=PrimeField(101), n=n, points=((0,) * n, (1,) * n))
